@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
-from .lattice import IntegerLattice, LatticeError, mat_vec
-from .isometry import Isometry, reflection_in
+from .lattice import IntegerLattice, LatticeError, form_basis
+from .isometry import reflection_in
 from .quadfield import QuadExt, sign_of, is_square
 
 
@@ -29,23 +29,12 @@ def in_positive_cone(lat, anchor, x):
 
 
 def _clear_denominators(v):
-    dens = [Fraction(c).denominator for c in v]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // _gcd(lcm, d)
-    ints = [int(Fraction(c) * lcm) for c in v]
-    g = 0
-    for c in ints:
-        g = _gcd(g, abs(c))
+    den = lcm(*(Fraction(c).denominator for c in v))
+    ints = [int(Fraction(c) * den) for c in v]
+    g = gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     return tuple(ints)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _cross(u, v):
@@ -111,11 +100,7 @@ class Chamber:
 
     def wall_value(self, i, x):
         """Oriented wall form i evaluated at x (exact, QuadExt-safe)."""
-        row = self.wall_forms[i]
-        acc = 0
-        for r, c in zip(row, x):
-            acc = acc + r * c
-        return acc
+        return self.face_value(self.wall_forms[i], x)
 
     def face_value(self, f, x):
         acc = 0
@@ -128,10 +113,6 @@ def in_chamber(chamber, x):
     """Boundary-inclusive membership in the chamber."""
     if chamber.face_forms is not None:
         return all(chamber.face_value(f, x) >= 0 for f in chamber.face_forms)
-    return all(chamber.wall_value(i, x) >= 0 for i in range(len(chamber.walls)))
-
-
-def walls_satisfied(chamber, x):
     return all(chamber.wall_value(i, x) >= 0 for i in range(len(chamber.walls)))
 
 
@@ -177,9 +158,7 @@ def isotropic_rays_in_wall(lat, wall, anchor):
     """The two isotropic rays of the plane orthogonal to ``wall`` (rank 3),
     oriented to pair positively with the anchor.  Coordinates are QuadExt
     when irrational, Fractions otherwise."""
-    from .lattice import _integer_kernel
-    row = lat.pairing_row(wall)
-    p, q = _integer_kernel(row)
+    _, _, (p, q) = form_basis(lat.pairing_row(wall))
     np_, npq, nq = lat.norm(p), lat.inner(p, q), lat.norm(q)
     rays = []
     if np_ == 0 and nq == 0:

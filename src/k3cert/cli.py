@@ -4,7 +4,7 @@ Subcommands:
     verify all | quartic | pell [--ell N | --ell-range A..B] | weierstrass
     enumerate sections [--n-bound K] | enumerate q
     reduce --class "x,y,z" [--basis HLM|fev]
-    orbit --len K
+    orbit --len K          (K <= MAX_ORBIT_LEN)
 
 ``--json PATH`` writes the report; the exit code is 0 iff no item has
 status "fail" (a "discrepancy" does not fail the build), 2 on usage errors.
@@ -18,9 +18,11 @@ import sys
 from . import pell, quartic, weierstrass
 from .chamber import ChamberError, reduce_to_chamber, orbit_of_anchor
 from .lattice import LatticeError
-from .report import PASS, FAIL, Report, ReportItem, timed_item
+from .report import PASS, Report, run_suite
 
 USAGE_ERROR = 2
+# level k of the orbit holds 3 * 2^(k-1) classes, so its size doubles per level
+MAX_ORBIT_LEN = 12
 
 
 def build_parser():
@@ -31,6 +33,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a verification suite")
+    pv.set_defaults(run=cmd_verify)
     pv.add_argument("suite", choices=["all", "quartic", "pell", "weierstrass"])
     pv.add_argument("--ell", type=int, default=None)
     pv.add_argument("--ell-range", default=None, metavar="A..B")
@@ -39,16 +42,19 @@ def build_parser():
     pv.add_argument("--json", default=None, metavar="PATH")
 
     pe = sub.add_parser("enumerate", help="enumeration utilities")
+    pe.set_defaults(run=cmd_enumerate)
     pe.add_argument("what", choices=["sections", "q"])
     pe.add_argument("--n-bound", type=int, default=3)
     pe.add_argument("--json", default=None, metavar="PATH")
 
     pr = sub.add_parser("reduce", help="reduce a class into the chamber")
+    pr.set_defaults(run=cmd_reduce)
     pr.add_argument("--class", dest="cls", required=True, metavar='"x,y,z"')
     pr.add_argument("--basis", choices=["HLM", "fev"], default="HLM")
     pr.add_argument("--json", default=None, metavar="PATH")
 
     po = sub.add_parser("orbit", help="orbit of the anchor class")
+    po.set_defaults(run=cmd_orbit)
     po.add_argument("--len", dest="length", type=int, required=True)
     po.add_argument("--json", default=None, metavar="PATH")
     return p
@@ -76,22 +82,27 @@ def _parse_class(text, parser):
 
 
 def cmd_verify(args, parser):
+    # every option is checked before any suite runs
+    if args.entry_bound < 1:
+        parser.error("--entry-bound must be >= 1")
+    if args.k_bound < 0:
+        parser.error("--k-bound must be nonnegative")
+    if args.ell is not None and args.ell_range is not None:
+        parser.error("give --ell or --ell-range, not both")
+    if args.ell is not None:
+        if args.ell <= 5:
+            parser.error("--ell must exceed 5")
+        ells = [args.ell]
+    elif args.ell_range is not None:
+        ells = _parse_ell_range(args.ell_range, parser)
+        if any(e <= 5 for e in ells):
+            parser.error("--ell-range values must exceed 5")
+    else:
+        ells = range(6, 13)
     report = Report()
     if args.suite in ("all", "quartic"):
         report.extend(quartic.full_section3_certificate().items)
     if args.suite in ("all", "pell"):
-        if args.ell is not None and args.ell_range is not None:
-            parser.error("give --ell or --ell-range, not both")
-        if args.ell is not None:
-            if args.ell <= 5:
-                parser.error("--ell must exceed 5")
-            ells = [args.ell]
-        elif args.ell_range is not None:
-            ells = _parse_ell_range(args.ell_range, parser)
-            if any(e <= 5 for e in ells):
-                parser.error("--ell-range values must exceed 5")
-        else:
-            ells = range(6, 13)
         report.extend(pell.full_section4_certificate(
             ells, entry_bound=args.entry_bound, k_bound=args.k_bound).items)
     if args.suite in ("all", "weierstrass"):
@@ -99,24 +110,37 @@ def cmd_verify(args, parser):
     return report
 
 
+def list_sections(ctx, n_bound):
+    sols, (a2, a1, a0), zero = quartic.enumerate_sections(ctx, n_bound)
+    return PASS, ("%d section classes in (f,e,v): %s; closed form "
+                  "a(n) = %d n^2 + %d n + %d; zero section present: %s"
+                  % (len(sols), sols, a2, a1, a0, zero))
+
+
+def list_q(ctx):
+    q = quartic.enumerate_Q_bruteforce(ctx)
+    kinds = {a: quartic.classify_polarization(ctx, a) for a in q}
+    return PASS, "Q = %s; classifications: %s" % (q, kinds)
+
+
+def reduce_class(ctx, coords):
+    trace = reduce_to_chamber(ctx.chamber, coords)
+    return PASS, ("reduced to %s via wall word %s (basis HLM)"
+                  % (trace.result, list(trace.word)))
+
+
+def list_orbit(ctx, length):
+    orbit = orbit_of_anchor(ctx.chamber, length)
+    return PASS, ("%d distinct classes up to word length %d: %s"
+                  % (len(orbit), length, orbit))
+
+
 def cmd_enumerate(args, parser):
     ctx = quartic.build_context()
-    report = Report()
     if args.what == "sections":
-        def run():
-            sols, fit, zero = quartic.enumerate_sections(ctx, args.n_bound)
-            a2, a1, a0 = fit
-            return PASS, ("%d section classes in (f,e,v): %s; closed form "
-                          "a(n) = %d n^2 + %d n + %d; zero section present: %s"
-                          % (len(sols), sols, a2, a1, a0, zero))
-        report.add(timed_item("prop-3.3-sections", "Prop 3.3(2)", run))
-    else:
-        def run():
-            q = quartic.enumerate_Q_bruteforce(ctx)
-            kinds = {a: quartic.classify_polarization(ctx, a) for a in q}
-            return PASS, "Q = %s; classifications: %s" % (q, kinds)
-        report.add(timed_item("lemma-3.9", "Lemma 3.9", run))
-    return report
+        return run_suite([("prop-3.3-sections", "Prop 3.3(2)", list_sections)],
+                         ctx, args.n_bound)
+    return run_suite([("lemma-3.9", "Lemma 3.9", list_q)], ctx)
 
 
 def cmd_reduce(args, parser):
@@ -124,42 +148,21 @@ def cmd_reduce(args, parser):
     ctx = quartic.build_context()
     if args.basis == "fev":
         coords = ctx.to_hlm(coords)
-    report = Report()
-
-    def run():
-        trace = reduce_to_chamber(ctx.chamber, coords)
-        return PASS, ("reduced to %s via wall word %s (basis HLM)"
-                      % (trace.result, list(trace.word)))
-    report.add(timed_item("reduce", "Lemma 3.10", run))
-    return report
+    return run_suite([("reduce", "Lemma 3.10", reduce_class)], ctx, coords)
 
 
 def cmd_orbit(args, parser):
-    if args.length < 0:
-        parser.error("--len must be nonnegative")
-    ctx = quartic.build_context()
-    report = Report()
-
-    def run():
-        orbit = orbit_of_anchor(ctx.chamber, args.length)
-        return PASS, ("%d distinct classes up to word length %d: %s"
-                      % (len(orbit), args.length, orbit))
-    report.add(timed_item("orbit", "Lemma 3.13", run))
-    return report
+    if not 0 <= args.length <= MAX_ORBIT_LEN:
+        parser.error("--len must be between 0 and %d" % MAX_ORBIT_LEN)
+    return run_suite([("orbit", "Lemma 3.13", list_orbit)],
+                     quartic.build_context(), args.length)
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            report = cmd_verify(args, parser)
-        elif args.command == "enumerate":
-            report = cmd_enumerate(args, parser)
-        elif args.command == "reduce":
-            report = cmd_reduce(args, parser)
-        else:
-            report = cmd_orbit(args, parser)
+        report = args.run(args, parser)
     except (ChamberError, LatticeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

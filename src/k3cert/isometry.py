@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .lattice import (
     IntegerLattice,
@@ -195,27 +196,27 @@ def _cyclotomic_part(poly):
     return orders, p
 
 
-def order_of(g, cap=64):
-    """Smallest n <= cap with g^n = id, else the string "infinite".
+def order_of(g):
+    """The order of g as (n, "iterated"), else ("infinite", certificate).
 
-    Returns (order, certificate) where certificate names the route:
-    "iterated" for a found finite order, "noncyclotomic" when the
-    characteristic polynomial has a root off the unit circle (Kronecker),
-    "nonsemisimple" when all eigenvalues are roots of unity but no power
-    up to their lcm is the identity (e.g. nontrivial unipotents).
+    The certificate names the route: "noncyclotomic" when the characteristic
+    polynomial has a root off the unit circle (Kronecker), "nonsemisimple"
+    when all eigenvalues are roots of unity but no power up to the lcm of
+    their orders is the identity (e.g. nontrivial unipotents); a finite
+    order would divide that lcm.  _CYCLOTOMICS holds every cyclotomic
+    polynomial of degree <= 3, which is complete for rank <= 3 only.
     """
-    if cap < 1:
-        raise LatticeError("cap must be >= 1")
-    acc = g
-    for n in range(1, cap + 1):
-        if acc.is_identity():
-            return n, "iterated"
-        acc = compose(acc, g)
+    if g.lattice.rank > 3:
+        raise LatticeError("order_of needs rank <= 3, got rank %d"
+                           % g.lattice.rank)
     orders, residual = _cyclotomic_part(char_poly(g.matrix))
     if len(residual) > 1:
         return "infinite", "noncyclotomic"
-    # all eigenvalues are roots of unity: finite order would divide the lcm,
-    # which was already covered by iteration whenever cap >= 12 (rank <= 3)
+    acc = g
+    for n in range(1, lcm(*orders) + 1):
+        if acc.is_identity():
+            return n, "iterated"
+        acc = compose(acc, g)
     return "infinite", "nonsemisimple"
 
 

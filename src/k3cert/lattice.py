@@ -8,7 +8,7 @@ computations are exact -- no floating point anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -247,14 +247,6 @@ class IntegerLattice:
                    labels=tuple(obj["labels"]))
 
 
-def inner_product(lat, x, y):
-    return lat.inner(x, y)
-
-
-def determinant(lat):
-    return lat.determinant()
-
-
 # ---------------------------------------------------------------------------
 # dual vectors and the discriminant group
 
@@ -425,129 +417,86 @@ def solve_norm_system(lat, constraints, norm, box):
     return out
 
 
-def _integer_kernel(row):
-    """Basis of the integer kernel of a single integer linear form."""
-    m = (tuple(int(c) for c in row),)
-    u, d, v = smith_normal_form(m)
-    # columns of V past the rank of the form span the kernel
-    rank = 1 if any(c != 0 for c in row) else 0
+def form_basis(row):
+    """For a nonzero integer linear form: (g, x1, kernel) with g the gcd of
+    its entries, row . x1 = g, and kernel a Z-basis of {x : row . x = 0}."""
+    u, d, v = smith_normal_form((tuple(row),))
     n = len(row)
-    return [tuple(v[r][j] for r in range(n)) for j in range(rank, n)]
+    cols = [tuple(v[r][j] for r in range(n)) for j in range(n)]
+    # U is the 1x1 unimodular +-1, so row . (U V e_0) = d_0
+    return d[0][0], tuple(u[0][0] * c for c in cols[0]), cols[1:]
 
 
-def _particular_solution(row, c):
-    """Integer x with row . x == c, or None."""
-    m = (tuple(int(e) for e in row),)
-    u, d, v = smith_normal_form(m)
-    g = d[0][0]
-    if g == 0:
-        return None if c != 0 else tuple(0 for _ in row)
-    if c % g != 0:
-        return None
-    n = len(row)
-    y = (c // g,) + tuple(0 for _ in range(n - 1))
-    x = mat_vec(v, y)
-    got = sum(r * xi for r, xi in zip(m[0], x))
-    if got == -c:
-        x = tuple(-xi for xi in x)
-    elif got != c:
-        raise LatticeError("particular solution construction failed")
-    return x
+def lattice_points(lat, anchor, pairings, min_norm):
+    """Every nonzero x with (x, anchor) in pairings and (x, x) >= min_norm.
 
-
-def _isqrt_or_none(n):
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def solve_pairing_norm(lat, anchor, pairing, norm):
-    """Complete enumeration of x with (x, anchor) = pairing, (x, x) = norm.
-
-    Requires (anchor, anchor) > 0 in a lattice of signature (1, rank-1),
-    so the solution set is finite (the quadratic form is negative definite
-    on the orthogonal complement of the anchor).  No box is involved.
+    Requires (anchor, anchor) > 0 in a lattice of signature (1, rank-1):
+    the form is then negative definite on the orthogonal complement of the
+    anchor, so each set is finite.  With x = (p/g) x1 + K t (K a kernel
+    basis of the pairing with the anchor), the condition is an ellipsoid in
+    t, walked coordinate by coordinate (Fincke-Pohst, Math. Comp. 44,
+    1985).  Sorted output; no box is involved.
     """
-    if lat.norm(anchor) <= 0:
+    anchor_norm = lat.norm(anchor)
+    if anchor_norm <= 0:
         raise LatticeError("anchor must have positive norm")
-    row = lat.pairing_row(anchor)
-    x0 = _particular_solution(row, pairing)
-    if x0 is None:
-        return []
-    kernel = _integer_kernel(row)
-    out = []
-    if len(kernel) == 0:
-        if lat.norm(x0) == norm:
-            out.append(x0)
-    elif len(kernel) == 1:
-        b1 = kernel[0]
-        # (x0 + t b1)^2 = norm: quadratic with negative leading coefficient
-        a2 = lat.norm(b1)
-        a1 = 2 * lat.inner(x0, b1)
-        a0 = lat.norm(x0) - norm
-        if a2 == 0:
-            raise LatticeError("kernel direction is isotropic; region not compact")
-        disc = a1 * a1 - 4 * a2 * a0
-        r = _isqrt_or_none(disc)
-        if r is not None:
-            for num in (-a1 + r, -a1 - r):
-                if num % (2 * a2) == 0:
-                    t = num // (2 * a2)
-                    x = tuple(x0[i] + t * b1[i] for i in range(lat.rank))
-                    if x not in out:
-                        out.append(x)
-    elif len(kernel) == 2:
-        b1, b2 = kernel
-        q11 = lat.norm(b1)
-        q12 = lat.inner(b1, b2)
-        q22 = lat.norm(b2)
-        l1 = 2 * lat.inner(x0, b1)
-        l2 = 2 * lat.inner(x0, b2)
-        c0 = lat.norm(x0) - norm
-        # q(t1,t2) = q11 t1^2 + 2 q12 t1 t2 + q22 t2^2 + l1 t1 + l2 t2 + c0 = 0
-        if q22 >= 0 or q11 * q22 - q12 * q12 <= 0:
+    g, x1, kernel = form_basis(lat.pairing_row(anchor))
+    k = len(kernel)
+    # -K^T G K = R^T D R with R unit upper triangular; each pivot D_i is a
+    # Schur complement of -K^T G K, positive iff that form is definite
+    neg = [[-lat.inner(a, b) for b in kernel] for a in kernel]
+    diag, r = [], [[0] * k for _ in range(k)]
+    for i in range(k):
+        diag.append(Fraction(neg[i][i]) - sum(diag[m] * r[m][i] ** 2
+                                              for m in range(i)))
+        if diag[i] <= 0:
             raise LatticeError("orthogonal complement is not negative definite")
-        # for fixed t1 solve the quadratic in t2; real solutions need
-        # (2 q12 t1 + l2)^2 - 4 q22 (q11 t1^2 + l1 t1 + c0) >= 0, which is a
-        # downward parabola in t1 (coefficient 4(q12^2 - q11 q22) < 0)
-        pa = 4 * (q12 * q12 - q11 * q22)
-        pb = 4 * (q12 * l2 - q22 * l1)
-        pc = l2 * l2 - 4 * q22 * c0
-        pd = pb * pb - 4 * pa * pc
-        if pd < 0:
-            return []
-        rr = math.isqrt(pd)
-        lo, hi = sorted(((-pb - rr) // (2 * pa), (-pb + rr) // (2 * pa)))
-        for t1 in range(lo - 1, hi + 2):
-            a2_ = q22
-            a1_ = 2 * q12 * t1 + l2
-            a0_ = q11 * t1 * t1 + l1 * t1 + c0
-            disc = a1_ * a1_ - 4 * a2_ * a0_
-            r = _isqrt_or_none(disc)
-            if r is None:
-                continue
-            for num in (-a1_ + r, -a1_ - r):
-                if num % (2 * a2_) == 0:
-                    t2 = num // (2 * a2_)
-                    x = tuple(x0[i] + t1 * b1[i] + t2 * b2[i]
-                              for i in range(lat.rank))
-                    if x not in out:
-                        out.append(x)
-    else:
-        raise LatticeError("solve_pairing_norm implemented for rank <= 3")
-    out = [x for x in out if any(c != 0 for c in x)]
+        for j in range(i + 1, k):
+            r[i][j] = (neg[i][j] - sum(diag[m] * r[m][i] * r[m][j]
+                                       for m in range(i))) / diag[i]
+    # the norm is maximal, p^2 / (anchor, anchor), at the t-center
+    center1 = solve_int_linear(neg, [lat.inner(b, x1) for b in kernel])
+    out = []
+    for p in pairings:
+        if p % g:
+            continue
+        s = p // g
+        center = [s * c for c in center1]
+        bound = Fraction(p * p, anchor_norm) - min_norm
+        for t in _ellipsoid_points(diag, r, center, bound):
+            x = tuple(s * x1[i] + sum(t[j] * kernel[j][i] for j in range(k))
+                      for i in range(lat.rank))
+            if any(x):
+                out.append(x)
     out.sort()
     return out
 
 
-# ---------------------------------------------------------------------------
-# serialization helpers
+def _ellipsoid_points(diag, r, center, bound):
+    """Integer t with sum_i D_i (u_i + sum_{j>i} R_ij u_j)^2 <= bound, where
+    u = t - center, choosing t from the last coordinate down."""
+    k = len(diag)
+    t = [0] * k
 
-def frac_to_str(x):
-    f = Fraction(x)
-    return "%d/%d" % (f.numerator, f.denominator) if f.denominator != 1 else str(f.numerator)
+    def walk(i, rest):
+        if i < 0:
+            yield tuple(t)
+            return
+        z = center[i] - sum(r[i][j] * (t[j] - center[j]) for j in range(i + 1, k))
+        # every admissible t_i has |t_i - z| <= sqrt(rest / D_i) < s + 1
+        s = math.isqrt(math.floor(rest / diag[i]))
+        for ti in range(math.floor(z) - s, math.ceil(z) + s + 1):
+            left = rest - diag[i] * (ti - z) ** 2
+            if left >= 0:
+                t[i] = ti
+                yield from walk(i - 1, left)
+
+    if bound >= 0:
+        yield from walk(k - 1, bound)
 
 
-def frac_from_str(s):
-    return Fraction(s)
+def solve_pairing_norm(lat, anchor, pairing, norm):
+    """Complete enumeration of x with (x, anchor) = pairing, (x, x) = norm:
+    the points of :func:`lattice_points` with exactly that norm."""
+    return [x for x in lattice_points(lat, anchor, (pairing,), norm)
+            if lat.norm(x) == norm]

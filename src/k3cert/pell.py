@@ -25,14 +25,12 @@ import sympy
 from .lattice import (
     IntegerLattice,
     LatticeError,
-    _integer_kernel,
-    _particular_solution,
     discriminant_group,
-    reduce_mod_lattice,
+    lattice_points,
 )
 from .isometry import Isometry, compose, discriminant_action, identity
 from .quadfield import QuadExt, quadratic_roots, sign_of
-from .report import FAIL, PASS, Report, ReportItem, timed_item
+from .report import FAIL, PASS, SKIPPED, Report, run_suite, verdict
 
 
 class PellError(LatticeError):
@@ -126,10 +124,9 @@ def check_representation(ctx, targets=(0, 2, -2), box=100):
     # sanity: norm 4 is represented (the anchor)
     if ctx.lattice.norm(ctx.anchor) != 4:
         problems.append("(h1^2) != 4")
-    ok = not problems
-    return ok, ("no vector of norm 0, 2 or -2 in box %d; factorization "
-                "4((x+%dy)^2 - %d y^2) and irrationality close the gap"
-                % (box, ell, ctx.d)) if ok else "; ".join(problems)
+    return verdict(problems, "no vector of norm 0, 2 or -2 in box %d; "
+                   "factorization 4((x+%dy)^2 - %d y^2) and irrationality "
+                   "close the gap" % (box, ell, ctx.d))
 
 
 def check_discriminant(ctx):
@@ -148,12 +145,21 @@ def check_discriminant(ctx):
             problems.append("(h2 - l h1)/(4(l^2-1)) has wrong order")
         if disc.coordinates_of(g1) is None or disc.coordinates_of(g2) is None:
             problems.append("stated generators not expressible in SNF generators")
-    ok = not problems
-    return ok, ("NS*/NS = Z_4 + Z_%d with the stated generators" % (4 * ctx.d)) \
-        if ok else "; ".join(problems)
+    return verdict(problems, "NS*/NS = Z_4 + Z_%d with the stated generators"
+                   % (4 * ctx.d))
 
 
-def check_rays(ctx):
+def check_lemma44(run):
+    """Lemma 4.4: the representation and the discriminant checks."""
+    ctx = run.ctx
+    (s1, d1), (s2, d2) = (
+        check_representation(ctx, box=100 if ctx.ell == 6 else 50),
+        check_discriminant(ctx))
+    return (PASS if s1 == s2 == PASS else FAIL), "%s; %s" % (d1, d2)
+
+
+def check_rays(run):
+    ctx = run.ctx
     lat, v1, v2 = ctx.lattice, ctx.v1, ctx.v2
     problems = []
     if quad_inner(lat, v1, v1) != 0 or quad_inner(lat, v2, v2) != 0:
@@ -167,10 +173,9 @@ def check_rays(ctx):
         problems.append("(h1, v2) is not positive")
     if sign_of(quad_inner(lat, v1, v2)) <= 0:
         problems.append("(v1, v2) is not positive")
-    ok = not problems
-    return ok, ("v1, v2 are isotropic and the anchor lies strictly between "
-                "them; (h1, v1) = 4 sqrt(%d) exactly" % ctx.d) \
-        if ok else "; ".join(problems)
+    return verdict(problems, "v1, v2 are isotropic and the anchor lies "
+                   "strictly between them; (h1, v1) = 4 sqrt(%d) exactly"
+                   % ctx.d)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +311,35 @@ def _is_power_of(g0, g, cap=64):
     return False
 
 
-def check_alpha_homomorphism(ctx, res, n_bound=5):
+@dataclass
+class PellRun:
+    """What the Section 4 items of one l share: the context, the command-line
+    bounds, and the generator search that the lemma-4.6 item runs."""
+    ctx: PellContext
+    entry_bound: int = 300
+    k_bound: int = 5
+    search: GeneratorSearchResult = None
+
+
+# the items after lemma-4.6 need its generator; without it they are unchecked
+NO_GENERATOR = (SKIPPED, "needs the lemma-4.6 generator, which was not found")
+
+
+def check_generator(run):
+    res = run.search = isometry_search(run.ctx, entry_bound=run.entry_bound)
+    return PASS, ("bounded search certificate (entries <= %d): generator "
+                  "g0 = %s with trace %d, alpha = %s > 1; %d isometries "
+                  "rejected by the ray/cone/discriminant filters; all "
+                  "accepted candidates are powers of g0"
+                  % (res.bound_used, res.g0.matrix, res.trace_a, res.alpha,
+                     len(res.filtered_out)))
+
+
+def check_alpha_homomorphism(run, n_bound=5):
+    if run.search is None:
+        return NO_GENERATOR
+    ctx, g0, alpha = run.ctx, run.search.g0, run.search.alpha
     problems = []
-    g0, alpha = res.g0, res.alpha
     for n in range(-n_bound, n_bound + 1):
         gn = g0.power(n)
         lam = _eigen_ratio(ctx, gn.matrix, ctx.v1)
@@ -334,10 +365,9 @@ def check_alpha_homomorphism(ctx, res, n_bound=5):
             if sign_of(val) >= 0:
                 problems.append("largest-root monotonicity fails for traces "
                                 "%d < %d" % (a1, a2))
-    ok = not problems
-    return ok, ("alpha(g0^n) = alpha(g0)^n exactly for |n| <= %d; alpha is "
-                "injective on the range; largest roots increase with the "
-                "trace" % n_bound) if ok else "; ".join(problems)
+    return verdict(problems, "alpha(g0^n) = alpha(g0)^n exactly for |n| <= "
+                   "%d; alpha is injective on the range; largest roots "
+                   "increase with the trace" % n_bound)
 
 
 def enumerate_H_orbit(ctx, res, k_bound=5):
@@ -360,14 +390,15 @@ def enumerate_H_orbit(ctx, res, k_bound=5):
     return orbit, problems
 
 
-def check_H_orbit(ctx, res, k_bound=5):
-    orbit, problems = enumerate_H_orbit(ctx, res, k_bound)
-    ok = not problems
+def check_H_orbit(run):
+    if run.search is None:
+        return NO_GENERATOR
+    orbit, problems = enumerate_H_orbit(run.ctx, run.search, run.k_bound)
     # very-ampleness of each class follows from check_representation: the
     # lattice represents neither 0 nor -2, so every norm-4 nef class embeds
-    return (ok, ("%d distinct norm-4 classes strictly inside the nef cone; "
-                 "each is very ample since the lattice represents neither 0 "
-                 "nor -2" % len(orbit)) if ok else "; ".join(problems), orbit)
+    return verdict(problems, "%d distinct norm-4 classes strictly inside the "
+                   "nef cone; each is very ample since the lattice represents "
+                   "neither 0 nor -2" % len(orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -409,116 +440,50 @@ def takahashi_obstruction(ctx, h, degree_cap=16):
     if independent:
         problems.append("independent low-degree classes found: %s"
                         % independent[:3])
-    ok = not problems
-    return ok, ("no effective class of degree < %d independent of h = %s; "
-                "|det NS| = %d > 256 blocks the divisibility, and the "
-                "exhaustive slab scan found nothing" % (degree_cap, h, det_ns)) \
-        if ok else "; ".join(problems)
+    return verdict(problems, "no effective class of degree < %d independent "
+                   "of h = %s; |det NS| = %d > 256 blocks the divisibility, "
+                   "and the exhaustive slab scan found nothing"
+                   % (degree_cap, h, det_ns))
 
 
 def _independent_low_degree_classes(ctx, h, degree_cap):
     """All lattice c with (c^2) >= 0, 0 < (c,h) < degree_cap, c not a
-    rational multiple of h.  Exact and complete: for fixed pairing the
-    norm is a downward parabola along the kernel direction."""
-    lat = ctx.lattice
-    row = lat.pairing_row(h)
-    kernel = _integer_kernel(row)
-    if len(kernel) != 1:
-        raise PellError("expected a rank-1 kernel for the degree form")
-    k = kernel[0]
-    qk = lat.norm(k)
-    if qk >= 0:
-        raise PellError("orthogonal complement of h is not negative definite")
-    out = []
-    for p in range(1, degree_cap):
-        c0 = _particular_solution(row, p)
-        if c0 is None:
-            continue
-        b = 2 * lat.inner(c0, k)
-        c = lat.norm(c0)
-        # qk t^2 + b t + c >= 0
-        disc = b * b - 4 * qk * c
-        if disc < 0:
-            continue
-        r = math.isqrt(disc)
-        lo = (-b - r) // (2 * -qk) - 1  # conservative integer window
-        hi = (-b + r) // (2 * -qk) + 1
-        lo, hi = min(lo, hi), max(lo, hi)
-        for t in range(lo - 1, hi + 2):
-            if qk * t * t + b * t + c < 0:
-                continue
-            x = tuple(c0[i] + t * k[i] for i in range(2))
-            if x[0] * h[1] - x[1] * h[0] != 0:  # independent of h
-                out.append(x)
-    out.sort()
-    return out
+    rational multiple of h: the complete slab enumeration, off the h-line."""
+    return [c for c in lattice_points(ctx.lattice, h, range(1, degree_cap), 0)
+            if c[0] * h[1] - c[1] * h[0] != 0]
+
+
+def check_obstruction(run):
+    if run.search is None:
+        return NO_GENERATOR
+    orbit, problems = enumerate_H_orbit(run.ctx, run.search, run.k_bound)
+    if problems:
+        return FAIL, "; ".join(problems)
+    for h in orbit:
+        status, details = takahashi_obstruction(run.ctx, h)
+        if status != PASS:
+            return FAIL, "class %s: %s" % (h, details)
+    return PASS, ("degree-16 hypothesis verified for all %d orbit classes: "
+                  "every curve class of degree < 16 is a hypersurface-section "
+                  "class" % len(orbit))
 
 
 # ---------------------------------------------------------------------------
+
+SUITE = (
+    ("lemma-4.4", "Lemma 4.4", check_lemma44),
+    ("lemma-4.5", "Lemma 4.5", check_rays),
+    ("lemma-4.6", "Lemma 4.6", check_generator),
+    ("lemma-4.6-alpha", "Lemma 4.6 proof", check_alpha_homomorphism),
+    ("lemma-4.7", "Lemma 4.7", check_H_orbit),
+    ("lemma-4.8", "Lemma 4.8, Theorem 1.7", check_obstruction),
+)
+
 
 def full_section4_certificate(ell_range=range(6, 13), entry_bound=300,
                               k_bound=5):
     report = Report()
     for ell in ell_range:
-        ctx = build_context(ell)
-        tag = "-ell-%d" % ell
-
-        def as_status(fn):
-            def run():
-                ok, details = fn()
-                return (PASS if ok else FAIL), details
-            return run
-
-        box = 100 if ell == 6 else 50
-        report.add(timed_item("lemma-4.4" + tag, "Lemma 4.4",
-                              as_status(lambda c=ctx, b=box: _combine(
-                                  check_representation(c, box=b),
-                                  check_discriminant(c)))))
-        report.add(timed_item("lemma-4.5" + tag, "Lemma 4.5",
-                              as_status(lambda c=ctx: check_rays(c))))
-
-        try:
-            res = isometry_search(ctx, entry_bound=entry_bound)
-        except PellError as exc:
-            report.add(ReportItem("lemma-4.6" + tag, FAIL, str(exc),
-                                  "Lemma 4.6"))
-            continue
-
-        def check_search(c=ctx, r=res):
-            n_rej = len(r.filtered_out)
-            return PASS, ("bounded search certificate (entries <= %d): "
-                          "generator g0 = %s with trace %d, alpha = %s > 1; "
-                          "%d isometries rejected by the ray/cone/"
-                          "discriminant filters; all accepted candidates are "
-                          "powers of g0" % (r.bound_used, r.g0.matrix,
-                                            r.trace_a, r.alpha, n_rej))
-        report.add(timed_item("lemma-4.6" + tag, "Lemma 4.6", check_search))
-        report.add(timed_item("lemma-4.6-alpha" + tag, "Lemma 4.6 proof",
-                              as_status(lambda c=ctx, r=res:
-                                        check_alpha_homomorphism(c, r))))
-
-        def orbit_item(c=ctx, r=res):
-            ok, details, _ = check_H_orbit(c, r, k_bound)
-            return (PASS if ok else FAIL), details
-        report.add(timed_item("lemma-4.7" + tag, "Lemma 4.7", orbit_item))
-
-        def obstruction_item(c=ctx, r=res):
-            orbit, problems = enumerate_H_orbit(c, r, k_bound)
-            if problems:
-                return FAIL, "; ".join(problems)
-            for h in orbit:
-                ok, details = takahashi_obstruction(c, h)
-                if not ok:
-                    return FAIL, "class %s: %s" % (h, details)
-            return PASS, ("degree-16 hypothesis verified for all %d orbit "
-                          "classes: every curve class of degree < 16 is a "
-                          "hypersurface-section class" % len(orbit))
-        report.add(timed_item("lemma-4.8" + tag, "Lemma 4.8, Theorem 1.7",
-                              obstruction_item))
+        run = PellRun(build_context(ell), entry_bound, k_bound)
+        report.extend(run_suite(SUITE, run, tag="-ell-%d" % ell).items)
     return report
-
-
-def _combine(*results):
-    ok = all(r[0] for r in results)
-    details = "; ".join(r[1] for r in results)
-    return ok, details

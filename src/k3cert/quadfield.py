@@ -113,9 +113,6 @@ class QuadExt:
         """Field norm a^2 - b^2 d (a rational)."""
         return self.a * self.a - self.b * self.b * self.d
 
-    def is_rational(self):
-        return self.b == 0
-
     def sign(self):
         """Exact sign of a + b*sqrt(d) via rational comparison."""
         a, b = self.a, self.b

@@ -25,7 +25,6 @@ from .lattice import (
     discriminant_group,
     mat_mul,
     mat_inverse_frac,
-    reduce_mod_lattice,
     solve_norm_system,
     solve_pairing_norm,
 )
@@ -33,7 +32,6 @@ from .isometry import (
     Isometry,
     compose,
     discriminant_action,
-    identity,
     make_isometry,
     mw_translation,
     order_of,
@@ -47,7 +45,7 @@ from .chamber import (
     pingpong_certify,
     reduce_to_chamber,
 )
-from .report import DISCREPANCY, FAIL, PASS, Report, ReportItem, timed_item
+from .report import DISCREPANCY, FAIL, PASS, run_suite, verdict
 
 GRAM_HLM = ((4, 1, 1), (1, -2, 0), (1, 0, -2))
 GRAM_FEV = ((0, 1, 0), (1, 0, 0), (0, 0, -20))
@@ -124,7 +122,7 @@ def build_context():
 
 
 # ---------------------------------------------------------------------------
-# item checks; each returns (ok: bool, details: str) or richer data
+# item checks; each returns (status, details)
 
 def check_lemma31(ctx):
     lat = ctx.lattice
@@ -161,12 +159,11 @@ def check_lemma31(ctx):
         vp20 = tuple(Fraction(c, 20) for c in VP)
         if disc.element_order(vp20) != 20:
             problems.append("v'/20 is not of order 20")
-    ok = not problems
-    details = ("basis change, norm table and Z_20 discriminant group verified "
-               "for (f,e,v) and (f',e',v'); det = %+d (statement prints -20; "
-               "signature (1,2) forces the positive sign); the stated basis "
-               "list repeats f where e is meant" % det)
-    return ok, details if ok else "; ".join(problems)
+    return verdict(problems, "basis change, norm table and Z_20 discriminant "
+                   "group verified for (f,e,v) and (f',e',v'); det = %+d "
+                   "(statement prints -20; signature (1,2) forces the positive "
+                   "sign); the stated basis list repeats f where e is meant"
+                   % det)
 
 
 def check_no_reducible_fibers(ctx, box=20):
@@ -181,10 +178,9 @@ def check_no_reducible_fibers(ctx, box=20):
     csq = Fraction(-2, -20)
     if csq.denominator == 1:
         problems.append("algebraic route failed: c^2 = %s is integral" % csq)
-    ok = not problems
-    return ok, ("no (-2)-class orthogonal to fiber and zero section in box %d "
-                "(both fibrations); forced c^2 = 1/10 is not an integer square"
-                % box) if ok else "; ".join(problems)
+    return verdict(problems, "no (-2)-class orthogonal to fiber and zero "
+                   "section in box %d (both fibrations); forced c^2 = 1/10 is "
+                   "not an integer square" % box)
 
 
 def enumerate_sections(ctx, n_bound=3, box=None):
@@ -199,15 +195,14 @@ def enumerate_sections(ctx, n_bound=3, box=None):
         raise LatticeError("box %d too small for n_bound %d" % (box, n_bound))
     sols = []
     for a in range(-box, box + 1):
-        for b in (0, 1, 2):
-            for n in range(-box, box + 1):
-                # (x, f) = b and (x, x) = 2 a b - 20 n^2 on this Gram
-                if b != 1 or 2 * a * b - 20 * n * n != -2:
-                    continue
-                # effective side: positive degree against the ample class,
-                # (x, H) = 3 a + 4 b - 20 n with H = 4 f + 3 e + v
-                if 3 * a + 4 * b - 20 * n > 0:
-                    sols.append((a, b, n))
+        for n in range(-box, box + 1):
+            # (x, f) = b = 1 and (x, x) = 2 a b - 20 n^2 on this Gram
+            if 2 * a - 20 * n * n != -2:
+                continue
+            # effective side: positive degree against the ample class,
+            # (x, H) = 3 a + 4 b - 20 n with H = 4 f + 3 e + v
+            if 3 * a + 4 - 20 * n > 0:
+                sols.append((a, 1, n))
     sols.sort(key=lambda x: (x[2], x[0]))
     by_n = {}
     for a, b, n in sols:
@@ -289,11 +284,10 @@ def check_translation_matrices(ctx, n_bound=5):
     lhs = compose(compose(iota1, phi1), iota1)
     if lhs.matrix != phi1.inverse().matrix:
         problems.append("iota_1 phi_1 iota_1 != phi_1^{-1}")
-    ok = not problems
-    return ok, ("translation matrices are isometries fixing f, act trivially "
-                "on NS*/NS, satisfy phi_n = phi_1^n for |n| <= %d, and are "
-                "inverted by the fiberwise inversion" % n_bound) \
-        if ok else "; ".join(problems)
+    return verdict(problems, "translation matrices are isometries fixing f, "
+                   "act trivially on NS*/NS, satisfy phi_n = phi_1^n for "
+                   "|n| <= %d, and are inverted by the fiberwise inversion"
+                   % n_bound)
 
 
 def check_cor35(ctx):
@@ -308,9 +302,7 @@ def check_cor35(ctx):
         problems.append("composite is not an involution")
     if not compose(iota3, iota3).is_identity():
         problems.append("square of the composite is not the identity")
-    ok = not problems
-    return ok, "phi_1^* iota_1^* equals the displayed involution" if ok \
-        else "; ".join(problems)
+    return verdict(problems, "phi_1^* iota_1^* equals the displayed involution")
 
 
 def check_reflection_vectors(ctx):
@@ -338,10 +330,9 @@ def check_reflection_vectors(ctx):
         problems.append("10 f + v is not a (-1)-eigenvector of iota3")
     if ctx.iota2.apply(FP) != FP or ctx.iota2.apply(EP) != EP:
         problems.append("iota2 does not fix f' and e'")
-    ok = not problems
-    return ok, ("the three involutions are the reflections in the stated "
-                "norm -20 vectors; matrix forms agree in both bases") \
-        if ok else "; ".join(problems)
+    return verdict(problems, "the three involutions are the reflections in "
+                   "the stated norm -20 vectors; matrix forms agree in both "
+                   "bases")
 
 
 def check_lemma37(ctx, box=20):
@@ -363,20 +354,18 @@ def check_lemma37(ctx, box=20):
     act = discriminant_action(swap, disc)
     if act.kind != "other":
         problems.append("the L<->M swap acts as %s on NS*/NS" % act.kind)
-    ok = not problems
-    return ok, ("the only degree-1 (-2)-classes are L and M (box and complete "
-                "enumerations agree); the residual swap is excluded by its "
-                "discriminant action") if ok else "; ".join(problems)
+    return verdict(problems, "the only degree-1 (-2)-classes are L and M "
+                   "(box and complete enumerations agree); the residual swap "
+                   "is excluded by its discriminant action")
 
 
 def check_lemma38(ctx):
     ch = ctx.chamber
     lat = ctx.lattice
-    problems = []
     if ch.face_forms is None or len(ch.face_forms) != 5:
-        problems.append("expected 5 facets, got %s"
-                        % (None if ch.face_forms is None else len(ch.face_forms)))
-        return False, "; ".join(problems)
+        return FAIL, ("expected 5 facets, got %s"
+                      % (None if ch.face_forms is None else len(ch.face_forms)))
+    problems = []
     faces = set(ch.face_forms)
     from .chamber import _clear_denominators
     # the three reflective walls must appear among the facets
@@ -398,10 +387,9 @@ def check_lemma38(ctx):
         problems.append("H is not in the chamber")
     if any(ch.face_value(f, H) <= 0 for f in ch.face_forms):
         problems.append("H is not interior")
-    ok = not problems
-    return ok, ("pentagon chamber has 5 facets: the three reflection walls "
-                "plus the two contraction faces (x,L) >= 0 and (x,M) >= 0; "
-                "the anchor H is interior") if ok else "; ".join(problems)
+    return verdict(problems, "pentagon chamber has 5 facets: the three "
+                   "reflection walls plus the two contraction faces "
+                   "(x,L) >= 0 and (x,M) >= 0; the anchor H is interior")
 
 
 def enumerate_Q_bruteforce(ctx, box=12):
@@ -471,17 +459,17 @@ def check_lemma39(ctx):
     counts = sorted(kinds.values())
     if counts != ["hyperelliptic", "monogonal", "monogonal", "very_ample"]:
         problems.append("classification spread %s" % counts)
-    ok = not problems
-    return ok, ("Q = {H, 2H-L-M, 3H-3L+M, 3H-3M+L} by two independent routes; "
-                "only H is very ample (one hyperelliptic, two monogonal "
-                "classes)") if ok else "; ".join(problems)
+    return verdict(problems, "Q = {H, 2H-L-M, 3H-3L+M, 3H-3M+L} by two "
+                   "independent routes; only H is very ample (one "
+                   "hyperelliptic, two monogonal classes)")
 
 
 def classify_polarization(ctx, a):
     """Lattice-level Saint-Donat classification of a degree-4 class in the
-    chamber: monogonal (a degree-1 elliptic pencil), hyperelliptic (degree-2
-    pencil or twice a degree-2 class), else very ample.  The elliptic-pencil
-    searches are complete enumerations, no box required."""
+    chamber: monogonal (a degree-1 elliptic pencil), hyperelliptic (a
+    degree-2 pencil; A = 2B would need (B,B) = 1, impossible in an even
+    lattice), else very ample.  The elliptic-pencil searches are complete
+    enumerations, no box required."""
     lat = ctx.lattice
     if lat.norm(a) != 4:
         raise LatticeError("classification requires (A,A) = 4")
@@ -491,10 +479,6 @@ def classify_polarization(ctx, a):
         return "monogonal"
     if solve_pairing_norm(lat, a, 2, 0):
         return "hyperelliptic"
-    if all(c % 2 == 0 for c in a):
-        b = tuple(c // 2 for c in a)
-        if lat.norm(b) == 2:
-            return "hyperelliptic"
     return "very_ample"
 
 
@@ -535,10 +519,9 @@ def check_lemma310(ctx, rounds=100, seed=2024):
     for q in enumerate_Q_bruteforce(ctx):
         if reduce_to_chamber(ch, q).word != ():
             problems.append("reduced class %s moved" % (q,))
-    ok = not problems
-    return ok, ("%d randomized interior round trips recover their chamber "
-                "representative; reduced classes are fixed points" % rounds) \
-        if ok else "; ".join(problems)
+    return verdict(problems, "%d randomized interior round trips recover "
+                   "their chamber representative; reduced classes are fixed "
+                   "points" % rounds)
 
 
 def _random_reduced_word(rng, n_walls, length):
@@ -554,9 +537,9 @@ def check_lemma311(ctx):
     n_cont = len(cert.containments)
     n_anch = len(cert.anchor_conditions)
     if cert.passed and n_cont == 6 and n_anch == 3:
-        return True, ("free product certificate: 6 half-space containments "
-                      "and 3 anchor conditions hold with exact signs"), cert
-    return False, "certificate failed: %s" % cert.to_json(), cert
+        return PASS, ("free product certificate: 6 half-space containments "
+                      "and 3 anchor conditions hold with exact signs")
+    return FAIL, "certificate failed: %s" % cert.to_json()
 
 
 def check_lemma313(ctx, max_len=3):
@@ -572,46 +555,28 @@ def check_lemma313(ctx, max_len=3):
             problems.append("orbit class %s has norm %d" % (x, ctx.lattice.norm(x)))
         if not in_positive_cone(ctx.lattice, H, x):
             problems.append("orbit class %s left the positive cone" % (x,))
-    ok = not problems
-    return ok, ("orbit of H to word length %d: %d pairwise distinct norm-4 "
-                "classes" % (max_len, expected)) if ok else "; ".join(problems)
+    return verdict(problems, "orbit of H to word length %d: %d pairwise "
+                   "distinct norm-4 classes" % (max_len, expected))
 
 
 # ---------------------------------------------------------------------------
 
+SUITE = (
+    ("lemma-3.1", "Lemma 3.1", check_lemma31),
+    ("prop-3.3-fibers", "Prop 3.3(1)", check_no_reducible_fibers),
+    ("prop-3.3-sections", "Prop 3.3(2)", check_sections),
+    ("prop-3.3-matrices", "Prop 3.3(3), Prop 3.4", check_translation_matrices),
+    ("cor-3.5", "Cor 3.5", check_cor35),
+    ("cor-3.6", "Cor 3.6", check_reflection_vectors),
+    ("lemma-3.7", "Lemma 3.7", check_lemma37),
+    ("lemma-3.8", "Lemma 3.8", check_lemma38),
+    ("lemma-3.9", "Lemma 3.9", check_lemma39),
+    ("lemma-3.10", "Lemma 3.10", check_lemma310),
+    ("lemma-3.11", "Lemma 3.11", check_lemma311),
+    ("lemma-3.13", "Lemma 3.13", check_lemma313),
+)
+
+
 def full_section3_certificate(ctx=None):
     """Run every rank-3 scenario check and aggregate a report."""
-    if ctx is None:
-        ctx = build_context()
-
-    def as_status(fn):
-        def run():
-            res = fn()
-            ok, details = res[0], res[1]
-            return (PASS if ok else FAIL), details
-        return run
-
-    items = [
-        timed_item("lemma-3.1", "Lemma 3.1", as_status(lambda: check_lemma31(ctx))),
-        timed_item("prop-3.3-fibers", "Prop 3.3(1)",
-                   as_status(lambda: check_no_reducible_fibers(ctx))),
-        timed_item("prop-3.3-sections", "Prop 3.3(2)",
-                   lambda: check_sections(ctx)),
-        timed_item("prop-3.3-matrices", "Prop 3.3(3), Prop 3.4",
-                   as_status(lambda: check_translation_matrices(ctx))),
-        timed_item("cor-3.5", "Cor 3.5", as_status(lambda: check_cor35(ctx))),
-        timed_item("cor-3.6", "Cor 3.6",
-                   as_status(lambda: check_reflection_vectors(ctx))),
-        timed_item("lemma-3.7", "Lemma 3.7", as_status(lambda: check_lemma37(ctx))),
-        timed_item("lemma-3.8", "Lemma 3.8", as_status(lambda: check_lemma38(ctx))),
-        timed_item("lemma-3.9", "Lemma 3.9", as_status(lambda: check_lemma39(ctx))),
-        timed_item("lemma-3.10", "Lemma 3.10",
-                   as_status(lambda: check_lemma310(ctx))),
-        timed_item("lemma-3.11", "Lemma 3.11",
-                   as_status(lambda: check_lemma311(ctx))),
-        timed_item("lemma-3.13", "Lemma 3.13",
-                   as_status(lambda: check_lemma313(ctx))),
-    ]
-    report = Report()
-    report.extend(items)
-    return report
+    return run_suite(SUITE, ctx or build_context())

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import time
+import traceback
 from dataclasses import dataclass, field
 
 ARTIFACT_VERSION = "0.1.0"
@@ -12,6 +14,8 @@ PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "discrepancy"
 SKIPPED = "skipped"
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 @dataclass
@@ -31,9 +35,6 @@ class ReportItem:
 class Report:
     items: list = field(default_factory=list)
     artifact_version: str = ARTIFACT_VERSION
-
-    def add(self, item):
-        self.items.append(item)
 
     def extend(self, items):
         self.items.extend(items)
@@ -72,13 +73,37 @@ class Report:
         return "\n".join(lines)
 
 
+def verdict(problems, summary):
+    """A check's (status, details): the summary when nothing went wrong,
+    else every problem found."""
+    if problems:
+        return FAIL, "; ".join(problems)
+    return PASS, summary
+
+
+def _crash_site(exc):
+    """file:function of the innermost traceback frame inside k3cert; the
+    traceback starts in timed_item, so there always is one."""
+    frame = [f for f in traceback.extract_tb(exc.__traceback__)
+             if os.path.dirname(os.path.abspath(f.filename)) == _PACKAGE_DIR][-1]
+    return "%s:%s" % (os.path.basename(frame.filename), frame.name)
+
+
 def timed_item(id, paper_ref, fn):
     """Run fn() -> (status, details) and wrap it with timing."""
-    t0 = time.monotonic()
+    t0 = time.perf_counter_ns()
     try:
         status, details = fn()
     except Exception as exc:  # defensive: a crash is a failure, not an abort
-        status, details = FAIL, "exception: %s" % exc
-    ms = int((time.monotonic() - t0) * 1000)
+        status, details = FAIL, "exception %s at %s: %s" % (
+            type(exc).__name__, _crash_site(exc), exc)
+    ms = (time.perf_counter_ns() - t0) // 1_000_000
     return ReportItem(id=id, status=status, details=details,
                       paper_ref=paper_ref, elapsed_ms=ms)
+
+
+def run_suite(suite, *args, tag=""):
+    """Run a registry of (id, paper_ref, check) entries, each check called
+    as check(*args) and returning (status, details); ids get the tag."""
+    return Report([timed_item(id + tag, paper_ref, lambda fn=fn: fn(*args))
+                   for id, paper_ref, fn in suite])

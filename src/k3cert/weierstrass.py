@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import sympy
 
-from .report import FAIL, PASS, Report, timed_item
+from .report import run_suite, verdict
 
 S, T = sympy.symbols("s t")
 
@@ -307,10 +307,9 @@ def check_group_law_oracle():
                 triples += 1
     if triples < 50:
         problems.append("only %d associativity triples checked" % triples)
-    ok = not problems
-    return ok, ("group-law oracle: worked example, identity and inverse "
-                "laws, commutativity and associativity on %d triples"
-                % triples) if ok else "; ".join(problems[:3])
+    return verdict(problems[:3], "group-law oracle: worked example, identity "
+                   "and inverse laws, commutativity and associativity on %d "
+                   "triples" % triples)
 
 
 def check_forward_map():
@@ -330,20 +329,15 @@ def check_forward_map():
             for var in (S, T):
                 if sympy.degree(poly, var) > 3:
                     problems.append("component degree in %s exceeds 3" % var)
-    ok = not problems
-    return ok, ("displayed formulas reproduce the worked example and keep "
-                "degree <= 3 in each variable after normalization") \
-        if ok else "; ".join(problems)
+    return verdict(problems, "displayed formulas reproduce the worked example "
+                   "and keep degree <= 3 in each variable after normalization")
 
 
 def check_inverse_composition():
     problems = []
     # generic (a, b): identity in Q(a, b)(s, t)
     a, b = sympy.symbols("a b")
-    try:
-        inv = invert_translation_map(a, b)
-    except CurveError as exc:
-        return False, str(exc)
+    inv = invert_translation_map(a, b)
     fwd = translation_map(a, b)
     if not fwd.compose(inv).is_identity():
         problems.append("forward o inverse is not the identity")
@@ -357,10 +351,9 @@ def check_inverse_composition():
         rt = inv_c.apply(CurvePoint.affine(-1, 0)) if (p, q) == (0, 1) else None
         if (p, q) == (0, 1) and rt != CurvePoint.affine(2, 3):
             problems.append("round-trip of the worked example gave %s" % (rt,))
-    ok = not problems
-    return ok, ("composition with the recovered inverse simplifies to the "
-                "identity map, generically in (a, b) and on all three test "
-                "curves") if ok else "; ".join(problems)
+    return verdict(problems, "composition with the recovered inverse "
+                   "simplifies to the identity map, generically in (a, b) and "
+                   "on all three test curves")
 
 
 def check_finite_automorphisms():
@@ -385,10 +378,8 @@ def check_finite_automorphisms():
             problems.append("d=%d accepted a wrong curve shape" % d)
         except CurveError:
             pass
-    ok = not problems
-    return ok, ("order certificates pass for d = 2, 4, 6 with exact "
-                "cyclotomic coefficients; wrong shapes are rejected") \
-        if ok else "; ".join(problems)
+    return verdict(problems, "order certificates pass for d = 2, 4, 6 with "
+                   "exact cyclotomic coefficients; wrong shapes are rejected")
 
 
 def check_restriction():
@@ -422,29 +413,22 @@ def check_restriction():
             problems.append("2-torsion translation did not square to the "
                             "identity at %s" % (pt,))
             break
-    ok = not problems
-    details = ("uniform convention %r across all curves against the "
-               "chord-tangent oracle" % (verdicts[0] if verdicts else None))
-    return ok, details if ok else "; ".join(problems)
+    return verdict(problems, "uniform convention %r across all curves against "
+                   "the chord-tangent oracle"
+                   % (verdicts[0] if verdicts else None))
+
+
+SUITE = (
+    ("thm-2.2-grouplaw", "Theorem 2.2 proof (oracle)", check_group_law_oracle),
+    ("thm-2.2-map", "Theorem 2.2 proof (translation map)", check_forward_map),
+    ("thm-2.2-inverse", "Theorem 2.2 proof (birationality)",
+     check_inverse_composition),
+    ("thm-2.2-finite", "Theorem 2.2 proof (Aut(E, O))",
+     check_finite_automorphisms),
+    ("thm-2.2-restriction", "Theorem 2.2 proof (restriction to E)",
+     check_restriction),
+)
 
 
 def full_weierstrass_certificate():
-    def as_status(fn):
-        def run():
-            ok, details = fn()
-            return (PASS if ok else FAIL), details
-        return run
-
-    report = Report()
-    report.add(timed_item("thm-2.2-grouplaw", "Theorem 2.2 proof (oracle)",
-                          as_status(check_group_law_oracle)))
-    report.add(timed_item("thm-2.2-map", "Theorem 2.2 proof (translation map)",
-                          as_status(check_forward_map)))
-    report.add(timed_item("thm-2.2-inverse", "Theorem 2.2 proof (birationality)",
-                          as_status(check_inverse_composition)))
-    report.add(timed_item("thm-2.2-finite", "Theorem 2.2 proof (Aut(E, O))",
-                          as_status(check_finite_automorphisms)))
-    report.add(timed_item("thm-2.2-restriction",
-                          "Theorem 2.2 proof (restriction to E)",
-                          as_status(check_restriction)))
-    return report
+    return run_suite(SUITE)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,11 @@ from k3cert import cli, pell, quartic, weierstrass
 from k3cert.chamber import pingpong_certify, orbit_of_anchor
 from k3cert.isometry import mw_translation, reflection_in
 from k3cert.lattice import discriminant_group
-from k3cert.report import DISCREPANCY
+from k3cert.report import DISCREPANCY, PASS
+
+
+REFERENCE = (Path(__file__).resolve().parents[1]
+             / "bench" / "reference" / "certificate.json")
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +33,8 @@ def test_criterion_1_discriminant_groups(qctx):
     assert disc.invariant_factors == (20,)
     assert disc.generators[0] == (0, 0, Fraction(1, 20))  # the class v/20
     for ell in range(6, 13):
-        ok, details = pell.check_discriminant(pell.build_context(ell))
-        assert ok, "ell=%d: %s" % (ell, details)
+        status, details = pell.check_discriminant(pell.build_context(ell))
+        assert status == PASS, "ell=%d: %s" % (ell, details)
 
 
 def test_criterion_2_Q_enumeration(qctx):
@@ -73,8 +78,8 @@ def test_criterion_4_pingpong_orbit_reduction(qctx):
     orbit = orbit_of_anchor(qctx.chamber, 3)
     assert len(orbit) == len(set(orbit)) == 22
     assert all(qctx.lattice.norm(x) == 4 for x in orbit)
-    ok, details = quartic.check_lemma310(qctx, rounds=100)
-    assert ok, details
+    status, details = quartic.check_lemma310(qctx, rounds=100)
+    assert status == PASS, details
 
 
 def test_criterion_5_section_enumeration(qctx):
@@ -84,8 +89,8 @@ def test_criterion_5_section_enumeration(qctx):
     for a, b, n in sols:
         assert qctx.lattice_fev.inner((a, b, n), (1, 0, 0)) == 1
         assert qctx.lattice_fev.norm((a, b, n)) == -2
-    ok, details = quartic.check_translation_matrices(qctx)
-    assert ok, details
+    status, details = quartic.check_translation_matrices(qctx)
+    assert status == PASS, details
     status, details = quartic.check_sections(qctx)
     assert status == DISCREPANCY
     assert "10 n^2 - 1" in details and "10 n^2" in details
@@ -105,24 +110,25 @@ def test_criterion_6_pell_generator(pell6):
     from k3cert.isometry import discriminant_action
     disc = discriminant_group(ctx.lattice)
     assert discriminant_action(res.g0, disc).kind in ("identity", "negation")
-    ok, details, orbit = pell.check_H_orbit(ctx, res, k_bound=5)
-    assert ok, details
-    assert len(orbit) == 11
+    status, details = pell.check_H_orbit(pell.PellRun(ctx, search=res))
+    assert status == PASS, details
+    orbit, problems = pell.enumerate_H_orbit(ctx, res, k_bound=5)
+    assert problems == [] and len(orbit) == 11
 
 
 def test_criterion_7_obstruction_all_ell():
     for ell in range(6, 13):
         ctx = pell.build_context(ell)
         res = pell.isometry_search(ctx)
-        _, _, orbit = pell.check_H_orbit(ctx, res, k_bound=2)
+        orbit, _ = pell.enumerate_H_orbit(ctx, res, k_bound=2)
         for h in orbit:
-            ok, details = pell.takahashi_obstruction(ctx, h)
-            assert ok, "ell=%d h=%s: %s" % (ell, h, details)
+            status, details = pell.takahashi_obstruction(ctx, h)
+            assert status == PASS, "ell=%d h=%s: %s" % (ell, h, details)
 
 
 def test_criterion_8_weierstrass():
-    ok, details = weierstrass.check_inverse_composition()
-    assert ok, details
+    status, details = weierstrass.check_inverse_composition()
+    assert status == PASS, details
     assert len(weierstrass._TEST_CURVES) >= 3
     for p, q, base, ab in weierstrass._TEST_CURVES:
         e = weierstrass.WeierstrassCurve(p, q)
@@ -132,14 +138,16 @@ def test_criterion_8_weierstrass():
             e, weierstrass.CurvePoint.affine(*ab), samples)
         assert n >= 20
         assert convention == "addition-then-negation"
-    ok, details = weierstrass.check_finite_automorphisms()
-    assert ok, details
+    status, details = weierstrass.check_finite_automorphisms()
+    assert status == PASS, details
     for d, p, q, order in ((2, -2, 1, 2), (4, 5, 0, 4), (6, 0, 7, 6)):
         _, got = weierstrass.finite_automorphism(d, p, q)
         assert got == order
 
 
 def test_criterion_9_report_determinism(tmp_path):
+    # the stored golden report, read and never written here
+    reference = json.loads(REFERENCE.read_text())
     paths = [tmp_path / "run1.json", tmp_path / "run2.json"]
     for path in paths:
         assert cli.main(["verify", "all", "--json", str(path)]) == 0
@@ -147,7 +155,7 @@ def test_criterion_9_report_determinism(tmp_path):
     def normalized(path):
         obj = json.loads(path.read_text())
         for item in obj["items"]:
-            item["elapsed_ms"] = 0
+            del item["elapsed_ms"]
         return obj
 
-    assert normalized(paths[0]) == normalized(paths[1])
+    assert normalized(paths[0]) == normalized(paths[1]) == reference

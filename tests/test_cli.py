@@ -91,3 +91,14 @@ def test_verify_weierstrass(capsys):
     assert run(["verify", "weierstrass"]) == 0
     out = capsys.readouterr().out
     assert "thm-2.2-inverse" in out
+
+
+def test_out_of_range_bounds_exit_2():
+    # each value fails validation before any lattice work starts
+    for argv in (["verify", "pell", "--ell", "6", "--k-bound", "-1"],
+                 ["verify", "pell", "--ell", "6", "--entry-bound", "0"],
+                 ["orbit", "--len", str(cli.MAX_ORBIT_LEN + 1)],
+                 ["orbit", "--len", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv

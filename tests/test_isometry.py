@@ -90,6 +90,10 @@ def test_order_finite(hlm, fev):
     iota3 = make_isometry(fev, ((1, 10, -20), (0, 1, 0), (0, 1, -1)))
     assert order_of(iota3) == (2, "iterated")
     assert order_of(identity(hlm)) == (1, "iterated")
+    # the iteration runs to the lcm of the cyclotomic orders, here 6
+    a2 = IntegerLattice(gram=((-2, 1), (1, -2)))
+    assert order_of(make_isometry(a2, ((1, -1), (1, 0)))) == (6, "iterated")
+    assert order_of(make_isometry(a2, ((0, -1), (1, -1)))) == (3, "iterated")
 
 
 def test_order_infinite_unipotent(fev):
@@ -102,6 +106,15 @@ def test_order_infinite_noncyclotomic():
     r = make_isometry(lat, ((0, -1), (1, 12)))
     n, cert = order_of(r)
     assert n == "infinite" and cert == "noncyclotomic"
+
+
+def test_order_rank_limit():
+    # the cyclotomic table is complete for rank <= 3 only; in rank 8 a
+    # characteristic polynomial Phi_5^2 would be certified "noncyclotomic"
+    a4 = IntegerLattice(gram=((-2, 1, 0, 0), (1, -2, 1, 0), (0, 1, -2, 1),
+                              (0, 0, 1, -2)))
+    with pytest.raises(LatticeError, match="rank <= 3"):
+        order_of(identity(a4))
 
 
 def test_discriminant_action_kinds(hlm, fev):

@@ -153,6 +153,26 @@ def test_solve_pairing_norm_rank2():
     assert solve_pairing_norm(lat, (1, 0), 1, 4) == []
 
 
+def test_solve_pairing_norm_rank4():
+    # an even lattice of signature (1, 3), det -11
+    lat = IntegerLattice(gram=((2, 1, 0, 0), (1, -2, 1, 0), (0, 1, -2, 1),
+                               (0, 0, 1, -2)))
+    anchor = (3, 1, 1, 1)
+    found = 0
+    for pairing in range(-4, 5):
+        for norm in (-6, -4, -2, 0, 2):
+            complete = solve_pairing_norm(lat, anchor, pairing, norm)
+            boxed = solve_norm_system(lat, [(anchor, pairing)], norm, 8)
+            assert boxed == [x for x in complete if max(map(abs, x)) <= 8]
+            found += len(complete)
+    assert found > 0
+    # U + U has signature (2, 2): the complement of (1, 1, 0, 0) is indefinite
+    hyp2 = IntegerLattice(gram=((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1),
+                                (0, 0, 1, 0)))
+    with pytest.raises(LatticeError, match="negative definite"):
+        solve_pairing_norm(hyp2, (1, 1, 0, 0), 1, -2)
+
+
 def test_json_roundtrip(lat3):
     again = IntegerLattice.from_json(lat3.to_json())
     assert again == lat3

@@ -4,6 +4,7 @@ import pytest
 
 from k3cert import pell
 from k3cert.quadfield import QuadExt
+from k3cert.report import FAIL, PASS, SKIPPED
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +17,11 @@ def res6(ctx6):
     return pell.isometry_search(ctx6)
 
 
+@pytest.fixture(scope="module")
+def run6(ctx6, res6):
+    return pell.PellRun(ctx6, search=res6)
+
+
 def test_context_validation():
     with pytest.raises(pell.PellError, match="l > 5"):
         pell.build_context(5)
@@ -26,20 +32,20 @@ def test_context_validation():
     assert ctx.d == 35
 
 
-def test_rays(ctx6):
-    ok, details = pell.check_rays(ctx6)
-    assert ok, details
+def test_rays(ctx6, run6):
+    status, details = pell.check_rays(run6)
+    assert status == PASS, details
     assert pell.quad_inner(ctx6.lattice, ctx6.v1, ctx6.v1) == 0
 
 
 def test_representation(ctx6):
-    ok, details = pell.check_representation(ctx6, box=60)
-    assert ok, details
+    status, details = pell.check_representation(ctx6, box=60)
+    assert status == PASS, details
 
 
 def test_discriminant(ctx6):
-    ok, details = pell.check_discriminant(ctx6)
-    assert ok, details
+    status, details = pell.check_discriminant(ctx6)
+    assert status == PASS, details
 
 
 def test_pell_columns_match_bruteforce():
@@ -79,23 +85,24 @@ def test_search_without_escalation_raises(ctx6):
         pell.isometry_search(ctx6, entry_bound=300, auto_escalate=False)
 
 
-def test_alpha_homomorphism(ctx6, res6):
-    ok, details = pell.check_alpha_homomorphism(ctx6, res6)
-    assert ok, details
+def test_alpha_homomorphism(ctx6, res6, run6):
+    status, details = pell.check_alpha_homomorphism(run6)
+    assert status == PASS, details
     beta = pell._eigen_ratio(ctx6, res6.g0.matrix, ctx6.v2)
     assert res6.alpha * beta == 1
 
 
-def test_orbit(ctx6, res6):
-    ok, details, orbit = pell.check_H_orbit(ctx6, res6, k_bound=5)
-    assert ok, details
-    assert len(orbit) == 11
+def test_orbit(ctx6, res6, run6):
+    status, details = pell.check_H_orbit(run6)
+    assert status == PASS, details
+    orbit, problems = pell.enumerate_H_orbit(ctx6, res6, k_bound=5)
+    assert problems == [] and len(orbit) == 11
     assert (1, 0) in orbit
 
 
 def test_takahashi_obstruction(ctx6):
-    ok, details = pell.takahashi_obstruction(ctx6, (1, 0))
-    assert ok, details
+    status, details = pell.takahashi_obstruction(ctx6, (1, 0))
+    assert status == PASS, details
     assert "560" in details
     with pytest.raises(pell.PellError):
         pell.takahashi_obstruction(ctx6, (1, 1))  # norm != 4
@@ -121,3 +128,23 @@ def test_full_certificate_small_range():
     assert "lemma-4.6-ell-7" in ids
     g0_item = next(it for it in report.items if it.id == "lemma-4.6-ell-7")
     assert "-195" in g0_item.details  # the generator matrix is reported
+
+
+def test_search_crash_fails_only_its_item(monkeypatch):
+    search = pell.isometry_search
+
+    def crash_at_6(ctx, entry_bound=300):
+        if ctx.ell == 6:
+            raise RuntimeError("search crashed")
+        return search(ctx, entry_bound=entry_bound)
+
+    monkeypatch.setattr(pell, "isometry_search", crash_at_6)
+    report = pell.full_section4_certificate(ell_range=[6, 7], k_bound=2)
+    status = {it.id: it.status for it in report.items}
+    crash = next(it for it in report.items if it.id == "lemma-4.6-ell-6")
+    assert crash.status == FAIL
+    assert "RuntimeError" in crash.details
+    assert "pell.py:check_generator" in crash.details
+    for item in ("lemma-4.6-alpha", "lemma-4.7", "lemma-4.8"):
+        assert status[item + "-ell-6"] == SKIPPED
+    assert [s for i, s in status.items() if i.endswith("-ell-7")] == [PASS] * 6

@@ -2,6 +2,7 @@ import pytest
 
 from k3cert import quartic
 from k3cert.lattice import LatticeError
+from k3cert.chamber import pingpong_certify
 from k3cert.report import DISCREPANCY, PASS
 
 
@@ -19,14 +20,14 @@ def test_context(ctx):
 
 
 def test_norm_table(ctx):
-    ok, details = quartic.check_lemma31(ctx)
-    assert ok, details
+    status, details = quartic.check_lemma31(ctx)
+    assert status == PASS, details
     assert "det = +20" in details
 
 
 def test_no_reducible_fibers(ctx):
-    ok, details = quartic.check_no_reducible_fibers(ctx)
-    assert ok, details
+    status, details = quartic.check_no_reducible_fibers(ctx)
+    assert status == PASS, details
 
 
 def test_enumerate_sections(ctx):
@@ -48,28 +49,28 @@ def test_sections_status_is_discrepancy(ctx):
 
 
 def test_translation_matrices(ctx):
-    ok, details = quartic.check_translation_matrices(ctx)
-    assert ok, details
+    status, details = quartic.check_translation_matrices(ctx)
+    assert status == PASS, details
 
 
 def test_involution_composite(ctx):
-    ok, details = quartic.check_cor35(ctx)
-    assert ok, details
+    status, details = quartic.check_cor35(ctx)
+    assert status == PASS, details
 
 
 def test_reflection_vectors(ctx):
-    ok, details = quartic.check_reflection_vectors(ctx)
-    assert ok, details
+    status, details = quartic.check_reflection_vectors(ctx)
+    assert status == PASS, details
 
 
 def test_degree_one_curves(ctx):
-    ok, details = quartic.check_lemma37(ctx)
-    assert ok, details
+    status, details = quartic.check_lemma37(ctx)
+    assert status == PASS, details
 
 
 def test_pentagon_faces(ctx):
-    ok, details = quartic.check_lemma38(ctx)
-    assert ok, details
+    status, details = quartic.check_lemma38(ctx)
+    assert status == PASS, details
 
 
 def test_Q_enumeration_routes_agree(ctx):
@@ -89,24 +90,24 @@ def test_classification(ctx):
 
 
 def test_Q_full_check(ctx):
-    ok, details = quartic.check_lemma39(ctx)
-    assert ok, details
+    status, details = quartic.check_lemma39(ctx)
+    assert status == PASS, details
 
 
 def test_reduction_roundtrips(ctx):
-    ok, details = quartic.check_lemma310(ctx, rounds=25)
-    assert ok, details
+    status, details = quartic.check_lemma310(ctx, rounds=25)
+    assert status == PASS, details
 
 
 def test_free_product_certificate(ctx):
-    ok, details, cert = quartic.check_lemma311(ctx)
-    assert ok, details
-    assert cert.passed
+    status, details = quartic.check_lemma311(ctx)
+    assert status == PASS, details
+    assert pingpong_certify(ctx.chamber).passed
 
 
 def test_orbit(ctx):
-    ok, details = quartic.check_lemma313(ctx)
-    assert ok, details
+    status, details = quartic.check_lemma313(ctx)
+    assert status == PASS, details
 
 
 def test_swap_symmetry(ctx):
