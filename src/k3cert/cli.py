@@ -2,7 +2,7 @@
 
 Subcommands:
     verify all | quartic | pell [--ell N | --ell-range A..B] | weierstrass
-    enumerate sections [--n-bound K] | enumerate q
+    enumerate sections [--n-bound K] | enumerate q   (1 <= K <= MAX_N_BOUND)
     reduce --class "x,y,z" [--basis HLM|fev]
     orbit --len K          (K <= MAX_ORBIT_LEN)
 
@@ -23,6 +23,8 @@ from .report import PASS, Report, run_suite
 USAGE_ERROR = 2
 # level k of the orbit holds 3 * 2^(k-1) classes, so its size doubles per level
 MAX_ORBIT_LEN = 12
+# the sections scan walks (2 box + 1)^2 points with box = 10 n^2 + 20 n
+MAX_N_BOUND = 10
 
 
 def build_parser():
@@ -78,6 +80,8 @@ def _parse_class(text, parser):
         parser.error('--class expects integers like "x,y,z"')
     if len(coords) != 3:
         parser.error("--class expects exactly 3 coordinates")
+    if not any(coords):
+        parser.error("--class must be a nonzero class")
     return coords
 
 
@@ -136,6 +140,8 @@ def list_orbit(ctx, length):
 
 
 def cmd_enumerate(args, parser):
+    if args.what == "sections" and not 1 <= args.n_bound <= MAX_N_BOUND:
+        parser.error("--n-bound must be between 1 and %d" % MAX_N_BOUND)
     ctx = quartic.build_context()
     if args.what == "sections":
         return run_suite([("prop-3.3-sections", "Prop 3.3(2)", list_sections)],

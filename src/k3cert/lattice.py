@@ -95,6 +95,13 @@ def solve_int_linear(m, rhs):
     return mat_vec(inv, tuple(Fraction(c) for c in rhs))
 
 
+def is_zero_polynomial(f, degrees):
+    """Whether f, a polynomial of degree <= degrees[i] in its i-th argument,
+    is identically zero: it is iff it vanishes on the grid {0..d_i} in each
+    argument (Alon, Combinatorial Nullstellensatz, 1999, Lemma 2.1)."""
+    return all(f(*x) == 0 for x in product(*(range(d + 1) for d in degrees)))
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 

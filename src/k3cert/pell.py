@@ -20,12 +20,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
-
 from .lattice import (
     IntegerLattice,
     LatticeError,
     discriminant_group,
+    is_zero_polynomial,
     lattice_points,
 )
 from .isometry import Isometry, compose, discriminant_action, identity
@@ -114,10 +113,9 @@ def check_representation(ctx, targets=(0, 2, -2), box=100):
     # structural route: the norm form is 4((x + l y)^2 - (l^2-1) y^2), so 4
     # divides every value (rules out +-2), and value 0 would force the Pell
     # conic (x + l y)^2 = (l^2 - 1) y^2 with irrational sqrt(l^2 - 1)
-    xs, ys = sympy.symbols("x y")
-    lhs = 4 * xs ** 2 + 8 * ell * xs * ys + 4 * ys ** 2
-    rhs = 4 * ((xs + ell * ys) ** 2 - (ell * ell - 1) * ys ** 2)
-    if sympy.expand(lhs - rhs) != 0:
+    if not is_zero_polynomial(
+            lambda x, y: 4 * x * x + 8 * ell * x * y + 4 * y * y
+            - 4 * ((x + ell * y) ** 2 - (ell * ell - 1) * y * y), (2, 2)):
         problems.append("norm-form factorization identity failed")
     if math.isqrt(ctx.d) ** 2 == ctx.d:
         problems.append("l^2 - 1 is a perfect square")
@@ -314,11 +312,18 @@ def _is_power_of(g0, g, cap=64):
 @dataclass
 class PellRun:
     """What the Section 4 items of one l share: the context, the command-line
-    bounds, and the generator search that the lemma-4.6 item runs."""
+    bounds, the generator search that the lemma-4.6 item runs, and the
+    orbit of h1 that lemmas 4.7 and 4.8 both read."""
     ctx: PellContext
     entry_bound: int = 300
     k_bound: int = 5
     search: GeneratorSearchResult = None
+    orbit: tuple = None  # enumerate_H_orbit's (classes, problems)
+
+    def H_orbit(self):
+        if self.orbit is None:
+            self.orbit = enumerate_H_orbit(self.ctx, self.search, self.k_bound)
+        return self.orbit
 
 
 # the items after lemma-4.6 need its generator; without it they are unchecked
@@ -393,7 +398,7 @@ def enumerate_H_orbit(ctx, res, k_bound=5):
 def check_H_orbit(run):
     if run.search is None:
         return NO_GENERATOR
-    orbit, problems = enumerate_H_orbit(run.ctx, run.search, run.k_bound)
+    orbit, problems = run.H_orbit()
     # very-ampleness of each class follows from check_representation: the
     # lattice represents neither 0 nor -2, so every norm-4 nef class embeds
     return verdict(problems, "%d distinct norm-4 classes strictly inside the "
@@ -428,11 +433,10 @@ def takahashi_obstruction(ctx, h, degree_cap=16):
     if det_ns <= degree_cap ** 2:
         problems.append("|det NS| = %d does not exceed %d"
                         % (det_ns, degree_cap ** 2))
-    # symbolic margin: 16 l^2 - 16 > 256 iff l^2 > 17, so any l > 4 works
-    ls = sympy.symbols("l")
-    margin = sympy.factor(16 * ls ** 2 - 16 - 256)
-    if sympy.expand(margin - 16 * (ls ** 2 - 17)) != 0:
-        problems.append("symbolic margin factorization failed: %s" % margin)
+    # margin: 16 l^2 - 16 - 256 = 16 (l^2 - 17) > 0 iff l^2 > 17, so any l > 4
+    if not is_zero_polynomial(lambda l: 16 * l * l - 16 - 256
+                              - 16 * (l * l - 17), (2,)):
+        problems.append("margin factorization 16 (l^2 - 17) failed")
     if 16 * (ctx.ell ** 2 - 17) <= 0:
         problems.append("margin is not positive at l = %d" % ctx.ell)
     # route (b)
@@ -456,7 +460,7 @@ def _independent_low_degree_classes(ctx, h, degree_cap):
 def check_obstruction(run):
     if run.search is None:
         return NO_GENERATOR
-    orbit, problems = enumerate_H_orbit(run.ctx, run.search, run.k_bound)
+    orbit, problems = run.H_orbit()
     if problems:
         return FAIL, "; ".join(problems)
     for h in orbit:

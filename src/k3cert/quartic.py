@@ -8,13 +8,10 @@ L and M throughout.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-
-import sympy
 
 from . import lattice as lat_mod
 from .lattice import (
@@ -23,6 +20,8 @@ from .lattice import (
     change_basis,
     coordinates_in_basis,
     discriminant_group,
+    form_basis,
+    is_zero_polynomial,
     mat_mul,
     mat_inverse_frac,
     solve_norm_system,
@@ -169,18 +168,26 @@ def check_lemma31(ctx):
 def check_no_reducible_fibers(ctx, box=20):
     lat = ctx.lattice
     problems = []
+    forced = set()
     for fv, zero_sec, tag in ((F, M, ""), (FP, L, "'")):
         sols = solve_norm_system(lat, [(zero_sec, 0), (fv, 0)], -2, box)
         if sols:
             problems.append("fiber%s support class found: %s" % (tag, sols))
-    # algebraic route: (x,f) = (x,M) = 0 forces x = c v in (f,e,v) coordinates,
-    # and -20 c^2 = -2 has no integer solution since c^2 = 1/10
-    csq = Fraction(-2, -20)
-    if csq.denominator == 1:
-        problems.append("algebraic route failed: c^2 = %s is integral" % csq)
+        # algebraic route: x orthogonal to the fiber and the zero section is
+        # c w, w spanning the zero section's kernel inside the fiber's kernel,
+        # so (x, x) = -2 forces c^2 = -2 / (w, w)
+        _, _, ker = form_basis(lat.pairing_row(fv))
+        _, _, (coef,) = form_basis([lat.inner(k, zero_sec) for k in ker])
+        w = tuple(sum(c * k[i] for c, k in zip(coef, ker)) for i in range(3))
+        csq = Fraction(-2, lat.norm(w))
+        if csq.denominator == 1:
+            problems.append("algebraic route%s failed: c^2 = %s is integral"
+                            % (tag, csq))
+        forced.add(csq)
     return verdict(problems, "no (-2)-class orthogonal to fiber and zero "
-                   "section in box %d (both fibrations); forced c^2 = 1/10 is "
-                   "not an integer square" % box)
+                   "section in box %d (both fibrations); forced c^2 = %s is "
+                   "not an integer square"
+                   % (box, ", ".join(map(str, sorted(forced)))))
 
 
 def enumerate_sections(ctx, n_bound=3, box=None):
@@ -403,8 +410,8 @@ def enumerate_Q_bruteforce(ctx, box=12):
 
 def enumerate_Q_bound_argument(ctx, cap=100):
     """The circle/quadrangle route: exact rational case analysis on the
-    leading coefficient, with exhaustive exclusion for 4 <= x <= cap and a
-    symbolic tail."""
+    leading coefficient, with exhaustive exclusion for 4 <= x <= cap, a
+    proved tail for every x > 2, and the s = -1 edge closed for every x."""
     found = []
     for x in range(1, 4):
         for y in range(-x, x + 1):
@@ -417,22 +424,23 @@ def enumerate_Q_bound_argument(ctx, cap=100):
                     continue
                 found.append((x, y, z))
     # x >= 4 is impossible: (1/2 - 1/x)^2 >= 1/4 - 1/x^2 would be forced for a
-    # rational solution off the s = -1 edge, and the s = -1 edge needs x^2 - 8
-    # to be a perfect square
+    # rational solution off the s = -1 edge
     for x in range(4, cap + 1):
         lhs = (Fraction(1, 2) - Fraction(1, x)) ** 2
         rhs = Fraction(1, 4) - Fraction(1, x * x)
         if lhs >= rhs:
             raise LatticeError("emptiness inequality fails at x = %d" % x)
-        if math.isqrt(x * x - 8) ** 2 == x * x - 8:
-            raise LatticeError("s = -1 edge admits x = %d" % x)
-    # symbolic tail: (1/2 - 1/x)^2 - (1/4 - 1/x^2) = (2 - x)/x^2 < 0 for x > 2
-    xs = sympy.symbols("x", positive=True)
-    diff = sympy.simplify((sympy.Rational(1, 2) - 1 / xs) ** 2
-                          - (sympy.Rational(1, 4) - 1 / xs ** 2)
-                          - (2 - xs) / xs ** 2)
-    if diff != 0:
-        raise LatticeError("symbolic tail identity failed")
+    # the s = -1 edge (y = -x) needs z^2 - x z + 2 = 0 with a square
+    # discriminant x^2 - 8 = w^2, i.e. (x - w)(x + w) = 8 with w >= 0; the
+    # factors d <= 8/d must share the parity of their sum 2x, forcing x = 3
+    edge = [(d + 8 // d) // 2 for d in range(1, 9)
+            if 8 % d == 0 and d * d <= 8 and (d + 8 // d) % 2 == 0]
+    if edge != [3]:
+        raise LatticeError("s = -1 edge admits x in %s" % edge)
+    # tail for every x > 2: x^2 ((1/2 - 1/x)^2 - (1/4 - 1/x^2)) = 2 - x < 0
+    if not is_zero_polynomial(lambda x: (Fraction(x, 2) - 1) ** 2
+                              - (Fraction(x * x, 4) - 1) - (2 - x), (2,)):
+        raise LatticeError("tail identity failed")
     found.sort()
     return found
 

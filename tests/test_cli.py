@@ -98,7 +98,12 @@ def test_out_of_range_bounds_exit_2():
     for argv in (["verify", "pell", "--ell", "6", "--k-bound", "-1"],
                  ["verify", "pell", "--ell", "6", "--entry-bound", "0"],
                  ["orbit", "--len", str(cli.MAX_ORBIT_LEN + 1)],
-                 ["orbit", "--len", "-1"]):
+                 ["orbit", "--len", "-1"],
+                 ["reduce", "--class", "0,0,0"],
+                 ["enumerate", "sections", "--n-bound", "0"],
+                 ["enumerate", "sections", "--n-bound", "-2"],
+                 ["enumerate", "sections", "--n-bound",
+                  str(cli.MAX_N_BOUND + 1)]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv

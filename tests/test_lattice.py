@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3cert.lattice import (
     DimensionMismatch,
@@ -13,6 +15,7 @@ from k3cert.lattice import (
     det_int,
     discriminant_group,
     is_dual_vector,
+    is_zero_polynomial,
     mat_mul,
     reduce_mod_lattice,
     smith_normal_form,
@@ -171,6 +174,26 @@ def test_solve_pairing_norm_rank4():
                                 (0, 0, 1, 0)))
     with pytest.raises(LatticeError, match="negative definite"):
         solve_pairing_norm(hyp2, (1, 1, 0, 0), 1, -2)
+
+
+def test_zero_polynomial_on_the_grid():
+    assert is_zero_polynomial(lambda x, y: (x + y) ** 2 - x * x - 2 * x * y
+                              - y * y, (2, 2))
+    assert not is_zero_polynomial(lambda x: x * x - 1, (2,))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=3),
+       st.integers(-5, 5).filter(bool))
+def test_zero_polynomial_rejects_a_smaller_grid(degrees, c):
+    # c prod_i x_i (x_i - 1) ... (x_i - d_i + 1) has degree d_i in x_i and
+    # vanishes wherever some x_i < d_i, so only the full grid sees it
+    def f(*x):
+        return c * math.prod(x[i] - j for i, d in enumerate(degrees)
+                             for j in range(d))
+    assert not is_zero_polynomial(f, degrees)
+    if any(degrees):
+        assert is_zero_polynomial(f, [max(d - 1, 0) for d in degrees])
 
 
 def test_json_roundtrip(lat3):

@@ -100,6 +100,19 @@ def test_orbit(ctx6, res6, run6):
     assert (1, 0) in orbit
 
 
+def test_orbit_computed_once_per_ell(monkeypatch):
+    calls = []
+    enumerate_H_orbit = pell.enumerate_H_orbit
+
+    def counted(ctx, res, k_bound=5):
+        calls.append(ctx.ell)
+        return enumerate_H_orbit(ctx, res, k_bound)
+    monkeypatch.setattr(pell, "enumerate_H_orbit", counted)
+    report = pell.full_section4_certificate(ell_range=[6, 7], k_bound=2)
+    assert report.ok
+    assert calls == [6, 7]
+
+
 def test_takahashi_obstruction(ctx6):
     status, details = pell.takahashi_obstruction(ctx6, (1, 0))
     assert status == PASS, details

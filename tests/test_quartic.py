@@ -1,9 +1,15 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
+import k3cert
 from k3cert import quartic
-from k3cert.lattice import LatticeError
+from k3cert.lattice import IntegerLattice, LatticeError
 from k3cert.chamber import pingpong_certify
-from k3cert.report import DISCREPANCY, PASS
+from k3cert.report import DISCREPANCY, FAIL, PASS
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +34,24 @@ def test_norm_table(ctx):
 def test_no_reducible_fibers(ctx):
     status, details = quartic.check_no_reducible_fibers(ctx)
     assert status == PASS, details
+    assert "forced c^2 = 1/10 is not an integer square" in details
+
+
+def test_no_reducible_fibers_algebraic_route_reads_the_lattice(ctx):
+    # here the complement of <f, M> is spanned by (1, 1, 0) of norm -2
+    planted = IntegerLattice(gram=((-2, 1, 0), (1, -2, 0), (0, 0, -2)))
+    status, details = quartic.check_no_reducible_fibers(
+        dataclasses.replace(ctx, lattice=planted))
+    assert status == FAIL
+    assert "algebraic route failed: c^2 = 1 is integral" in details
+
+
+def test_quartic_and_pell_import_without_sympy():
+    src = os.path.dirname(os.path.dirname(k3cert.__file__))
+    code = ("import sys, k3cert.quartic, k3cert.pell; "
+            "assert 'sympy' not in sys.modules, 'sympy was imported'")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_enumerate_sections(ctx):
@@ -78,6 +102,8 @@ def test_Q_enumeration_routes_agree(ctx):
     bound = quartic.enumerate_Q_bound_argument(ctx)
     assert brute == bound == sorted(
         [(1, 0, 0), (2, -1, -1), (3, -3, 1), (3, 1, -3)])
+    # the s = -1 edge and the tail hold for every x, not up to the cap
+    assert quartic.enumerate_Q_bound_argument(ctx, cap=3) == bound
 
 
 def test_classification(ctx):

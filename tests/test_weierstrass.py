@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from k3cert import weierstrass as w
 from k3cert.report import PASS
@@ -71,11 +72,13 @@ def test_map_degree_bound():
 
 
 def test_inverse_is_exact_identity():
-    a, b = sympy.symbols("a b")
-    inv = w.invert_translation_map(a, b)
-    fwd = w.translation_map(a, b)
-    assert fwd.compose(inv).is_identity()
-    assert inv.compose(fwd).is_identity()
+    inv = w.invert_translation_map(w.A, w.B)
+    fwd = w.translation_map(w.A, w.B)
+    assert fwd.compose(inv).components() == (w.S, w.T)
+    assert inv.compose(fwd).components() == (w.S, w.T)
+    # equality in K is exact: two different translations do not cancel
+    other = w.translation_map(w.A, w.B + 1)
+    assert fwd.compose(other).components() != (w.S, w.T)
 
 
 def test_inverse_round_trip_numeric():
@@ -123,3 +126,35 @@ def test_full_certificate():
     restriction = next(it for it in report.items
                        if it.id == "thm-2.2-restriction")
     assert "addition-then-negation" in restriction.details
+
+
+fractions = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 50))
+
+
+@settings(deadline=None)
+@given(fractions, fractions, fractions, fractions)
+def test_translate_is_an_involution(a, b, s, t):
+    assume(s != a)
+    s1, t1 = w.translate(a, b, s, t)
+    assume(s1 != a)
+    assert w.translate(a, b, s1, t1) == (s, t)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(w._TEST_CURVES), st.integers(1, 12))
+def test_translate_is_negated_addition_on_the_curves(test_curve, k):
+    p, q, base, ab = test_curve
+    e = curve(p, q)
+    pt = w.multiples(e, w.CurvePoint.affine(*base), k)[-1]
+    ab = w.CurvePoint.affine(*ab)
+    assume(not pt.at_infinity and pt.x != ab.x)
+    image = w.CurvePoint.affine(*w.translate(ab.x, ab.y, pt.x, pt.y))
+    assert image == e.neg(w.chord_tangent_add(e, pt, ab))
+
+
+@settings(deadline=None)
+@given(fractions, fractions, fractions)
+def test_apply_on_the_excluded_line_is_a_curve_error(a, b, t):
+    # check_restriction skips such points by catching CurveError
+    with pytest.raises(w.CurveError, match="undefined"):
+        w.translation_map(a, b).apply(w.CurvePoint.affine(a, t))
