@@ -21,7 +21,6 @@ from .lattice import (
     mat_vec,
     mat_inverse_frac,
     det_int,
-    reduce_mod_lattice,
 )
 
 
@@ -223,34 +222,19 @@ def order_of(g):
 # ---------------------------------------------------------------------------
 # induced action on the discriminant group
 
-@dataclass(frozen=True)
-class DiscriminantAction:
-    kind: str  # "identity" | "negation" | "other"
-    witness: tuple = None  # for "other": a generator whose image is not +-itself
-
-
 def discriminant_action(g, disc):
-    """Classify the induced action on NS*/NS as +-id or neither.
+    """Classify the induced action on NS*/NS: "identity", "negation" or
+    "other".
 
-    The action is +-id exactly when every generator maps to the same
-    global sign of itself modulo the lattice.
+    g acts as sign * id exactly when g u - sign * u lies in the lattice,
+    i.e. is integral, for every generator u (identity wins when both hold).
     """
-    ok_plus = True
-    ok_minus = True
-    for gen in disc.generators:
-        img = reduce_mod_lattice(g.apply_dual(gen))
-        plus = reduce_mod_lattice(gen)
-        minus = reduce_mod_lattice(tuple(-c for c in gen))
-        if img != plus and img != minus:
-            return DiscriminantAction("other", witness=gen)
-        ok_plus = ok_plus and img == plus
-        ok_minus = ok_minus and img == minus
-    if ok_plus:
-        return DiscriminantAction("identity")
-    if ok_minus:
-        return DiscriminantAction("negation")
-    # every generator maps to +-itself but with mixed signs: still not +-id
-    return DiscriminantAction("other", witness=disc.generators[0])
+    images = [(g.apply_dual(u), u) for u in disc.generators]
+    for kind, sign in (("identity", 1), ("negation", -1)):
+        if all((a - sign * b).denominator == 1
+               for img, u in images for a, b in zip(img, u)):
+            return kind
+    return "other"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Exact arithmetic on integral lattices.
 
 Vectors are plain tuples of Python ints (coordinates in the lattice
-basis); dual vectors are tuples of :class:`fractions.Fraction`.  All
+basis); dual vectors are tuples of :class:`fractions.Fraction`.  The
+discriminant group NS*/NS is read off the Smith form of the Gram matrix:
+a coset's coordinates and order are closed formulas, never a scan.  All
 computations are exact -- no floating point anywhere in this module.
 """
 
@@ -274,19 +276,24 @@ def reduce_mod_lattice(u):
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
+    """NS*/NS in Smith-form coordinates.
+
+    With U*G*V = D, a vector u is dual iff D V^-1 u is integral, and NS
+    itself is V^-1 u integral, so the coset of u has coordinates
+    k_i = d_i (V^-1 u)_i mod d_i over the factors d_i > 1.
+    """
     lattice: IntegerLattice
     invariant_factors: tuple
     generators: tuple  # one dual vector (tuple of Fractions) per factor
+    coordinate_rows: tuple  # the rows of V^-1 (integral) for those factors
 
     @property
     def order(self):
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return math.prod(self.invariant_factors)
 
     def elements(self):
-        """All cosets as canonical representatives (may be large)."""
+        """All cosets as canonical representatives, by a scan of the whole
+        group: an independent oracle for tests, not used by the checks."""
         for ks in product(*[range(d) for d in self.invariant_factors]):
             u = tuple(sum((Fraction(k) * g[i] for k, g in zip(ks, self.generators)),
                           Fraction(0))
@@ -294,26 +301,19 @@ class DiscriminantGroup:
             yield ks, reduce_mod_lattice(u)
 
     def coordinates_of(self, u):
-        """Express coset of u in the generators, or None."""
-        target = reduce_mod_lattice(u)
-        for ks, rep in self.elements():
-            if rep == target:
-                return ks
-        return None
+        """The coordinates of the coset of u in the generators, or None when
+        u is not a dual vector."""
+        if not is_dual_vector(self.lattice, u):
+            return None
+        return tuple(int(d * sum(r * c for r, c in zip(row, u))) % d
+                     for d, row in zip(self.invariant_factors, self.coordinate_rows))
 
     def element_order(self, u):
-        rep = reduce_mod_lattice(u)
-        if all(c == 0 for c in rep):
-            return 1
-        k = 1
-        acc = rep
-        while True:
-            k += 1
-            acc = reduce_mod_lattice(tuple(a + b for a, b in zip(acc, rep)))
-            if all(c == 0 for c in acc):
-                return k
-            if k > self.order:
-                raise LatticeError("element order exceeds group order")
+        """The order of the coset of u: NS is Z^n in the lattice basis, so
+        k*u lies in NS iff every denominator of u divides k."""
+        if not is_dual_vector(self.lattice, u):
+            raise LatticeError("%s is not a dual vector" % (tuple(u),))
+        return math.lcm(*(c.denominator for c in u))
 
 
 def discriminant_group(lat):
@@ -321,23 +321,22 @@ def discriminant_group(lat):
 
     Generators come out of the unimodular transforms: with U*G*V = D the
     i-th generator is column i of V divided by d_i, so its denominator is
-    exactly its invariant factor.
+    exactly its invariant factor, and row i of V^-1 reads its coordinate.
     """
     u, d, v = smith_normal_form(lat.gram)
+    v_inv = mat_inverse_frac(v)
+    if any(c.denominator != 1 for row in v_inv for c in row):
+        raise LatticeError("Smith transform is not unimodular")
     n = lat.rank
-    factors = []
-    gens = []
-    for i in range(n):
-        di = d[i][i]
-        if di > 1:
-            factors.append(di)
-            gen = tuple(Fraction(v[r][i], di) for r in range(n))
-            gens.append(reduce_mod_lattice(gen))
-    grp = DiscriminantGroup(lattice=lat, invariant_factors=tuple(factors),
-                            generators=tuple(gens))
+    nontrivial = [i for i in range(n) if d[i][i] > 1]
+    factors = tuple(d[i][i] for i in nontrivial)
+    gens = tuple(reduce_mod_lattice(tuple(Fraction(v[r][i], d[i][i])
+                                          for r in range(n)))
+                 for i in nontrivial)
+    rows = tuple(tuple(int(c) for c in v_inv[i]) for i in nontrivial)
+    grp = DiscriminantGroup(lattice=lat, invariant_factors=factors,
+                            generators=gens, coordinate_rows=rows)
     for di, g in zip(factors, gens):
-        if not is_dual_vector(lat, g):
-            raise LatticeError("discriminant generator does not pair integrally")
         if grp.element_order(g) != di:
             raise LatticeError("discriminant generator has wrong order")
     if grp.order != abs(lat.determinant()):

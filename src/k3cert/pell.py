@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .lattice import (
     IntegerLattice,
@@ -137,12 +138,20 @@ def check_discriminant(ctx):
     else:
         g1 = (Fraction(1, 4), Fraction(0))                       # h1/4
         g2 = (Fraction(-ctx.ell, 4 * ctx.d), Fraction(1, 4 * ctx.d))
-        if disc.element_order(g1) != 4:
-            problems.append("h1/4 does not have order 4")
-        if disc.element_order(g2) != 4 * ctx.d:
-            problems.append("(h2 - l h1)/(4(l^2-1)) has wrong order")
-        if disc.coordinates_of(g1) is None or disc.coordinates_of(g2) is None:
-            problems.append("stated generators not expressible in SNF generators")
+        c1, c2 = disc.coordinates_of(g1), disc.coordinates_of(g2)
+        if c1 is None or c2 is None:
+            problems.append("stated generators are not dual vectors")
+        else:
+            if disc.element_order(g1) != 4:
+                problems.append("h1/4 does not have order 4")
+            if disc.element_order(g2) != 4 * ctx.d:
+                problems.append("(h2 - l h1)/(4(l^2-1)) has wrong order")
+            # they generate Z_4 + Z_4d iff c1, c2, 4 e1 and 4d e2 span Z^2,
+            # i.e. iff the 2x2 minors of these columns are coprime
+            cols = (c1, c2, (want[0], 0), (0, want[1]))
+            if math.gcd(*(a[0] * b[1] - a[1] * b[0]
+                          for a, b in combinations(cols, 2))) != 1:
+                problems.append("stated generators do not generate NS*/NS")
     return verdict(problems, "NS*/NS = Z_4 + Z_%d with the stated generators"
                    % (4 * ctx.d))
 
@@ -241,8 +250,7 @@ def isometry_search(ctx, entry_bound=300, auto_escalate=True, max_doublings=40):
             if lam1.sign() <= 0:
                 filtered.append((g.matrix, "cone-swapping"))
                 continue
-            act = discriminant_action(g, disc)
-            if act.kind == "other":
+            if discriminant_action(g, disc) == "other":
                 filtered.append((g.matrix, "discriminant-other"))
                 continue
             accepted.append((g, lam1))

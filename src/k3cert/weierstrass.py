@@ -195,7 +195,7 @@ def finite_automorphism(d, p, q):
         raise CurveError("substitution does not preserve the curve equation")
     order = None
     for k in range(1, 13):
-        if sympy.simplify(cx ** k - 1) == 0 and sympy.simplify(cy ** k - 1) == 0:
+        if sympy.expand(cx ** k - 1) == 0 and sympy.expand(cy ** k - 1) == 0:
             order = k
             break
     if order != d:

@@ -119,13 +119,12 @@ def test_order_rank_limit():
 
 def test_discriminant_action_kinds(hlm, fev):
     disc_f = discriminant_group(fev)
-    assert discriminant_action(mw_translation(fev, 2), disc_f).kind == "identity"
+    assert discriminant_action(mw_translation(fev, 2), disc_f) == "identity"
     neg = make_isometry(fev, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
-    assert discriminant_action(neg, disc_f).kind == "negation"
+    assert discriminant_action(neg, disc_f) == "negation"
     disc_h = discriminant_group(hlm)
     swap = make_isometry(hlm, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
-    act = discriminant_action(swap, disc_h)
-    assert act.kind == "other" and act.witness is not None
+    assert discriminant_action(swap, disc_h) == "other"
 
 
 def test_to_json(fev):

@@ -1,10 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from k3cert.isometry import discriminant_action, make_isometry, reflection_in
 from k3cert.lattice import (
     DimensionMismatch,
     IntegerLattice,
@@ -96,7 +98,11 @@ def test_discriminant_group_z20(lat3):
     v20 = tuple(Fraction(c, 20) for c in (-6, 7, -3))
     assert disc.element_order(v20) == 20
     assert is_dual_vector(lat3, v20)
-    assert not is_dual_vector(lat3, (Fraction(1, 3), 0, 0))
+    third = (Fraction(1, 3), 0, 0)
+    assert not is_dual_vector(lat3, third)
+    assert disc.coordinates_of(third) is None
+    with pytest.raises(LatticeError, match="not a dual vector"):
+        disc.element_order(third)
 
 
 def test_discriminant_group_rank2():
@@ -104,6 +110,104 @@ def test_discriminant_group_rank2():
     disc = discriminant_group(lat)
     assert disc.invariant_factors == (4, 140)
     assert disc.order == 560 == abs(lat.determinant())
+
+
+@st.composite
+def even_lattices(draw):
+    """Random even nondegenerate Gram matrices of rank 2-3, |det| <= 400."""
+    n = draw(st.integers(2, 3))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(-5, 5))
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-6, 6))
+    assume(0 < abs(det_int(gram)) <= 400)
+    return IntegerLattice(gram=gram)
+
+
+def _scaled_cosets(disc):
+    """The scan of every coset, each also as the integer vector e * rep mod e
+    for e = |NS*/NS|, so the oracles below need no fractions."""
+    e = disc.order
+    return e, [(ks, rep, tuple(int(c * e) for c in rep))
+               for ks, rep in disc.elements()]
+
+
+def _scan_order(v, e):
+    """Order of v mod e Z^n by adding v to itself until it reaches 0."""
+    k, acc = 1, v
+    while any(acc):
+        k += 1
+        acc = tuple((a + b) % e for a, b in zip(acc, v))
+    return k
+
+
+def _scan_action(g, cosets, e):
+    """+-id classification of g from the image of every coset."""
+    images = [(tuple(c % e for c in g.apply(v)), v) for _, _, v in cosets]
+    if all(img == v for img, v in images):
+        return "identity"
+    if all(img == tuple(-c % e for c in v) for img, v in images):
+        return "negation"
+    return "other"
+
+
+@settings(deadline=None)
+@given(even_lattices(), st.data())
+def test_discriminant_coordinates_against_the_scan(lat, data):
+    disc = discriminant_group(lat)
+    n = lat.rank
+    shift = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    e, cosets = _scaled_cosets(disc)
+    for ks, rep, v in cosets:
+        u = tuple(c + s for c, s in zip(rep, shift))
+        assert disc.coordinates_of(u) == ks
+        assert disc.element_order(u) == _scan_order(v, e)
+    # u plus e_j / m, m > gcd(column j), pairs non-integrally with the lattice
+    j = data.draw(st.integers(0, n - 1))
+    m = math.gcd(*(row[j] for row in lat.gram)) + 1
+    off = tuple(c + Fraction(int(i == j), m) for i, c in enumerate(u))
+    assert not is_dual_vector(lat, off)
+    assert disc.coordinates_of(off) is None
+    with pytest.raises(LatticeError):
+        disc.element_order(off)
+
+
+@settings(deadline=None)
+@given(even_lattices())
+def test_discriminant_action_against_the_scan(lat):
+    disc = discriminant_group(lat)
+    n = lat.rank
+    isometries = {make_isometry(lat, [[s * int(i == j) for j in range(n)]
+                                      for i in range(n)]) for s in (1, -1)}
+    for w in product(range(-1, 2), repeat=n):
+        if lat.norm(w) != 0:
+            try:
+                isometries.add(reflection_in(lat, w))
+            except LatticeError:
+                pass  # the reflection is not integral on the lattice
+    e, cosets = _scaled_cosets(disc)
+    for g in isometries:
+        assert discriminant_action(g, disc) == _scan_action(g, cosets, e)
+
+
+@settings(deadline=None)
+@given(even_lattices())
+def test_smith_normal_form_invariants(lat):
+    m = lat.gram
+    n = lat.rank
+    for a in (m, m[:n - 1], tuple(zip(*m))[1:]):
+        u, d, v = smith_normal_form(a)
+        if a is m:
+            assert math.prod(d[i][i] for i in range(n)) == abs(lat.determinant())
+        assert mat_mul(u, mat_mul(a, v)) == d
+        assert abs(det_int(u)) == 1 and abs(det_int(v)) == 1
+        diag = [d[i][i] for i in range(min(len(a), len(a[0])))]
+        assert all(d[i][j] == 0 for i in range(len(a))
+                   for j in range(len(a[0])) if i != j)
+        assert all(x >= 0 for x in diag)
+        for x, y in zip(diag, diag[1:]):
+            assert (y == 0) if x == 0 else (y % x == 0)
 
 
 def test_reduce_mod_lattice():

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from k3cert import pell
+from k3cert.lattice import discriminant_group
 from k3cert.quadfield import QuadExt
 from k3cert.report import FAIL, PASS, SKIPPED
 
@@ -46,6 +48,21 @@ def test_representation(ctx6):
 def test_discriminant(ctx6):
     status, details = pell.check_discriminant(ctx6)
     assert status == PASS, details
+
+
+def test_discriminant_large_ell():
+    ctx = pell.build_context(93)
+    status, details = pell.check_discriminant(ctx)
+    assert status == PASS, details
+    disc = discriminant_group(ctx.lattice)
+    assert disc.invariant_factors == (4, 4 * (93 ** 2 - 1))
+    g1 = (Fraction(1, 4), Fraction(0))
+    g2 = (Fraction(-93, 4 * ctx.d), Fraction(1, 4 * ctx.d))
+    # the order of a coordinate vector k in Z_d1 + Z_d2 is lcm(d_i / gcd(k_i, d_i))
+    orders = [math.lcm(*(d // math.gcd(k, d) for k, d in
+                         zip(disc.coordinates_of(g), disc.invariant_factors)))
+              for g in (g1, g2)]
+    assert orders == [4, 4 * (93 ** 2 - 1)]
 
 
 def test_pell_columns_match_bruteforce():
