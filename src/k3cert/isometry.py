@@ -50,6 +50,16 @@ class Isometry:
         if abs(det_int(m)) != 1:
             raise NotAnIsometry("determinant must be +-1")
 
+    @classmethod
+    def _trusted(cls, lattice, matrix):
+        """An isometry derived from checked ones (a product, an inverse, the
+        identity), built without rechecking M^T G M = G and the determinant,
+        which those operations preserve.  Isometry(...) checks its input."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "lattice", lattice)
+        object.__setattr__(g, "matrix", matrix)
+        return g
+
     def apply(self, x):
         self.lattice.check_vector(x)
         return mat_vec(self.matrix, x)
@@ -66,7 +76,7 @@ class Isometry:
     def inverse(self):
         inv = mat_inverse_frac(self.matrix)
         m = tuple(tuple(int(c) for c in row) for row in inv)
-        return Isometry(self.lattice, m)
+        return Isometry._trusted(self.lattice, m)
 
     def is_identity(self):
         return self.matrix == identity_matrix(self.lattice.rank)
@@ -95,14 +105,14 @@ def make_isometry(lat, m):
 
 
 def identity(lat):
-    return Isometry(lat, identity_matrix(lat.rank))
+    return Isometry._trusted(lat, identity_matrix(lat.rank))
 
 
 def compose(p, q):
     """Product of pullback matrices: apply q to coordinates, then p."""
     if p.lattice is not q.lattice and p.lattice != q.lattice:
         raise LatticeError("isometries live on different lattices")
-    return Isometry(p.lattice, mat_mul(p.matrix, q.matrix))
+    return Isometry._trusted(p.lattice, mat_mul(p.matrix, q.matrix))
 
 
 def reflection_in(lat, w):

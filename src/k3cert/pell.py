@@ -5,10 +5,18 @@ of any isometry solve the Pell equation u^2 - (l^2 - 1) b^2 = 1 after the
 substitution u = a + l b.  The fundamental solution is (u, b) = (l, 1)
 (no solution has 0 < b < 1), so the recurrence
     u' = l u + (l^2 - 1) b,   b' = u + l b
-generates every solution up to signs.  The isometry search below
-enumerates columns through this recurrence, which is provably the same
-set as a brute-force scan of all integer matrices within the entry
-bound, but reaches the large entries the filtered generator needs.
+generates every solution up to signs: they are the powers +-eps^k of the
+unit eps = l + sqrt(l^2 - 1) (Lenstra, "Solving the Pell equation",
+Notices AMS 49, 2002).  Multiplication by eps^k = u + b sqrt(l^2 - 1) is
+the isometry ((u - l b, -b), (b, u + l b)) on (h1, h2) coordinates.
+
+The generator search walks k = 1, 2, ... and takes the first eps^k that
+passes the ray, cone and discriminant filters with eigenvalue > 1.  Its
+certificate is one exhaustive scan of the isometries with entries up to
+the least bound entry_bound * 2^j that holds the walk's answer; the scan
+assembles matrices from the Pell columns of the recurrence, which is
+provably the same set as a brute-force scan of all integer matrices
+within the bound.
 
 The nef cone is bounded by the two irrational isotropic rays
 v1 = (-l + sqrt(l^2-1)) h1 + h2 and v2 = h1 + (-l + sqrt(l^2-1)) h2.
@@ -215,62 +223,117 @@ def _pell_columns(ell, bound):
 
 
 def _eigen_ratio(ctx, m, ray):
-    """QuadExt ratio lam with m . ray = lam * ray, or None."""
-    img = tuple(sum(m[i][j] * ray[j] for j in range(2)) for i in range(2))
-    # proportionality: img x ray = 0
-    if img[0] * ray[1] - img[1] * ray[0] != 0:
+    """QuadExt ratio lam with m . ray = lam * ray, or None.
+
+    The ray's QuadExt coordinates are scaled by the lcm of their
+    denominators to integer pairs (p, q) = p + q sqrt(d), which changes
+    neither the proportionality nor lam, so the test is in Z[sqrt(d)].
+    """
+    d = ctx.d
+    den = math.lcm(*(f.denominator for c in ray for f in (c.a, c.b)))
+    r = [(c.a.numerator * (den // c.a.denominator),
+          c.b.numerator * (den // c.b.denominator)) for c in ray]
+    img = [(m[i][0] * r[0][0] + m[i][1] * r[1][0],
+            m[i][0] * r[0][1] + m[i][1] * r[1][1]) for i in (0, 1)]
+    # proportionality: img x ray = img0 r1 - img1 r0 = 0 in Z[sqrt(d)]
+    (x0, x1), (y0, y1) = img
+    (p0, q0), (p1, q1) = r
+    if (x0 * p1 + d * x1 * q1 - y0 * p0 - d * y1 * q0
+            or x0 * q1 + x1 * p1 - y0 * q0 - y1 * p0):
         return None
-    for i in (0, 1):
-        if ray[i] != QuadExt.rational(0, ctx.d):
-            return img[i] / ray[i]
+    for (x, y), (p, q) in zip(img, r):
+        if p or q:
+            # (x + y sqrt(d)) / (p + q sqrt(d)), with p^2 - d q^2 != 0
+            n = p * p - d * q * q
+            return QuadExt(Fraction(x * p - d * y * q, n),
+                           Fraction(y * p - x * q, n), d)
     return None
+
+
+def _filter(ctx, disc, g):
+    """The filter that rejects g, or None; and g's eigenvalue on v1."""
+    lam = _eigen_ratio(ctx, g.matrix, ctx.v1)
+    if lam is None:
+        return "ray-swapping", None
+    if lam.sign() <= 0:
+        return "cone-swapping", lam
+    if discriminant_action(g, disc) == "other":
+        return "discriminant-other", lam
+    return None, lam
+
+
+def _max_entry(m):
+    return max(abs(e) for row in m for e in row)
+
+
+def _unit_walk(ctx, disc, cap):
+    """The isometry of the first power eps^k (k >= 1) that passes the
+    filters with eigenvalue > 1, or None once its entries exceed cap."""
+    ell = ctx.ell
+    u, b = ell, 1
+    while True:
+        g = Isometry(ctx.lattice, ((u - ell * b, -b), (b, u + ell * b)))
+        if _max_entry(g.matrix) > cap:
+            return None
+        reason, lam = _filter(ctx, disc, g)
+        if reason is None and lam > 1:
+            return g
+        u, b = ell * u + ctx.d * b, u + ell * b
 
 
 def isometry_search(ctx, entry_bound=300, auto_escalate=True, max_doublings=40):
     """Find the minimal-alpha generator among the filtered isometries.
 
-    Raw isometries within the entry bound are assembled from Pell columns
-    (see the module docstring for why this equals the full matrix scan).
     Filters: ray-swapping matrices are rejected, cone-swapping matrices
     are rejected, and matrices not acting as +-id on NS*/NS are rejected.
-    If no accepted candidate with alpha > 1 survives, the bound doubles.
+    The unit walk proposes g0 (see the module docstring).  The certificate
+    is one scan of all raw isometries with entries <= B, for the least
+    B = entry_bound * 2^j >= max |entry of g0|: its minimal-alpha accepted
+    candidate with alpha > 1 must be g0, and for j > 0 no such candidate
+    may fit within B/2, so B is the bound at which doubling from
+    entry_bound first finds a generator.  Without auto_escalate only
+    B = entry_bound is allowed; the walk gives up past
+    entry_bound * 2^max_doublings.
     """
     if entry_bound < 1:
         raise PellError("entry_bound must be >= 1")
+    if max_doublings < 0:
+        raise PellError("max_doublings must be >= 0")
     disc = discriminant_group(ctx.lattice)
-    bound = entry_bound
-    for _ in range(max_doublings + 1):
-        raw = _raw_isometries(ctx, bound)
-        accepted, filtered = [], []
-        for g in raw:
-            lam1 = _eigen_ratio(ctx, g.matrix, ctx.v1)
-            if lam1 is None:
-                filtered.append((g.matrix, "ray-swapping"))
-                continue
-            if lam1.sign() <= 0:
-                filtered.append((g.matrix, "cone-swapping"))
-                continue
-            if discriminant_action(g, disc) == "other":
-                filtered.append((g.matrix, "discriminant-other"))
-                continue
-            accepted.append((g, lam1))
-        positive = [(g, lam) for g, lam in accepted if lam > 1]
-        if positive:
-            g0, alpha = positive[0]
-            for g, lam in positive[1:]:
-                if lam < alpha:
-                    g0, alpha = g, lam
-            a = g0.matrix[0][0] + g0.matrix[1][1]
-            _check_generator(ctx, g0, alpha, a, accepted)
-            return GeneratorSearchResult(g0=g0, alpha=alpha, trace_a=a,
-                                         bound_used=bound, accepted=accepted,
-                                         filtered_out=filtered)
+    walked = _unit_walk(ctx, disc, entry_bound << max_doublings
+                        if auto_escalate else entry_bound)
+    if walked is None:
         if not auto_escalate:
             raise PellError(
                 "no accepted generator with alpha > 1 within entry bound %d; "
-                "retry with a larger bound" % bound)
+                "retry with a larger bound" % entry_bound)
+        raise PellError("generator search exhausted %d doublings"
+                        % max_doublings)
+    bound = entry_bound
+    while bound < _max_entry(walked.matrix):
         bound *= 2
-    raise PellError("generator search exhausted %d doublings" % max_doublings)
+    accepted, filtered = [], []
+    for g in _raw_isometries(ctx, bound):
+        reason, lam = _filter(ctx, disc, g)
+        if reason is None:
+            accepted.append((g, lam))
+        else:
+            filtered.append((g.matrix, reason))
+    positive = [(g, lam) for g, lam in accepted if lam > 1]
+    g0, alpha = min(positive, key=lambda p: p[1], default=(None, None))
+    if g0 is None or g0.matrix != walked.matrix:
+        raise PellError("the scan at entry bound %d has minimal generator %s, "
+                        "the unit walk %s"
+                        % (bound, g0 and g0.matrix, walked.matrix))
+    if bound > entry_bound and any(_max_entry(g.matrix) <= bound // 2
+                                   for g, _ in positive):
+        raise PellError("an accepted isometry with alpha > 1 fits within "
+                        "entry bound %d" % (bound // 2))
+    a = g0.matrix[0][0] + g0.matrix[1][1]
+    _check_generator(ctx, g0, alpha, a, accepted)
+    return GeneratorSearchResult(g0=g0, alpha=alpha, trace_a=a,
+                                 bound_used=bound, accepted=accepted,
+                                 filtered_out=filtered)
 
 
 def _raw_isometries(ctx, bound):
@@ -305,13 +368,13 @@ def _check_generator(ctx, g0, alpha, a, accepted):
 
 
 def _is_power_of(g0, g, cap=64):
-    limit = max(abs(e) for row in g.matrix for e in row)
+    limit = _max_entry(g.matrix)
     for base in (g0, g0.inverse()):
         acc = identity(g0.lattice)
         for _ in range(cap):
             if acc.matrix == g.matrix:
                 return True
-            if max(abs(e) for row in acc.matrix for e in row) > limit:
+            if _max_entry(acc.matrix) > limit:
                 break
             acc = compose(acc, base)
     return False

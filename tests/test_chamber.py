@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3cert.chamber import (
     Chamber,
@@ -79,6 +80,20 @@ def test_reduce_roundtrip(pentagon):
     assert trace.result == H
     assert trace.word and all(1 <= w <= 3 for w in trace.word)
     assert trace.unreduce(pentagon) == x
+
+
+@settings(deadline=None)
+@given(st.tuples(*[st.integers(-40, 40)] * 3).filter(any))
+def test_unreduce_inverts_reduce(pentagon, x):
+    lat = pentagon.lattice
+    try:
+        trace = reduce_to_chamber(pentagon, x, cap=50)
+    except ChamberError:
+        # off the closed positive cone the reduction need not stop
+        assert lat.norm(x) < 0 or lat.inner(x, H) <= 0
+        return
+    assert trace.unreduce(pentagon) == x
+    assert all(pentagon.wall_value(i, trace.result) >= 0 for i in range(3))
 
 
 def test_reduce_already_reduced(pentagon):

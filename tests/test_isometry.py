@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3cert.isometry import (
     Isometry,
@@ -50,6 +51,22 @@ def test_apply_and_power(fev):
     assert t.power(3).matrix == mw_translation(fev, 3).matrix
     assert t.power(-2).matrix == mw_translation(fev, -2).matrix
     assert t.power(0).is_identity()
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=6), st.integers(-4, 4))
+def test_derived_isometries_pass_the_checked_constructor(word, k):
+    # compose, inverse, power and identity skip the M^T G M = G and
+    # determinant checks; the checked constructor accepts all they build
+    fev = IntegerLattice(gram=GRAM_FEV, labels=("f", "e", "v"))
+    gens = (mw_translation(fev, 1), mw_translation(fev, -2),
+            make_isometry(fev, ((1, 0, 0), (0, 1, 0), (0, 0, -1))),
+            make_isometry(fev, ((0, 1, 0), (1, 0, 0), (0, 0, 1))))
+    g = identity(fev)
+    for i in word:
+        g = compose(g, gens[i])
+    for h in (g, g.inverse(), g.power(k)):
+        assert Isometry(fev, h.matrix) == h
 
 
 def test_compose_order(fev):

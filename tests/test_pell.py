@@ -1,9 +1,12 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from k3cert import pell
+from k3cert import cli, pell
+from k3cert.isometry import discriminant_action
 from k3cert.lattice import discriminant_group
 from k3cert.quadfield import QuadExt
 from k3cert.report import FAIL, PASS, SKIPPED
@@ -100,6 +103,116 @@ def test_generator_search(ctx6, res6):
 def test_search_without_escalation_raises(ctx6):
     with pytest.raises(pell.PellError, match="larger bound"):
         pell.isometry_search(ctx6, entry_bound=300, auto_escalate=False)
+
+
+def _quad_eigen_ratio(ctx, m, ray):
+    """The eigenvalue in QuadExt arithmetic throughout: the oracle for the
+    integer computation in pell._eigen_ratio."""
+    img = tuple(sum(m[i][j] * ray[j] for j in range(2)) for i in range(2))
+    if img[0] * ray[1] - img[1] * ray[0] != 0:
+        return None
+    for i in (0, 1):
+        if ray[i] != QuadExt.rational(0, ctx.d):
+            return img[i] / ray[i]
+    return None
+
+
+def _escalating_search(ctx, entry_bound=300):
+    """The generator search by doubling the entry bound from entry_bound
+    and rescanning every raw isometry until one with alpha > 1 passes."""
+    disc = discriminant_group(ctx.lattice)
+    for doublings in range(41):
+        bound = entry_bound << doublings
+        accepted, filtered = [], []
+        for g in pell._raw_isometries(ctx, bound):
+            lam = _quad_eigen_ratio(ctx, g.matrix, ctx.v1)
+            if lam is None:
+                filtered.append((g.matrix, "ray-swapping"))
+            elif lam.sign() <= 0:
+                filtered.append((g.matrix, "cone-swapping"))
+            elif discriminant_action(g, disc) == "other":
+                filtered.append((g.matrix, "discriminant-other"))
+            else:
+                accepted.append((g, lam))
+        positive = [(g, lam) for g, lam in accepted if lam > 1]
+        if positive:
+            g0, alpha = positive[0]
+            for g, lam in positive[1:]:
+                if lam < alpha:
+                    g0, alpha = g, lam
+            return g0, alpha, bound, accepted, filtered
+    raise AssertionError("no generator within 40 doublings")
+
+
+@functools.cache
+def _search(ell):
+    return pell.isometry_search(pell.build_context(ell))
+
+
+@pytest.mark.parametrize("ell", [6, 7, 8, 9, 10, 11, 12, 93])
+def test_unit_walk_matches_escalating_search(ell):
+    res = _search(ell)
+    g0, alpha, bound, accepted, filtered = _escalating_search(
+        pell.build_context(ell))
+    assert res.g0 == g0 and res.alpha == alpha and str(res.alpha) == str(alpha)
+    assert res.trace_a == g0.matrix[0][0] + g0.matrix[1][1]
+    assert res.bound_used == bound
+    assert res.accepted == accepted
+    assert res.filtered_out == filtered
+
+
+@pytest.mark.parametrize("ell", list(range(6, 30)) + [57, 93])
+def test_generator_is_the_fourth_power_of_the_unit(ell):
+    # eps^4 = u + b sqrt(l^2 - 1) for eps = l + sqrt(l^2 - 1) acts on (h1, h2)
+    # coordinates as ((u - l b, -b), (b, u + l b)); any other exponent is news
+    d = ell * ell - 1
+    u, b = 1, 0
+    for _ in range(4):
+        u, b = ell * u + d * b, u + ell * b
+    g0 = _search(ell).g0.matrix
+    assert g0 == ((u - ell * b, -b), (b, u + ell * b)), (
+        "news: at l = %d the generator %s is not eps^4" % (ell, g0))
+
+
+def test_search_exhausts_its_doublings(ctx6):
+    # g0 has entries up to 20305 > 300 * 2^3
+    with pytest.raises(pell.PellError, match="exhausted 3 doublings"):
+        pell.isometry_search(ctx6, max_doublings=3)
+    with pytest.raises(pell.PellError, match="max_doublings"):
+        pell.isometry_search(ctx6, max_doublings=-1)
+
+
+def test_scan_rejects_a_wrong_walk(ctx6, res6, monkeypatch):
+    # the walk proposes g0^2; the scan at its bound finds the smaller g0
+    monkeypatch.setattr(pell, "_unit_walk",
+                        lambda ctx, disc, cap: res6.g0.power(2))
+    with pytest.raises(pell.PellError, match="the unit walk"):
+        pell.isometry_search(ctx6)
+
+
+def test_search_at_a_huge_entry_bound(ctx6, res6):
+    res = pell.isometry_search(ctx6, entry_bound=10 ** 12)
+    assert res.bound_used == 10 ** 12
+    assert res.g0 == res6.g0 and res.alpha == res6.alpha
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.sampled_from([6, 7, 12, 93]), st.data())
+def test_eigen_ratio_against_quadext_arithmetic(ell, data):
+    ctx = pell.build_context(ell)
+    g = data.draw(st.sampled_from(pell._raw_isometries(ctx, 4 * ell * ell)))
+    scale = data.draw(st.fractions(min_value=-50, max_value=50,
+                                   max_denominator=30).filter(bool))
+    for ray in (ctx.v1, ctx.v2, (ctx.v1[0], ctx.v2[1])):
+        scaled = tuple(c * scale for c in ray)
+        assert (pell._eigen_ratio(ctx, g.matrix, scaled)
+                == _quad_eigen_ratio(ctx, g.matrix, scaled))
+
+
+def test_verify_pell_at_large_ell(capsys):
+    assert cli.main(["verify", "pell", "--ell", "2000"]) == 0
+    out = capsys.readouterr().out
+    assert "lemma-4.6-ell-2000" in out
 
 
 def test_alpha_homomorphism(ctx6, res6, run6):

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from k3cert.quadfield import QuadExt, is_square, quadratic_roots, serialize, sign_of
 
@@ -58,6 +60,39 @@ def test_sign_exact_near_cancellation():
     # exact boundary: a^2 == b^2 d
     assert QuadExt(5, -1, 25 * 5).sign() != 0  # 25 != 125
     assert QuadExt(Fraction(5), Fraction(-1), 5).sign() == 1
+
+
+non_squares = st.integers(2, 10 ** 6).filter(lambda d: not is_square(d))
+
+
+@st.composite
+def near_zero(draw):
+    """a + b sqrt(d) within a few units of zero after clearing denominators."""
+    d = draw(non_squares)
+    big_b = draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    den = draw(st.integers(1, 1000))
+    s = isqrt(big_b * big_b * d) * (1 if big_b > 0 else -1)
+    big_a = -s + draw(st.integers(-2, 2))
+    return Fraction(big_a, den), Fraction(big_b, den), d
+
+
+@given(st.one_of(st.tuples(st.fractions(max_denominator=10 ** 4),
+                           st.fractions(max_denominator=10 ** 4), non_squares),
+                 near_zero()))
+def test_sign_against_isqrt_bracket(abd):
+    a, b, d = abd
+    # same sign as A + B sqrt(d) with integers A, B; d is no square, so for
+    # B != 0, s = isqrt(B^2 d) brackets s < |B| sqrt(d) < s + 1
+    den = lcm(a.denominator, b.denominator)
+    big_a, big_b = int(a * den), int(b * den)
+    s = isqrt(big_b * big_b * d)
+    if big_b == 0:
+        want = (big_a > 0) - (big_a < 0)
+    elif big_b > 0:
+        want = 1 if big_a + s >= 0 else -1
+    else:
+        want = 1 if big_a - s >= 1 else -1
+    assert QuadExt(a, b, d).sign() == want
 
 
 def test_comparisons():
