@@ -147,8 +147,8 @@ def reduce_to_chamber(chamber, x, cap=1000):
         cur = chamber.reflections[viol].apply(cur)
         word.append(viol)
     raise ChamberError(
-        "reduction did not terminate in %d steps; trajectory word %s, at %s"
-        % (cap, [w + 1 for w in word], cur))
+        "reduction did not terminate within the cap of %d steps (wall word "
+        "of length %d)" % (cap, len(word)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ status "fail" (a "discrepancy" does not fail the build), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import pell, quartic, weierstrass
@@ -27,7 +28,10 @@ MAX_ORBIT_LEN = 12
 MAX_N_BOUND = 10
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: parse_args keeps no state
+    between calls, so main reuses it."""
     p = argparse.ArgumentParser(
         prog="k3cert",
         description="exact verification suite for the quartic and Pell "

@@ -64,12 +64,6 @@ class Isometry:
         self.lattice.check_vector(x)
         return mat_vec(self.matrix, x)
 
-    def apply_dual(self, u):
-        """Image of a rational vector (same coordinate action)."""
-        return tuple(sum(Fraction(self.matrix[i][j]) * Fraction(u[j])
-                         for j in range(self.lattice.rank))
-                     for i in range(self.lattice.rank))
-
     def det(self):
         return det_int(self.matrix)
 
@@ -238,11 +232,17 @@ def discriminant_action(g, disc):
 
     g acts as sign * id exactly when g u - sign * u lies in the lattice,
     i.e. is integral, for every generator u (identity wins when both hold).
+    With w = D u integral for the lcm D of u's denominators, that is
+    (g - sign) w = 0 mod D, in integers.
     """
-    images = [(g.apply_dual(u), u) for u in disc.generators]
+    scaled = []
+    for u in disc.generators:
+        den = lcm(*(c.denominator for c in u))
+        w = tuple(c.numerator * (den // c.denominator) for c in u)
+        scaled.append((mat_vec(g.matrix, w), w, den))
     for kind, sign in (("identity", 1), ("negation", -1)):
-        if all((a - sign * b).denominator == 1
-               for img, u in images for a, b in zip(img, u)):
+        if all((a - sign * b) % den == 0
+               for gw, w, den in scaled for a, b in zip(gw, w)):
             return kind
     return "other"
 

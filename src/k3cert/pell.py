@@ -20,6 +20,13 @@ within the bound.
 
 The nef cone is bounded by the two irrational isotropic rays
 v1 = (-l + sqrt(l^2-1)) h1 + h2 and v2 = h1 + (-l + sqrt(l^2-1)) h2.
+
+Every number of this layer is p + q sqrt(d), d = l^2 - 1, with integers p
+and q, or a ratio of two such numbers, so the checks compute in Z[sqrt(d)]:
+a ray coordinate is an integer pair (p, q), an eigenvalue an integer triple
+(p, q, n) meaning (p + q sqrt(d)) / n with n > 0, and quadfield.zsign
+decides signs.  A QuadExt is built only for a value that is printed or
+returned.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .lattice import (
     lattice_points,
 )
 from .isometry import Isometry, compose, discriminant_action, identity
-from .quadfield import QuadExt, quadratic_roots, sign_of
+from .quadfield import QuadExt, zsign
 from .report import FAIL, PASS, SKIPPED, Report, run_suite, verdict
 
 
@@ -50,15 +57,12 @@ class PellContext:
     ell: int
     lattice: IntegerLattice
     anchor: tuple                  # h1
-    v1: tuple = field(default=None, compare=False)
-    v2: tuple = field(default=None, compare=False)
+    v1: tuple = field(compare=False)  # coordinates as integer pairs (p, q)
+    v2: tuple = field(compare=False)
 
     @property
     def d(self):
         return self.ell * self.ell - 1
-
-    def anchor_quad(self):
-        return _as_quad(self.anchor, self.d)
 
 
 def build_context(ell):
@@ -69,35 +73,63 @@ def build_context(ell):
         raise PellError("l^2 - 1 must not be a perfect square")
     lat = IntegerLattice(gram=((4, 4 * ell), (4 * ell, 4)),
                          labels=("h1", "h2"))
-    root = QuadExt.sqrt_of(d)
-    one = QuadExt.rational(1, d)
-    v1 = (root - ell, one)
-    v2 = (one, root - ell)
-    ctx = PellContext(ell=ell, lattice=lat, anchor=(1, 0))
-    object.__setattr__(ctx, "v1", v1)
-    object.__setattr__(ctx, "v2", v2)
-    for ray in (v1, v2):
-        if quad_inner(lat, ray, ray) != 0:
+    # -l + sqrt(l^2 - 1) is the pair (-l, 1)
+    ctx = PellContext(ell=ell, lattice=lat, anchor=(1, 0),
+                      v1=((-ell, 1), (1, 0)), v2=((1, 0), (-ell, 1)))
+    for ray in (ctx.v1, ctx.v2):
+        if _zinner(ctx, ray, ray) != (0, 0):
             raise PellError("boundary ray is not isotropic")
-    if sign_of(quad_inner(lat, ctx.anchor_quad(), v1)) <= 0:
+    if _pairing_sign(ctx, _lift(ctx.anchor), ctx.v1) <= 0:
         raise PellError("h1 does not pair positively with v1")
     return ctx
 
 
-def quad_inner(lat, x, y):
-    """Bilinear form extended to QuadExt/Fraction coordinates."""
-    acc = 0
-    n = lat.rank
-    for i in range(n):
-        for j in range(n):
-            if lat.gram[i][j]:
-                acc = acc + x[i] * lat.gram[i][j] * y[j]
-    return acc
+def _zmul(x, y, d):
+    """The product of p + q sqrt(d) and r + s sqrt(d) as an integer pair."""
+    return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _as_quad(x, d):
-    return tuple(QuadExt.rational(c, d) if not isinstance(c, QuadExt) else c
-                 for c in x)
+def _lift(x):
+    """An integer vector with coordinates as integer pairs."""
+    return tuple((c, 0) for c in x)
+
+
+def _zinner(ctx, x, y):
+    """The pairing (x, y) of two vectors with integer-pair coordinates,
+    as an integer pair."""
+    p = q = 0
+    for i, row in enumerate(ctx.lattice.gram):
+        for j, gij in enumerate(row):
+            a, b = _zmul(x[i], y[j], ctx.d)
+            p += gij * a
+            q += gij * b
+    return p, q
+
+
+def _pairing_sign(ctx, x, y):
+    return zsign(*_zinner(ctx, x, y), ctx.d)
+
+
+def _quad(lam, d):
+    """The QuadExt of an eigenvalue triple (p, q, n)."""
+    p, q, n = lam
+    return QuadExt(Fraction(p, n), Fraction(q, n), d)
+
+
+def _zpow(x, k, d):
+    """(p + q sqrt(d))^k for k >= 0 as an integer pair."""
+    out = (1, 0)
+    for _ in range(k):
+        out = _zmul(out, x, d)
+    return out
+
+
+def _as_triple(x):
+    """A QuadExt as the triple (p, q, n) with n > 0 the lcm of its
+    denominators."""
+    n = math.lcm(x.a.denominator, x.b.denominator)
+    return (x.a.numerator * (n // x.a.denominator),
+            x.b.numerator * (n // x.b.denominator), n)
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +207,18 @@ def check_lemma44(run):
 
 def check_rays(run):
     ctx = run.ctx
-    lat, v1, v2 = ctx.lattice, ctx.v1, ctx.v2
+    v1, v2 = ctx.v1, ctx.v2
     problems = []
-    if quad_inner(lat, v1, v1) != 0 or quad_inner(lat, v2, v2) != 0:
+    if _zinner(ctx, v1, v1) != (0, 0) or _zinner(ctx, v2, v2) != (0, 0):
         problems.append("a boundary ray has nonzero self-intersection")
-    h1q = ctx.anchor_quad()
-    p1 = quad_inner(lat, h1q, v1)
-    want = QuadExt(Fraction(0), Fraction(4), ctx.d)  # 4 sqrt(l^2 - 1)
-    if p1 != want:
-        problems.append("(h1, v1) = %s != 4 sqrt(%d)" % (p1, ctx.d))
-    if sign_of(quad_inner(lat, h1q, v2)) <= 0:
+    h1 = _lift(ctx.anchor)
+    p1 = _zinner(ctx, h1, v1)
+    if p1 != (0, 4):  # 4 sqrt(l^2 - 1)
+        problems.append("(h1, v1) = %s != 4 sqrt(%d)"
+                        % (QuadExt(*p1, ctx.d), ctx.d))
+    if _pairing_sign(ctx, h1, v2) <= 0:
         problems.append("(h1, v2) is not positive")
-    if sign_of(quad_inner(lat, v1, v2)) <= 0:
+    if _pairing_sign(ctx, v1, v2) <= 0:
         problems.append("(v1, v2) is not positive")
     return verdict(problems, "v1, v2 are isotropic and the anchor lies "
                    "strictly between them; (h1, v1) = 4 sqrt(%d) exactly"
@@ -223,39 +255,36 @@ def _pell_columns(ell, bound):
 
 
 def _eigen_ratio(ctx, m, ray):
-    """QuadExt ratio lam with m . ray = lam * ray, or None.
+    """The eigenvalue lam with m . ray = lam * ray as an integer triple
+    (p, q, n), lam = (p + q sqrt(d)) / n with n > 0, or None.
 
-    The ray's QuadExt coordinates are scaled by the lcm of their
-    denominators to integer pairs (p, q) = p + q sqrt(d), which changes
-    neither the proportionality nor lam, so the test is in Z[sqrt(d)].
+    The ray's coordinates are integer pairs, so proportionality is two
+    integer equations and lam one division in Z[sqrt(d)].
     """
     d = ctx.d
-    den = math.lcm(*(f.denominator for c in ray for f in (c.a, c.b)))
-    r = [(c.a.numerator * (den // c.a.denominator),
-          c.b.numerator * (den // c.b.denominator)) for c in ray]
-    img = [(m[i][0] * r[0][0] + m[i][1] * r[1][0],
-            m[i][0] * r[0][1] + m[i][1] * r[1][1]) for i in (0, 1)]
+    img = [(m[i][0] * ray[0][0] + m[i][1] * ray[1][0],
+            m[i][0] * ray[0][1] + m[i][1] * ray[1][1]) for i in (0, 1)]
     # proportionality: img x ray = img0 r1 - img1 r0 = 0 in Z[sqrt(d)]
     (x0, x1), (y0, y1) = img
-    (p0, q0), (p1, q1) = r
+    (p0, q0), (p1, q1) = ray
     if (x0 * p1 + d * x1 * q1 - y0 * p0 - d * y1 * q0
             or x0 * q1 + x1 * p1 - y0 * q0 - y1 * p0):
         return None
-    for (x, y), (p, q) in zip(img, r):
+    for (x, y), (p, q) in zip(img, ray):
         if p or q:
             # (x + y sqrt(d)) / (p + q sqrt(d)), with p^2 - d q^2 != 0
             n = p * p - d * q * q
-            return QuadExt(Fraction(x * p - d * y * q, n),
-                           Fraction(y * p - x * q, n), d)
+            s = 1 if n > 0 else -1
+            return s * (x * p - d * y * q), s * (y * p - x * q), s * n
     return None
 
 
 def _filter(ctx, disc, g):
-    """The filter that rejects g, or None; and g's eigenvalue on v1."""
+    """The filter that rejects g, or None; and g's eigenvalue triple on v1."""
     lam = _eigen_ratio(ctx, g.matrix, ctx.v1)
     if lam is None:
         return "ray-swapping", None
-    if lam.sign() <= 0:
+    if zsign(lam[0], lam[1], ctx.d) <= 0:
         return "cone-swapping", lam
     if discriminant_action(g, disc) == "other":
         return "discriminant-other", lam
@@ -276,7 +305,8 @@ def _unit_walk(ctx, disc, cap):
         if _max_entry(g.matrix) > cap:
             return None
         reason, lam = _filter(ctx, disc, g)
-        if reason is None and lam > 1:
+        # lam = (p + q sqrt(d)) / n > 1 iff (p - n) + q sqrt(d) > 0
+        if reason is None and zsign(lam[0] - lam[2], lam[1], ctx.d) > 0:
             return g
         u, b = ell * u + ctx.d * b, u + ell * b
 
@@ -316,7 +346,7 @@ def isometry_search(ctx, entry_bound=300, auto_escalate=True, max_doublings=40):
     for g in _raw_isometries(ctx, bound):
         reason, lam = _filter(ctx, disc, g)
         if reason is None:
-            accepted.append((g, lam))
+            accepted.append((g, _quad(lam, ctx.d)))
         else:
             filtered.append((g.matrix, reason))
     positive = [(g, lam) for g, lam in accepted if lam > 1]
@@ -341,9 +371,10 @@ def _raw_isometries(ctx, bound):
     cols = _pell_columns(ctx.ell, bound)
     out = []
     for c1 in cols:
+        r = lat.pairing_row(c1)
         for c2 in cols:
             # (c1, c2) pairing must reproduce the off-diagonal Gram entry
-            if quad_inner(lat, c1, c2) != 4 * ctx.ell:
+            if r[0] * c2[0] + r[1] * c2[1] != 4 * ctx.ell:
                 continue
             m = ((c1[0], c2[0]), (c1[1], c2[1]))
             out.append(Isometry(lat, m))
@@ -355,10 +386,15 @@ def _check_generator(ctx, g0, alpha, a, accepted):
         raise PellError("generator has determinant %d" % g0.det())
     if a < 3:
         raise PellError("generator trace %d < 3" % a)
-    if alpha * alpha - a * alpha + 1 != 0:
+    # with alpha = x / n for x = p + q sqrt(d): n^2 (t^2 - a t + 1) at t = alpha
+    # is x^2 - a n x + n^2, and alpha * beta = 1 is x y = n m for beta = y / m
+    d = ctx.d
+    p, q, n = _as_triple(alpha)
+    x2 = _zmul((p, q), (p, q), d)
+    if (x2[0] - a * n * p + n * n, x2[1] - a * n * q) != (0, 0):
         raise PellError("alpha does not satisfy t^2 - %d t + 1 = 0" % a)
     beta = _eigen_ratio(ctx, g0.matrix, ctx.v2)
-    if beta is None or alpha * beta != 1:
+    if beta is None or _zmul((p, q), beta[:2], d) != (n * beta[2], 0):
         raise PellError("alpha * beta != 1")
     # every accepted candidate must be a power of g0 within the search range
     for g, lam in accepted:
@@ -414,7 +450,11 @@ def check_generator(run):
 def check_alpha_homomorphism(run, n_bound=5):
     if run.search is None:
         return NO_GENERATOR
-    ctx, g0, alpha = run.ctx, run.search.g0, run.search.alpha
+    ctx, g0 = run.ctx, run.search.g0
+    d = ctx.d
+    # alpha = (ap + aq sqrt(d)) / an, and lam = (p + q sqrt(d)) / m equals
+    # num / den exactly when (p + q sqrt(d)) den = m num
+    ap, aq, an = _as_triple(run.search.alpha)
     problems = []
     for n in range(-n_bound, n_bound + 1):
         gn = g0.power(n)
@@ -422,23 +462,28 @@ def check_alpha_homomorphism(run, n_bound=5):
         if lam is None:
             problems.append("g0^%d does not fix the v1 ray" % n)
             continue
-        if lam != alpha ** n:
+        p, q, m = lam
+        power, scale = _zpow((ap, aq), abs(n), d), (an ** abs(n), 0)
+        num, den = (power, scale) if n >= 0 else (scale, power)
+        if _zmul((p, q), den, d) != (m * num[0], m * num[1]):
             problems.append("alpha(g0^%d) != alpha^%d" % (n, n))
-        if lam == 1 and n != 0:
+        if (p, q) == (m, 0) and n != 0:
             problems.append("alpha(g0^%d) = 1 with n != 0" % n)
-    if alpha ** 0 != 1:
+    if _zpow((ap, aq), 0, d) != (1, 0):
         problems.append("alpha^0 != 1")
-    if _eigen_ratio(ctx, g0.inverse().matrix, ctx.v1) != 1 / alpha:
+    lam = _eigen_ratio(ctx, g0.inverse().matrix, ctx.v1)
+    if lam is None or _zmul(lam[:2], (ap, aq), d) != (lam[2] * an, 0):
         problems.append("alpha(g0^-1) is not the conjugate root")
     # monotonicity of the largest root in the trace: for a1 < a2 the value
     # t^2 - a2 t + 1 at t = alpha(a1) is negative, so alpha(a1) sits strictly
     # between the roots of the a2 quadratic, i.e. alpha(a1) < alpha(a2);
-    # evaluated inside the field of alpha(a1), no mixed radicals needed
+    # evaluated at s = 2 alpha(a1) = a1 + sqrt(a1^2 - 4) in integers, where
+    # 4 (t^2 - a2 t + 1) = s^2 - 2 a2 s + 4 = 2 (a1 - a2)(a1 + sqrt(a1^2 - 4))
     for a1 in range(3, 9):
         for a2 in range(a1 + 1, 9):
-            r1 = quadratic_roots(a1).alpha
-            val = r1 * r1 - a2 * r1 + 1
-            if sign_of(val) >= 0:
+            e = a1 * a1 - 4
+            s2 = _zmul((a1, 1), (a1, 1), e)
+            if zsign(s2[0] - 2 * a2 * a1 + 4, s2[1] - 2 * a2, e) >= 0:
                 problems.append("largest-root monotonicity fails for traces "
                                 "%d < %d" % (a1, a2))
     return verdict(problems, "alpha(g0^n) = alpha(g0)^n exactly for |n| <= "
@@ -456,9 +501,9 @@ def enumerate_H_orbit(ctx, res, k_bound=5):
         orbit.append(h)
         if lat.norm(h) != 4:
             problems.append("orbit class %s has norm %d" % (h, lat.norm(h)))
-        hq = _as_quad(h, ctx.d)
-        if sign_of(quad_inner(lat, hq, ctx.v1)) <= 0 \
-                or sign_of(quad_inner(lat, hq, ctx.v2)) <= 0:
+        hz = _lift(h)
+        if _pairing_sign(ctx, hz, ctx.v1) <= 0 \
+                or _pairing_sign(ctx, hz, ctx.v2) <= 0:
             problems.append("orbit class %s is not strictly inside the cone"
                             % (h,))
     if len(set(orbit)) != 2 * k_bound + 1:

@@ -1,8 +1,9 @@
 """Exact arithmetic in real quadratic extensions Q(sqrt(d)).
 
 A QuadExt value is a + b*sqrt(d) with rational a, b and a fixed positive
-non-square integer d.  Signs are decided by exact rational comparison,
-never by floating point.
+non-square integer d.  Signs are decided by one exact integer rule,
+zsign, never by floating point; the Pell layer calls it directly on
+integer pairs p + q*sqrt(d).
 """
 
 from __future__ import annotations
@@ -114,24 +115,11 @@ class QuadExt:
         return self.a * self.a - self.b * self.b * self.d
 
     def sign(self):
-        """Exact sign of a + b*sqrt(d) via rational comparison."""
+        """Exact sign of a + b*sqrt(d): the denominators are cleared by a
+        positive factor, then zsign decides."""
         a, b = self.a, self.b
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 d
-        lhs = a * a
-        rhs = b * b * self.d
-        if lhs == rhs:
-            return 0
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        return zsign(a.numerator * b.denominator, b.numerator * a.denominator,
+                     self.d)
 
     def __gt__(self, other):
         o = self._lift(other)
@@ -160,6 +148,22 @@ class QuadExt:
     @staticmethod
     def sqrt_of(d):
         return QuadExt(Fraction(0), Fraction(1), d)
+
+
+def zsign(p, q, d):
+    """Exact sign of p + q*sqrt(d) for integers p, q and d > 0.
+
+    When p and q have opposite signs, the one with the larger square
+    (p^2 against d q^2) decides; equal squares mean zero.
+    """
+    sp = (p > 0) - (p < 0)
+    sq = (q > 0) - (q < 0)
+    if sp == sq or sq == 0:
+        return sp
+    if sp == 0:
+        return sq
+    diff = p * p - d * q * q
+    return sp if diff > 0 else (sq if diff < 0 else 0)
 
 
 def sign_of(x):

@@ -104,7 +104,7 @@ def test_criterion_6_pell_generator(pell6):
     alpha = res.alpha
     assert alpha > 1
     assert alpha * alpha - a * alpha + 1 == 0
-    beta = pell._eigen_ratio(ctx, res.g0.matrix, ctx.v2)
+    beta = pell._quad(pell._eigen_ratio(ctx, res.g0.matrix, ctx.v2), ctx.d)
     assert alpha * beta == 1
     assert res.g0.det() == 1
     from k3cert.isometry import discriminant_action

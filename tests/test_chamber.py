@@ -112,6 +112,16 @@ def test_reduce_cap(pentagon):
         reduce_to_chamber(pentagon, x, cap=0)
 
 
+def test_reduce_cap_message_names_the_length(pentagon):
+    # (-3, -3, -3) lies in the negative cone and never reduces; its entries
+    # grow with every reflection, and the message prints none of them
+    with pytest.raises(ChamberError) as exc:
+        reduce_to_chamber(pentagon, (-3, -3, -3), cap=200)
+    msg = str(exc.value)
+    assert "cap of 200 steps" in msg and "length 200" in msg
+    assert len(msg) < 100
+
+
 def test_isotropic_rays(lat):
     rays = isotropic_rays_in_wall(lat, V, H)
     # the plane orthogonal to v is spanned by f, e; light cone meets it in

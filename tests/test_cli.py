@@ -107,3 +107,35 @@ def test_out_of_range_bounds_exit_2():
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
+
+
+def _call(argv, capsys):
+    """Exit code, stdout and stderr of one main(argv) call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_reuses_one_parser(capsys):
+    # usage errors (exit 2) from argparse, from a subparser and from a
+    # command's own check sit between valid calls on the cached parser
+    calls = [["reduce", "--class", "13,-14,6"],
+             ["reduce", "--class", "x,y"],
+             ["orbit", "--len", "2"],
+             ["orbit", "--len", "99"],
+             ["enumerate", "nothing"],
+             ["reduce", "--class=-1,1,0", "--basis", "fev"],
+             ["orbit"],
+             ["reduce", "--class", "13,-14,6"]]
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(_call(argv, capsys))
+    assert [code for code, _, _ in alone] == [0, 2, 0, 2, 2, 0, 2, 0]
+    cli.build_parser.cache_clear()
+    together = [_call(argv, capsys) for argv in calls]
+    assert together == alone
+    assert cli.build_parser.cache_info().misses == 1

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from k3cert.isometry import discriminant_action, make_isometry, reflection_in
+from k3cert.isometry import (
+    compose, discriminant_action, make_isometry, reflection_in)
 from k3cert.lattice import (
     DimensionMismatch,
     IntegerLattice,
@@ -173,10 +174,8 @@ def test_discriminant_coordinates_against_the_scan(lat, data):
         disc.element_order(off)
 
 
-@settings(deadline=None)
-@given(even_lattices())
-def test_discriminant_action_against_the_scan(lat):
-    disc = discriminant_group(lat)
+def _small_isometries(lat):
+    """+-id and every integral reflection in a vector of {-1, 0, 1}^n."""
     n = lat.rank
     isometries = {make_isometry(lat, [[s * int(i == j) for j in range(n)]
                                       for i in range(n)]) for s in (1, -1)}
@@ -186,9 +185,31 @@ def test_discriminant_action_against_the_scan(lat):
                 isometries.add(reflection_in(lat, w))
             except LatticeError:
                 pass  # the reflection is not integral on the lattice
+    return sorted(isometries, key=lambda g: g.matrix)
+
+
+@settings(deadline=None)
+@given(even_lattices())
+def test_discriminant_action_against_the_scan(lat):
+    disc = discriminant_group(lat)
     e, cosets = _scaled_cosets(disc)
-    for g in isometries:
+    for g in _small_isometries(lat):
         assert discriminant_action(g, disc) == _scan_action(g, cosets, e)
+
+
+@settings(deadline=None)
+@given(even_lattices(), st.data())
+def test_discriminant_action_on_products_against_the_scan(lat, data):
+    # words in the reflections act on NS*/NS by more than +-id and the
+    # reflections alone, and their entries outgrow the denominators
+    disc = discriminant_group(lat)
+    e, cosets = _scaled_cosets(disc)
+    word = data.draw(st.lists(st.sampled_from(_small_isometries(lat)),
+                              min_size=2, max_size=6))
+    g = word[0]
+    for h in word[1:]:
+        g = compose(g, h)
+    assert discriminant_action(g, disc) == _scan_action(g, cosets, e)
 
 
 @settings(deadline=None)
@@ -252,6 +273,26 @@ def test_solve_pairing_norm_complete(lat3):
         assert boxed == inside
     with pytest.raises(LatticeError):
         solve_pairing_norm(lat3, (0, 1, 0), 1, -2)  # negative-norm anchor
+
+
+QUARTIC = IntegerLattice(gram=((4, 1, 1), (1, -2, 0), (1, 0, -2)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.tuples(*[st.integers(-4, 4)] * 3).filter(
+           lambda a: QUARTIC.norm(a) > 0),
+       st.integers(-12, 12), st.integers(-5, 3))
+def test_solve_pairing_norm_against_the_box_scan(anchor, pairing, half_norm):
+    # the anchor's orthogonal complement is negative definite, so the
+    # solutions are finite; inside the box both routes find the same ones
+    box = 12
+    complete = solve_pairing_norm(QUARTIC, anchor, pairing, 2 * half_norm)
+    boxed = solve_norm_system(QUARTIC, [(anchor, pairing)], 2 * half_norm, box)
+    assert all(QUARTIC.inner(x, anchor) == pairing
+               and QUARTIC.norm(x) == 2 * half_norm for x in complete)
+    assert len(set(complete)) == len(complete)
+    assert sorted(boxed) == sorted(x for x in complete
+                                   if max(map(abs, x)) <= box)
 
 
 def test_solve_pairing_norm_rank2():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from k3cert import cli, pell
 from k3cert.isometry import discriminant_action
 from k3cert.lattice import discriminant_group
-from k3cert.quadfield import QuadExt
+from k3cert.quadfield import QuadExt, zsign
 from k3cert.report import FAIL, PASS, SKIPPED
 
 
@@ -40,7 +40,9 @@ def test_context_validation():
 def test_rays(ctx6, run6):
     status, details = pell.check_rays(run6)
     assert status == PASS, details
-    assert pell.quad_inner(ctx6.lattice, ctx6.v1, ctx6.v1) == 0
+    assert pell._zinner(ctx6, ctx6.v1, ctx6.v1) == (0, 0)
+    assert pell._zinner(ctx6, ctx6.v2, ctx6.v2) == (0, 0)
+    assert pell._zinner(ctx6, pell._lift(ctx6.anchor), ctx6.v1) == (0, 4)
 
 
 def test_representation(ctx6):
@@ -105,9 +107,21 @@ def test_search_without_escalation_raises(ctx6):
         pell.isometry_search(ctx6, entry_bound=300, auto_escalate=False)
 
 
+def _quad_ray(ctx, ray):
+    """A ray with integer-pair coordinates (p, q) as QuadExt coordinates."""
+    return tuple(QuadExt(p, q, ctx.d) for p, q in ray)
+
+
+def _quad_inner(ctx, x, y):
+    """The pairing in QuadExt arithmetic: the oracle for pell._zinner."""
+    gram = ctx.lattice.gram
+    return sum((x[i] * gram[i][j] * y[j] for i in range(2) for j in range(2)),
+               QuadExt.rational(0, ctx.d))
+
+
 def _quad_eigen_ratio(ctx, m, ray):
-    """The eigenvalue in QuadExt arithmetic throughout: the oracle for the
-    integer computation in pell._eigen_ratio."""
+    """The eigenvalue in QuadExt arithmetic throughout, on a ray of QuadExt
+    coordinates: the oracle for the integer triple of pell._eigen_ratio."""
     img = tuple(sum(m[i][j] * ray[j] for j in range(2)) for i in range(2))
     if img[0] * ray[1] - img[1] * ray[0] != 0:
         return None
@@ -125,7 +139,7 @@ def _escalating_search(ctx, entry_bound=300):
         bound = entry_bound << doublings
         accepted, filtered = [], []
         for g in pell._raw_isometries(ctx, bound):
-            lam = _quad_eigen_ratio(ctx, g.matrix, ctx.v1)
+            lam = _quad_eigen_ratio(ctx, g.matrix, _quad_ray(ctx, ctx.v1))
             if lam is None:
                 filtered.append((g.matrix, "ray-swapping"))
             elif lam.sign() <= 0:
@@ -197,16 +211,58 @@ def test_search_at_a_huge_entry_bound(ctx6, res6):
 
 
 @settings(deadline=None, max_examples=50)
-@given(st.sampled_from([6, 7, 12, 93]), st.data())
+@given(st.one_of(st.sampled_from([6, 7, 12, 93]), st.integers(6, 300)),
+       st.data())
 def test_eigen_ratio_against_quadext_arithmetic(ell, data):
     ctx = pell.build_context(ell)
     g = data.draw(st.sampled_from(pell._raw_isometries(ctx, 4 * ell * ell)))
-    scale = data.draw(st.fractions(min_value=-50, max_value=50,
-                                   max_denominator=30).filter(bool))
+    g = g.power(data.draw(st.integers(-3, 3)))
+    # scaling a ray by a nonzero s + t sqrt(d) keeps its eigenvalue
+    scale = data.draw(st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+                      .filter(any))
     for ray in (ctx.v1, ctx.v2, (ctx.v1[0], ctx.v2[1])):
-        scaled = tuple(c * scale for c in ray)
-        assert (pell._eigen_ratio(ctx, g.matrix, scaled)
-                == _quad_eigen_ratio(ctx, g.matrix, scaled))
+        scaled = tuple(pell._zmul(c, scale, ctx.d) for c in ray)
+        lam = pell._eigen_ratio(ctx, g.matrix, scaled)
+        want = _quad_eigen_ratio(ctx, g.matrix, _quad_ray(ctx, scaled))
+        if want is None:
+            assert lam is None
+        else:
+            assert lam[2] > 0 and pell._quad(lam, ctx.d) == want
+            # the filters read the sign of lam and lam > 1 off the triple
+            assert (zsign(lam[0], lam[1], ctx.d) > 0) == (want > 0)
+            assert (zsign(lam[0] - lam[2], lam[1], ctx.d) > 0) == (want > 1)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(6, 300), st.data())
+def test_ray_pairing_against_quadext_arithmetic(ell, data):
+    ctx = pell.build_context(ell)
+    coords = st.integers(-10 ** 6, 10 ** 6)
+    h = (data.draw(coords), data.draw(coords))
+    rays = (ctx.v1, ctx.v2)
+    for x, y in [(pell._lift(h), r) for r in rays] + [rays, rays[::-1]]:
+        p, q = pell._zinner(ctx, x, y)
+        want = _quad_inner(ctx, _quad_ray(ctx, x), _quad_ray(ctx, y))
+        assert QuadExt(p, q, ctx.d) == want
+        assert pell._pairing_sign(ctx, x, y) == want.sign()
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(6, 9), st.data())
+def test_pell_discriminant_action_against_the_scan(ell, data):
+    # the integer +-id test against the images of every coset of NS*/NS
+    ctx = pell.build_context(ell)
+    disc = discriminant_group(ctx.lattice)
+    g = data.draw(st.sampled_from(pell._raw_isometries(ctx, 4 * ell * ell)))
+    g = g.power(data.draw(st.integers(-2, 2)))
+    pairs = [(tuple(g.matrix[i][0] * u[0] + g.matrix[i][1] * u[1]
+                    for i in (0, 1)), u) for _, u in disc.elements()]
+    want = "other"  # identity wins when both hold, so it is tested last
+    for kind, sign in (("negation", -1), ("identity", 1)):
+        if all((a - sign * b).denominator == 1
+               for img, u in pairs for a, b in zip(img, u)):
+            want = kind
+    assert discriminant_action(g, disc) == want
 
 
 def test_verify_pell_at_large_ell(capsys):
@@ -219,7 +275,7 @@ def test_alpha_homomorphism(ctx6, res6, run6):
     status, details = pell.check_alpha_homomorphism(run6)
     assert status == PASS, details
     beta = pell._eigen_ratio(ctx6, res6.g0.matrix, ctx6.v2)
-    assert res6.alpha * beta == 1
+    assert res6.alpha * pell._quad(beta, ctx6.d) == 1
 
 
 def test_orbit(ctx6, res6, run6):
@@ -291,3 +347,15 @@ def test_search_crash_fails_only_its_item(monkeypatch):
     for item in ("lemma-4.6-alpha", "lemma-4.7", "lemma-4.8"):
         assert status[item + "-ell-6"] == SKIPPED
     assert [s for i, s in status.items() if i.endswith("-ell-7")] == [PASS] * 6
+
+
+def test_check_generator_rejects_a_wrong_alpha(ctx6, res6):
+    g0, alpha, a = res6.g0, res6.alpha, res6.trace_a
+    pell._check_generator(ctx6, g0, alpha, a, res6.accepted)
+    with pytest.raises(pell.PellError, match="does not satisfy"):
+        pell._check_generator(ctx6, g0, alpha + 1, a, [])
+    with pytest.raises(pell.PellError, match="does not satisfy"):
+        pell._check_generator(ctx6, g0, alpha, a + 2, [])
+    # the conjugate root satisfies the quadratic but is 1 / alpha
+    with pytest.raises(pell.PellError, match="alpha \\* beta"):
+        pell._check_generator(ctx6, g0, alpha.conjugate(), a, [])

@@ -4,7 +4,8 @@ from math import isqrt, lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from k3cert.quadfield import QuadExt, is_square, quadratic_roots, serialize, sign_of
+from k3cert.quadfield import (
+    QuadExt, is_square, quadratic_roots, serialize, sign_of, zsign)
 
 
 def test_is_square():
@@ -93,6 +94,41 @@ def test_sign_against_isqrt_bracket(abd):
     else:
         want = 1 if big_a - s >= 1 else -1
     assert QuadExt(a, b, d).sign() == want
+
+
+@st.composite
+def near_zero_pairs(draw):
+    """Integers p, q of opposite signs with p + q sqrt(d) within a few units
+    of zero, and p^2 = d q^2 exactly when d is drawn a square."""
+    q = draw(st.integers(-10 ** 9, 10 ** 9).filter(bool))
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 1000))
+        return -q * r, q, r * r
+    d = draw(non_squares)
+    s = isqrt(q * q * d) * (1 if q > 0 else -1)
+    return -s + draw(st.integers(-2, 2)), q, d
+
+
+@given(st.one_of(st.tuples(st.integers(-10 ** 12, 10 ** 12),
+                           st.integers(-10 ** 12, 10 ** 12), non_squares),
+                 near_zero_pairs()),
+       st.integers(1, 10 ** 6))
+def test_zsign_against_quadext_sign(pqd, den):
+    p, q, d = pqd
+    if is_square(d):
+        # the oracle needs a field; a square d is an exact integer sum
+        r = isqrt(d)
+        assert zsign(p, q, d) == (p + q * r > 0) - (p + q * r < 0)
+        return
+    # QuadExt clears the denominator den before it calls zsign
+    assert zsign(p, q, d) == QuadExt(Fraction(p, den), Fraction(q, den), d).sign()
+    # and the isqrt bracket of test_sign_against_isqrt_bracket decides alone
+    s = isqrt(q * q * d)
+    if q == 0:
+        want = (p > 0) - (p < 0)
+    else:
+        want = 1 if (p + s >= 0 if q > 0 else p - s >= 1) else -1
+    assert zsign(p, q, d) == want
 
 
 def test_comparisons():
