@@ -15,11 +15,11 @@ from math import lcm
 from .lattice import (
     IntegerLattice,
     LatticeError,
+    adjugate,
     identity_matrix,
     mat_mul,
     mat_transpose,
     mat_vec,
-    mat_inverse_frac,
     det_int,
 )
 
@@ -68,8 +68,13 @@ class Isometry:
         return det_int(self.matrix)
 
     def inverse(self):
-        inv = mat_inverse_frac(self.matrix)
-        m = tuple(tuple(int(c) for c in row) for row in inv)
+        """det(M) adj(M): an isometry has determinant +-1, so its inverse is
+        its integer adjugate up to that sign."""
+        adj = adjugate(self.matrix)
+        det = sum(a * row[0] for a, row in zip(self.matrix[0], adj))
+        if abs(det) != 1:
+            raise NotAnIsometry("determinant must be +-1")
+        m = tuple(tuple(det * c for c in row) for row in adj)
         return Isometry._trusted(self.lattice, m)
 
     def is_identity(self):

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 
 class LatticeError(ValueError):
@@ -89,6 +90,19 @@ def mat_inverse_frac(m):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return tuple(tuple(row[n:]) for row in a)
+
+
+def adjugate(m):
+    """Integer adjugate of a square integer matrix: adj(m) m = det(m) I.
+    Entry (i, j) is (-1)^(i+j) times the minor without row j and column i."""
+    n = len(m)
+    if n == 1:
+        return ((1,),)
+    return tuple(
+        tuple((-1) ** (i + j) * det_int([r[:i] + r[i + 1:]
+                                         for k, r in enumerate(m) if k != j])
+              for j in range(n))
+        for i in range(n))
 
 
 def solve_int_linear(m, rhs):
@@ -231,10 +245,13 @@ class IntegerLattice:
                 "vector of length %d in rank-%d lattice" % (len(x), self.rank))
 
     def inner(self, x, y):
-        self.check_vector(x)
-        self.check_vector(y)
-        return sum(x[i] * self.gram[i][j] * y[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        """(x, y) = sum_i x_i (G y)_i, exact for int, Fraction and QuadExt
+        coordinates."""
+        gram = self.gram
+        if len(x) != len(gram) or len(y) != len(gram):
+            self.check_vector(x)
+            self.check_vector(y)
+        return sum([xi * sum(map(mul, row, y)) for xi, row in zip(x, gram)])
 
     def norm(self, x):
         return self.inner(x, x)

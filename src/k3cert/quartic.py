@@ -8,6 +8,7 @@ L and M throughout.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,7 +103,11 @@ class QuarticContext:
         return Isometry(self.lattice_fev, m)
 
 
+@functools.cache
 def build_context():
+    """The rank-3 lattice, its (f,e,v) form and the pentagon chamber, built
+    and checked once per process.  Every object in it is frozen and made of
+    tuples, so callers share one context."""
     lat = IntegerLattice(gram=GRAM_HLM, labels=("H", "L", "M"))
     lat_fev, t = change_basis(lat, [F, E, V])
     if lat_fev.gram != GRAM_FEV:
@@ -110,14 +115,15 @@ def build_context():
     lat_fev = IntegerLattice(gram=GRAM_FEV, labels=("f", "e", "v"))
     chamber = Chamber(lattice=lat, anchor=H, walls=(V, VP, W3),
                       extra_rays=CHAMBER_RAYS)
+    iota1, iota2, iota3 = chamber.reflections
     return QuarticContext(
         lattice=lat,
         lattice_fev=lat_fev,
         to_fev_transform=t,
         chamber=chamber,
-        iota1=reflection_in(lat, V),
-        iota2=reflection_in(lat, VP),
-        iota3=reflection_in(lat, W3),
+        iota1=iota1,
+        iota2=iota2,
+        iota3=iota3,
     )
 
 
@@ -202,14 +208,14 @@ def enumerate_sections(ctx, n_bound=3, box=None):
     if box < 10 * n_bound * n_bound + 20 * n_bound:
         raise LatticeError("box %d too small for n_bound %d" % (box, n_bound))
     sols = []
-    for a in range(-box, box + 1):
-        for n in range(-box, box + 1):
-            # (x, f) = b = 1 and (x, x) = 2 a b - 20 n^2 on this Gram
-            if 2 * a - 20 * n * n != -2:
-                continue
-            # effective side: positive degree against the ample class,
-            # (x, H) = 3 a + 4 b - 20 n with H = 4 f + 3 e + v
-            if 3 * a + 4 - 20 * n > 0:
+    for n in range(-box, box + 1):
+        # (x, f) = b = 1 and (x, x) = 2 a b - 20 n^2 = -2 on this Gram
+        two_a = 20 * n * n - 2
+        # effective side: positive degree against the ample class,
+        # (x, H) = 3 a + 4 b - 20 n with H = 4 f + 3 e + v
+        degree_rest = 4 - 20 * n
+        for a in range(-box, box + 1):
+            if 2 * a == two_a and 3 * a + degree_rest > 0:
                 sols.append((a, 1, n))
     sols.sort(key=lambda x: (x[2], x[0]))
     by_n = {}

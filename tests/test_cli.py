@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from k3cert import cli
+from k3cert import cli, quartic
 
 
 def run(argv):
@@ -139,3 +139,28 @@ def test_main_reuses_one_parser(capsys):
     together = [_call(argv, capsys) for argv in calls]
     assert together == alone
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_main_reuses_one_quartic_context(capsys):
+    # the chamber-walk commands, usage errors (exit 2) and a reduction that
+    # fails at its cap (exit 1) give on one cached context what each gives
+    # on a freshly built one
+    calls = [["reduce", "--class", "13,-14,6"],
+             ["enumerate", "sections", "--n-bound", "0"],
+             ["reduce", "--class=-1,1,0", "--basis", "fev"],
+             ["orbit", "--len", "3"],
+             ["reduce", "--class", "1,2"],
+             ["enumerate", "q"],
+             ["reduce", "--class=-3,-3,-3"],
+             ["orbit", "--len", "99"],
+             ["enumerate", "sections", "--n-bound", "2"],
+             ["reduce", "--class", "13,-14,6"]]
+    alone = []
+    for argv in calls:
+        quartic.build_context.cache_clear()
+        alone.append(_call(argv, capsys))
+    assert [code for code, _, _ in alone] == [0, 2, 0, 0, 2, 0, 1, 2, 0, 0]
+    quartic.build_context.cache_clear()
+    together = [_call(argv, capsys) for argv in calls]
+    assert together == alone
+    assert quartic.build_context.cache_info().misses == 1

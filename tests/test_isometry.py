@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3cert import pell, quartic
 from k3cert.isometry import (
     Isometry,
     NotAnIsometry,
@@ -13,7 +14,8 @@ from k3cert.isometry import (
     order_of,
     reflection_in,
 )
-from k3cert.lattice import IntegerLattice, LatticeError, discriminant_group
+from k3cert.lattice import (
+    IntegerLattice, LatticeError, discriminant_group, mat_inverse_frac)
 
 GRAM_HLM = ((4, 1, 1), (1, -2, 0), (1, 0, -2))
 GRAM_FEV = ((0, 1, 0), (1, 0, 0), (0, 0, -20))
@@ -67,6 +69,43 @@ def test_derived_isometries_pass_the_checked_constructor(word, k):
         g = compose(g, gens[i])
     for h in (g, g.inverse(), g.power(k)):
         assert Isometry(fev, h.matrix) == h
+
+
+def _quartic_generators():
+    """The three wall reflections of the quartic chamber and the L <-> M
+    swap, on the (H, L, M) lattice."""
+    ch = quartic.build_context().chamber
+    swap = make_isometry(ch.lattice, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+    return [*ch.reflections, swap]
+
+
+def _pell_generators(ell):
+    """The Pell isometries of [[4, 4 ell], [4 ell, 4]] with entries up to
+    4 ell^2 and the reflections in both basis vectors."""
+    ctx = pell.build_context(ell)
+    return pell._raw_isometries(ctx, 4 * ell * ell) + [
+        reflection_in(ctx.lattice, w) for w in ((1, 0), (0, 1))]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(st.just(None), st.integers(6, 40)), st.data())
+def test_integer_inverse_against_fraction_elimination(ell, data):
+    gens = _quartic_generators() if ell is None else _pell_generators(ell)
+    word = data.draw(st.lists(st.sampled_from(gens), max_size=6))
+    g = identity(gens[0].lattice)
+    for h in word:
+        g = compose(g, h)
+    inv = g.inverse()
+    assert inv.matrix == mat_inverse_frac(g.matrix)
+    assert compose(g, inv).is_identity() and compose(inv, g).is_identity()
+    k = data.draw(st.integers(1, 4))
+    assert compose(g.power(-k), g.power(k)).is_identity()
+    # a matrix of determinant other than +-1 has no integer inverse
+    doubled = Isometry._trusted(g.lattice,
+                                tuple(tuple(2 * c for c in row)
+                                      for row in g.matrix))
+    with pytest.raises(NotAnIsometry):
+        doubled.inverse()
 
 
 def test_compose_order(fev):

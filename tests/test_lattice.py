@@ -13,6 +13,7 @@ from k3cert.lattice import (
     IntegerLattice,
     LatticeError,
     NotABasis,
+    adjugate,
     change_basis,
     coordinates_in_basis,
     det_int,
@@ -25,6 +26,7 @@ from k3cert.lattice import (
     solve_norm_system,
     solve_pairing_norm,
 )
+from k3cert.quadfield import QuadExt
 
 GRAM3 = ((4, 1, 1), (1, -2, 0), (1, 0, -2))
 
@@ -114,16 +116,60 @@ def test_discriminant_group_rank2():
 
 
 @st.composite
-def even_lattices(draw):
-    """Random even nondegenerate Gram matrices of rank 2-3, |det| <= 400."""
-    n = draw(st.integers(2, 3))
+def even_lattices(draw, ranks=(2, 3), max_det=400):
+    """Random even nondegenerate Gram matrices of rank ranks[0]-ranks[1],
+    |det| <= max_det (any determinant when max_det is None)."""
+    n = draw(st.integers(*ranks))
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         gram[i][i] = 2 * draw(st.integers(-5, 5))
         for j in range(i + 1, n):
             gram[i][j] = gram[j][i] = draw(st.integers(-6, 6))
-    assume(0 < abs(det_int(gram)) <= 400)
+    det = abs(det_int(gram))
+    assume(det and (max_det is None or det <= max_det))
     return IntegerLattice(gram=gram)
+
+
+def _coordinates(d):
+    """int, Fraction or QuadExt in Q(sqrt(d)) coordinates, mixed freely."""
+    small = st.integers(-10 ** 6, 10 ** 6)
+    fractions = st.builds(Fraction, small, st.integers(1, 999))
+    return st.one_of(small, fractions,
+                     st.builds(lambda a, b: QuadExt(a, b, d), fractions, small))
+
+
+@settings(deadline=None)
+@given(even_lattices((1, 4), max_det=None), st.sampled_from([2, 3, 35]),
+       st.data())
+def test_inner_against_the_double_sum(lat, d, data):
+    n = lat.rank
+    g = lat.gram
+    vectors = st.lists(_coordinates(d), min_size=n, max_size=n).map(tuple)
+    x, y = data.draw(vectors), data.draw(vectors)
+    naive = sum(x[i] * g[i][j] * y[j] for i in range(n) for j in range(n))
+    assert lat.inner(x, y) == naive
+    assert lat.inner(y, x) == naive
+    assert lat.norm(x) == sum(x[i] * g[i][j] * x[j]
+                              for i in range(n) for j in range(n))
+    # a vector of the wrong length is rejected, on either side
+    k = data.draw(st.sampled_from([m for m in (n - 1, n + 1) if m >= 0]))
+    bad = (1,) * k
+    message = "vector of length %d in rank-%d lattice" % (k, n)
+    for args in ((bad, y), (x, bad)):
+        with pytest.raises(DimensionMismatch, match=message):
+            lat.inner(*args)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_adjugate_times_matrix_is_the_determinant(m):
+    n = len(m)
+    adj = adjugate(m)
+    scalar = tuple(tuple(det_int(m) * int(i == j) for j in range(n))
+                   for i in range(n))
+    assert mat_mul(adj, m) == scalar == mat_mul(m, adj)
 
 
 def _scaled_cosets(disc):
