@@ -24,7 +24,8 @@ from .report import PASS, Report, run_suite
 USAGE_ERROR = 2
 # level k of the orbit holds 3 * 2^(k-1) classes, so its size doubles per level
 MAX_ORBIT_LEN = 12
-# the sections scan walks (2 box + 1)^2 points with box = 10 n^2 + 20 n
+# the sections scan walks 2 box + 1 values of a, box = 10 n^2 + 20 n, and
+# solves each line for n exactly; the cap stays so the accepted range stays
 MAX_N_BOUND = 10
 
 

@@ -385,56 +385,73 @@ def change_basis(lat, new_basis):
     return IntegerLattice(gram=new_gram), t
 
 
-def coordinates_in_basis(lat, transform, x):
-    """Coordinates of x with respect to the basis given by transform columns."""
-    sol = solve_int_linear(transform, x)
-    if any(c.denominator != 1 for c in sol):
-        raise LatticeError("vector not in the span of the basis over Z")
-    return tuple(c.numerator for c in sol)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
+def _integer_roots(a, b, c, bound):
+    """The integers u with |u| <= bound and a u^2 + b u + c = 0, ascending.
+    Exact: the roots of a quadratic come from the integer square root of
+    its discriminant; a = 0 leaves a linear equation, and a = b = 0 holds
+    for every u or for none."""
+    if a == 0:
+        if b == 0:
+            return range(-bound, bound + 1) if c == 0 else ()
+        roots = (-c // b,) if c % b == 0 else ()
+    else:
+        disc = b * b - 4 * a * c
+        r = math.isqrt(max(disc, 0))
+        if r * r != disc:
+            return ()
+        roots = sorted({q for q, m in (divmod(-b - r, 2 * a),
+                                       divmod(-b + r, 2 * a)) if m == 0})
+    return [u for u in roots if abs(u) <= bound]
+
+
 def solve_norm_system(lat, constraints, norm, box):
     """All nonzero vectors x with |coords| <= box, (x, v_i) = c_i for every
-    constraint (v_i, c_i) and (x, x) = norm, in lexicographic order."""
+    constraint (v_i, c_i) and (x, x) = norm, in lexicographic order.
+
+    Only heads are scanned, never the whole box.  The first constraint
+    whose pairing row r is nonzero pins a coordinate p with r_p != 0; the
+    last remaining coordinate q carries a line, and the other n - 1 (no
+    pin) or n - 2 coordinates form the head.  Each head fixes the scaled
+    line s x = base + u d, with s = r_p and d = s e_q - r_q e_p under a pin
+    (s = 1 and d = e_q without), on which s^2 ((x, x) - norm) is the
+    quadratic (d, d) u^2 + 2 (base, d) u + (base, base) - s^2 norm; its
+    integer roots |u| <= box are solved exactly.  Every candidate is then
+    checked against every constraint and the norm.  A rank-n scan visits
+    (2 box + 1)^(n-1) heads, or (2 box + 1)^(n-2) under a constraint.
+    """
     if box < 1:
         raise LatticeError("box must be >= 1")
-    rows = [(lat.pairing_row(v), c) for v, c in constraints]
-    gram = lat.gram
     n = lat.rank
+    gram = lat.gram
+    rows = [(lat.pairing_row(v), c) for v, c in constraints]
+    pin = next(((r, c, p) for r, c in rows for p in range(n) if r[p]),
+               None) if n >= 2 else None
+    r, c0, p = pin or ((0,) * n, 0, None)
+    s = r[p] if pin else 1
+    q = max(i for i in range(n) if i != p)
+    heads = [i for i in range(n) if i not in (p, q)]
+    d = [s * (i == q) - r[q] * (i == p) for i in range(n)]
+    dd = lat.norm(d)
+    base = [0] * n
     out = []
-    rng = range(-box, box + 1)
-
-    def norm_of(x):
-        return sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
-
-    # when a constraint pins the last coordinate, solve instead of scanning
-    pivot = next(((r, c) for r, c in rows if r[n - 1] != 0), None)
-    if pivot is not None and n >= 2:
-        r0, c0 = pivot
-        for head in product(rng, repeat=n - 1):
-            rem = c0 - sum(r0[i] * head[i] for i in range(n - 1))
-            if rem % r0[n - 1] != 0:
+    for head in product(range(-box, box + 1), repeat=len(heads)):
+        for i, h in zip(heads, head):
+            base[i] = s * h
+        if pin:
+            base[p] = c0 - sum(r[i] * h for i, h in zip(heads, head))
+        gb = [sum(map(mul, row, base)) for row in gram]
+        bd, bb = sum(map(mul, gb, d)), sum(map(mul, gb, base))
+        for u in _integer_roots(dd, 2 * bd, bb - s * s * norm, box):
+            sx = [b + u * di for b, di in zip(base, d)]
+            if any(v % s for v in sx):
                 continue
-            last = rem // r0[n - 1]
-            if abs(last) > box:
-                continue
-            x = head + (last,)
-            if all(c == 0 for c in x):
-                continue
-            if any(sum(r[i] * x[i] for i in range(n)) != c for r, c in rows):
-                continue
-            if norm_of(x) == norm:
-                out.append(x)
-    else:
-        for x in product(rng, repeat=n):
-            if all(c == 0 for c in x):
-                continue
-            if any(sum(r[i] * x[i] for i in range(n)) != c for r, c in rows):
-                continue
-            if norm_of(x) == norm:
+            x = tuple(v // s for v in sx)
+            if (any(x) and max(map(abs, x)) <= box
+                    and all(sum(map(mul, ri, x)) == ci for ri, ci in rows)
+                    and lat.norm(x) == norm):
                 out.append(x)
     out.sort()
     return out

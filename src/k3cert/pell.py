@@ -42,6 +42,7 @@ from .lattice import (
     discriminant_group,
     is_zero_polynomial,
     lattice_points,
+    solve_norm_system,
 )
 from .isometry import Isometry, compose, discriminant_action, identity
 from .quadfield import QuadExt, zsign
@@ -140,17 +141,11 @@ def check_representation(ctx, targets=(0, 2, -2), box=100):
         raise PellError("box must be >= 1")
     ell = ctx.ell
     problems = []
-    hits = {t: [] for t in targets}
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
-            if x == 0 and y == 0:
-                continue
-            n = 4 * x * x + 8 * ell * x * y + 4 * y * y
-            if n in hits:
-                hits[n].append((x, y))
     for t in targets:
-        if hits[t]:
-            problems.append("norm %d represented by %s" % (t, hits[t][0]))
+        # each x solved for y exactly; the first hit is the least (x, y)
+        hits = solve_norm_system(ctx.lattice, [], t, box)
+        if hits:
+            problems.append("norm %d represented by %s" % (t, hits[0]))
     # structural route: the norm form is 4((x + l y)^2 - (l^2-1) y^2), so 4
     # divides every value (rules out +-2), and value 0 would force the Pell
     # conic (x + l y)^2 = (l^2 - 1) y^2 with irrational sqrt(l^2 - 1)

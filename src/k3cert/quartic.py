@@ -12,20 +12,19 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import lattice as lat_mod
 from .lattice import (
     IntegerLattice,
     LatticeError,
+    adjugate,
     change_basis,
-    coordinates_in_basis,
     discriminant_group,
     form_basis,
     is_zero_polynomial,
     lattice_points,
     mat_mul,
-    mat_inverse_frac,
+    mat_vec,
     solve_norm_system,
     solve_pairing_norm,
 )
@@ -83,13 +82,14 @@ class QuarticContext:
     lattice: IntegerLattice          # (H, L, M) basis
     lattice_fev: IntegerLattice
     to_fev_transform: tuple          # columns are f, e, v in (H,L,M) coords
+    from_hlm_transform: tuple        # its inverse det(t) adj(t), integral
     chamber: Chamber
     iota1: Isometry                  # reflections, (H,L,M) coordinates
     iota2: Isometry
     iota3: Isometry
 
     def to_fev(self, x):
-        return coordinates_in_basis(self.lattice, self.to_fev_transform, x)
+        return mat_vec(self.from_hlm_transform, x)
 
     def to_hlm(self, x_fev):
         t = self.to_fev_transform
@@ -97,9 +97,8 @@ class QuarticContext:
 
     def isometry_to_fev(self, iso):
         """Conjugate an (H,L,M)-matrix isometry into (f,e,v) coordinates."""
-        t = self.to_fev_transform
-        tinv = tuple(tuple(int(c) for c in row) for row in mat_inverse_frac(t))
-        m = mat_mul(tinv, mat_mul(iso.matrix, t))
+        m = mat_mul(self.from_hlm_transform,
+                    mat_mul(iso.matrix, self.to_fev_transform))
         return Isometry(self.lattice_fev, m)
 
 
@@ -116,10 +115,14 @@ def build_context():
     chamber = Chamber(lattice=lat, anchor=H, walls=(V, VP, W3),
                       extra_rays=CHAMBER_RAYS)
     iota1, iota2, iota3 = chamber.reflections
+    # change_basis checked det t = +-1, so t^-1 = adj(t) / det t = det t adj(t)
+    det_t = lat_mod.det_int(t)
     return QuarticContext(
         lattice=lat,
         lattice_fev=lat_fev,
         to_fev_transform=t,
+        from_hlm_transform=tuple(tuple(det_t * c for c in row)
+                                 for row in adjugate(t)),
         chamber=chamber,
         iota1=iota1,
         iota2=iota2,
@@ -198,25 +201,24 @@ def check_no_reducible_fibers(ctx, box=20):
 
 
 def enumerate_sections(ctx, n_bound=3, box=None):
-    """Brute-force section classes of the first fibration in (f,e,v) coords.
+    """Section classes of the first fibration in (f,e,v) coords, by a box
+    scan: :func:`solve_norm_system` for (x, f) = 1 and (x, x) = -2 walks the
+    a-coordinate and solves each line for n exactly, then the effective
+    ones are kept.
 
     Returns (solutions, fitted (a2, a1, a0) with a(n) = a2 n^2 + a1 n + a0,
-    zero_section_present).  Solutions are triples (a, b, n) with b = 1.
+    zero_section_present).  Solutions are triples (a, b, n) with b = 1,
+    sorted by (n, a).
     """
     if box is None:
         box = 10 * n_bound * n_bound + 20 * n_bound
     if box < 10 * n_bound * n_bound + 20 * n_bound:
         raise LatticeError("box %d too small for n_bound %d" % (box, n_bound))
-    sols = []
-    for n in range(-box, box + 1):
-        # (x, f) = b = 1 and (x, x) = 2 a b - 20 n^2 = -2 on this Gram
-        two_a = 20 * n * n - 2
-        # effective side: positive degree against the ample class,
-        # (x, H) = 3 a + 4 b - 20 n with H = 4 f + 3 e + v
-        degree_rest = 4 - 20 * n
-        for a in range(-box, box + 1):
-            if 2 * a == two_a and 3 * a + degree_rest > 0:
-                sols.append((a, 1, n))
+    # (x, f) = b = 1 and (x, x) = -2; effective side: positive degree
+    # against the ample class, (x, H) = 3 a + 4 b - 20 n with H = 4 f + 3 e + v
+    sols = [x for x in solve_norm_system(ctx.lattice_fev, [((1, 0, 0), 1)],
+                                         -2, box)
+            if 3 * x[0] + 4 * x[1] - 20 * x[2] > 0]
     sols.sort(key=lambda x: (x[2], x[0]))
     by_n = {}
     for a, b, n in sols:
@@ -407,12 +409,11 @@ def check_lemma38(ctx):
 
 
 def enumerate_Q_bruteforce(ctx, box=12):
-    out = []
-    for x in product(range(-box, box + 1), repeat=3):
-        if ctx.lattice.norm(x) == 4 and in_chamber(ctx.chamber, x):
-            out.append(x)
-    out.sort()
-    return out
+    """The norm-4 classes in the chamber with |coords| <= box, sorted: the
+    box scan of :func:`solve_norm_system` (each (H, L) head solved for M
+    exactly), then the chamber test."""
+    return [x for x in solve_norm_system(ctx.lattice, [], 4, box)
+            if in_chamber(ctx.chamber, x)]
 
 
 def enumerate_Q_bound_argument(ctx, cap=100):

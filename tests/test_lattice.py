@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from k3cert import quartic
 from k3cert.isometry import (
     compose, discriminant_action, make_isometry, reflection_in)
 from k3cert.lattice import (
@@ -15,7 +16,6 @@ from k3cert.lattice import (
     NotABasis,
     adjugate,
     change_basis,
-    coordinates_in_basis,
     det_int,
     discriminant_group,
     is_dual_vector,
@@ -293,10 +293,11 @@ def test_change_basis(lat3):
         change_basis(lat3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
-def test_coordinates_in_basis(lat3):
-    _, t = change_basis(lat3, [(1, -1, 0), (1, -1, 1), (-6, 7, -3)])
-    assert coordinates_in_basis(lat3, t, (0, 0, 1)) == (-1, 1, 0)
-    assert coordinates_in_basis(lat3, t, (1, 0, 0)) == (4, 3, 1)
+def test_coordinates_in_basis():
+    # the quartic context stores the integer inverse of its (f,e,v) basis
+    ctx = quartic.build_context()
+    assert ctx.to_fev((0, 0, 1)) == (-1, 1, 0)
+    assert ctx.to_fev((1, 0, 0)) == (4, 3, 1)
 
 
 def test_solve_norm_system(lat3):
@@ -304,6 +305,51 @@ def test_solve_norm_system(lat3):
     assert sols == [(0, 0, 1), (0, 1, 0)]
     with pytest.raises(LatticeError):
         solve_norm_system(lat3, [], -2, 0)
+
+
+def literal_box_scan(gram, constraints, norm, box):
+    # every point of the box, each pairing and the norm as a double sum
+    n = len(gram)
+
+    def pair(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+
+    return [x for x in product(range(-box, box + 1), repeat=n)
+            if any(x) and all(pair(x, v) == c for v, c in constraints)
+            and pair(x, x) == norm]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_solve_norm_system_against_the_literal_scan(data):
+    n = data.draw(st.integers(1, 4), label="rank")
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        # zero diagonal entries make the norm linear or constant on a line
+        gram[i][i] = 2 * data.draw(st.integers(-2, 2))
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = data.draw(st.integers(-3, 3))
+    assume(det_int(gram) != 0)
+    lat = IntegerLattice(gram=gram)
+    box = data.draw(st.integers(1, 5), label="box")
+    point = data.draw(st.tuples(*[st.integers(-box, box)] * n), label="point")
+    from_point = data.draw(st.booleans(), label="from_point")
+    constraints = []
+    for _ in range(data.draw(st.integers(0, 2), label="constraints")):
+        # v = adj(G) r pairs as (x, v) = det(G) r.x, so the first nonzero
+        # entry of r is the coordinate the constraint pins, at any index
+        pin = data.draw(st.integers(0, n - 1))
+        row = [0] * pin + [data.draw(st.integers(-2, 2).filter(bool))] + \
+            data.draw(st.lists(st.integers(-2, 2), min_size=n - pin - 1,
+                               max_size=n - pin - 1))
+        v = tuple(sum(a * r for a, r in zip(arow, row))
+                  for arow in adjugate(gram))
+        c = lat.inner(point, v) if from_point else data.draw(
+            st.integers(-6, 6))
+        constraints.append((v, c))
+    norm = lat.norm(point) if from_point else 2 * data.draw(st.integers(-4, 4))
+    assert solve_norm_system(lat, constraints, norm, box) == \
+        literal_box_scan(gram, constraints, norm, box)
 
 
 def test_solve_pairing_norm_complete(lat3):

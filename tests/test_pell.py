@@ -50,6 +50,25 @@ def test_representation(ctx6):
     assert status == PASS, details
 
 
+@pytest.mark.parametrize("ell", [6, 29])
+def test_representation_failure_names_the_first_hit(ell):
+    # norm 4 is represented (the anchor), so the check fails; the hit it
+    # names is the first one of the nested (x, y) loop the scan replaced
+    ctx = pell.build_context(ell)
+    targets = (0, 2, -2, 4)
+    hits = {t: [] for t in targets}
+    for x in range(-50, 51):
+        for y in range(-50, 51):
+            n = 4 * x * x + 8 * ell * x * y + 4 * y * y
+            if (x, y) != (0, 0) and n in hits:
+                hits[n].append((x, y))
+    want = ["norm %d represented by %s" % (t, hits[t][0])
+            for t in targets if hits[t]]
+    assert want and all(not hits[t] for t in (0, 2, -2))
+    assert pell.check_representation(ctx, targets=targets, box=50) == \
+        (FAIL, "; ".join(want))
+
+
 def test_discriminant(ctx6):
     status, details = pell.check_discriminant(ctx6)
     assert status == PASS, details

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 import k3cert
 from k3cert import quartic
 from k3cert.lattice import IntegerLattice, LatticeError
-from k3cert.chamber import pingpong_certify
+from k3cert.chamber import in_chamber, pingpong_certify
 from k3cert.report import DISCREPANCY, FAIL, PASS
 
 
@@ -66,6 +67,18 @@ def test_enumerate_sections(ctx):
         quartic.enumerate_sections(ctx, n_bound=3, box=10)
 
 
+@pytest.mark.parametrize("n_bound", [1, 2, 3, 4])
+def test_enumerate_sections_against_the_full_box(ctx, n_bound):
+    # the (n, a) loop over the whole box that the line solve replaced
+    box = 10 * n_bound * n_bound + 20 * n_bound
+    want = [(a, 1, n) for n in range(-box, box + 1)
+            for a in range(-box, box + 1)
+            if 2 * a == 20 * n * n - 2 and 3 * a + 4 - 20 * n > 0]
+    sols, fit, zero = quartic.enumerate_sections(ctx, n_bound=n_bound)
+    assert sols == want
+    assert fit == (10, 0, -1) and zero
+
+
 def test_sections_status_is_discrepancy(ctx):
     status, details = quartic.check_sections(ctx)
     assert status == DISCREPANCY
@@ -104,6 +117,13 @@ def test_Q_enumeration_routes_agree(ctx):
         [(1, 0, 0), (2, -1, -1), (3, -3, 1), (3, 1, -3)])
     # the s = -1 edge and the tail hold for every x, not up to the cap
     assert quartic.enumerate_Q_bound_argument(ctx, cap=3) == bound
+
+
+@pytest.mark.parametrize("box", [4, 12])
+def test_Q_bruteforce_against_the_full_box(ctx, box):
+    want = [x for x in itertools.product(range(-box, box + 1), repeat=3)
+            if ctx.lattice.norm(x) == 4 and in_chamber(ctx.chamber, x)]
+    assert quartic.enumerate_Q_bruteforce(ctx, box) == want
 
 
 def test_classification(ctx):
