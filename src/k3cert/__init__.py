@@ -15,7 +15,7 @@ from .lattice import (
     solve_norm_system,
     solve_pairing_norm,
 )
-from .quadfield import QuadExt, quadratic_roots
+from .quadfield import QuadExt
 from .isometry import Isometry, compose, order_of, reflection_in
 from .chamber import Chamber, pingpong_certify, reduce_to_chamber
 from .report import Report, ReportItem
@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntegerLattice", "LatticeError", "change_basis", "discriminant_group",
-    "solve_norm_system", "solve_pairing_norm", "QuadExt", "quadratic_roots",
-    "Isometry", "compose", "order_of", "reflection_in", "Chamber",
-    "pingpong_certify", "reduce_to_chamber", "Report", "ReportItem",
-    "__version__",
+    "solve_norm_system", "solve_pairing_norm", "QuadExt", "Isometry",
+    "compose", "order_of", "reflection_in", "Chamber", "pingpong_certify",
+    "reduce_to_chamber", "Report", "ReportItem", "__version__",
 ]

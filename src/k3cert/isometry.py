@@ -99,10 +99,6 @@ class Isometry:
         return obj
 
 
-def make_isometry(lat, m):
-    return Isometry(lattice=lat, matrix=tuple(tuple(r) for r in m))
-
-
 def identity(lat):
     return Isometry._trusted(lat, identity_matrix(lat.rank))
 
@@ -136,96 +132,25 @@ def reflection_in(lat, w):
 # ---------------------------------------------------------------------------
 # order detection
 
-_CYCLOTOMICS = {
-    # order: coefficients of the cyclotomic polynomial, low degree first
-    1: (-1, 1),
-    2: (1, 1),
-    3: (1, 1, 1),
-    4: (1, 0, 1),
-    6: (1, -1, 1),
-}
-
-
-def char_poly(m):
-    """Characteristic polynomial det(tI - M), coefficients low-first, exact."""
-    n = len(m)
-    # Faddeev-LeVerrier over the rationals, result is integral
-    coeffs = [Fraction(1)]  # leading
-    mk = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    acc = [row[:] for row in mk]
-    cs = []
-    for k in range(1, n + 1):
-        tr = sum(acc[i][i] for i in range(n))
-        ck = -tr / k
-        cs.append(ck)
-        if k < n:
-            for i in range(n):
-                acc[i][i] += ck
-            acc = [[sum(mk[i][t] * acc[t][j] for t in range(n)) for j in range(n)]
-                   for i in range(n)]
-    poly = [Fraction(1)] + cs  # t^n + c1 t^(n-1) + ...
-    out = [int(c) for c in reversed(poly)]
-    return tuple(out)
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c % den[-1] != 0:
-            return None, None
-        q = c // den[-1]
-        quot[i - dd] = q
-        for j, dc in enumerate(den):
-            num[i - dd + j] -= q * dc
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return tuple(quot), tuple(num)
-
-
-def _cyclotomic_part(poly):
-    """Split off cyclotomic factors; returns (orders, residual polynomial)."""
-    orders = []
-    p = tuple(poly)
-    changed = True
-    while changed and len(p) > 1:
-        changed = False
-        for order, cyc in _CYCLOTOMICS.items():
-            if len(cyc) > len(p):
-                continue
-            q, r = _poly_divmod(p, cyc)
-            if q is not None and r == (0,):
-                orders.append(order)
-                p = q
-                changed = True
-                break
-    return orders, p
-
-
 def order_of(g):
-    """The order of g as (n, "iterated"), else ("infinite", certificate).
+    """The order of g as (n, "iterated"), else ("infinite", "crystallographic").
 
-    The certificate names the route: "noncyclotomic" when the characteristic
-    polynomial has a root off the unit circle (Kronecker), "nonsemisimple"
-    when all eigenvalues are roots of unity but no power up to the lcm of
-    their orders is the identity (e.g. nontrivial unipotents); a finite
-    order would divide that lcm.  _CYCLOTOMICS holds every cyclotomic
-    polynomial of degree <= 3, which is complete for rank <= 3 only.
+    Crystallographic restriction: an integer matrix of finite order is
+    diagonalizable over C, with eigenvalues that are roots of unity.  A
+    primitive k-th root has the minimal polynomial Phi_k of degree phi(k),
+    which divides the characteristic polynomial, so phi(k) <= rank <= 3 and
+    k is one of 1, 2, 3, 4, 6.  The order is the lcm of these k and divides
+    12, so g has finite order iff some g^n with n <= 12 is the identity.
     """
     if g.lattice.rank > 3:
         raise LatticeError("order_of needs rank <= 3, got rank %d"
                            % g.lattice.rank)
-    orders, residual = _cyclotomic_part(char_poly(g.matrix))
-    if len(residual) > 1:
-        return "infinite", "noncyclotomic"
     acc = g
-    for n in range(1, lcm(*orders) + 1):
+    for n in range(1, 13):
         if acc.is_identity():
             return n, "iterated"
         acc = compose(acc, g)
-    return "infinite", "nonsemisimple"
+    return "infinite", "crystallographic"
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,11 @@ def identity_matrix(n):
 
 
 def det_int(m):
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of an integer matrix (fraction-free Bareiss); the
+    empty matrix has determinant 1."""
     n = len(m)
+    if n == 0:
+        return 1
     a = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -73,25 +76,6 @@ def det_int(m):
     return sign * a[-1][-1]
 
 
-def mat_inverse_frac(m):
-    """Inverse of a square integer/Fraction matrix, entries as Fractions."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise LatticeError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
 def adjugate(m):
     """Integer adjugate of a square integer matrix: adj(m) m = det(m) I.
     Entry (i, j) is (-1)^(i+j) times the minor without row j and column i."""
@@ -106,9 +90,12 @@ def adjugate(m):
 
 
 def solve_int_linear(m, rhs):
-    """Solve m*x = rhs over the rationals; returns Fractions or raises."""
-    inv = mat_inverse_frac(m)
-    return mat_vec(inv, tuple(Fraction(c) for c in rhs))
+    """Solve m*x = rhs over the rationals by Cramer's rule,
+    x = adj(m) rhs / det(m), as Fractions; raises when m is singular."""
+    det = det_int(m)
+    if det == 0:
+        raise LatticeError("matrix is singular")
+    return tuple(Fraction(c, det) for c in mat_vec(adjugate(m), rhs))
 
 
 def is_zero_polynomial(f, degrees):
@@ -341,8 +328,8 @@ def discriminant_group(lat):
     exactly its invariant factor, and row i of V^-1 reads its coordinate.
     """
     u, d, v = smith_normal_form(lat.gram)
-    v_inv = mat_inverse_frac(v)
-    if any(c.denominator != 1 for row in v_inv for c in row):
+    det_v = det_int(v)
+    if abs(det_v) != 1:
         raise LatticeError("Smith transform is not unimodular")
     n = lat.rank
     nontrivial = [i for i in range(n) if d[i][i] > 1]
@@ -350,7 +337,9 @@ def discriminant_group(lat):
     gens = tuple(reduce_mod_lattice(tuple(Fraction(v[r][i], d[i][i])
                                           for r in range(n)))
                  for i in nontrivial)
-    rows = tuple(tuple(int(c) for c in v_inv[i]) for i in nontrivial)
+    # V^-1 = adj(V) / det V = det V adj(V)
+    adj_v = adjugate(v)
+    rows = tuple(tuple(det_v * c for c in adj_v[i]) for i in nontrivial)
     grp = DiscriminantGroup(lattice=lat, invariant_factors=factors,
                             generators=gens, coordinate_rows=rows)
     for di, g in zip(factors, gens):

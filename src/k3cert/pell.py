@@ -10,13 +10,13 @@ unit eps = l + sqrt(l^2 - 1) (Lenstra, "Solving the Pell equation",
 Notices AMS 49, 2002).  Multiplication by eps^k = u + b sqrt(l^2 - 1) is
 the isometry ((u - l b, -b), (b, u + l b)) on (h1, h2) coordinates.
 
-The generator search walks k = 1, 2, ... and takes the first eps^k that
-passes the ray, cone and discriminant filters with eigenvalue > 1.  Its
-certificate is one exhaustive scan of the isometries with entries up to
-the least bound entry_bound * 2^j that holds the walk's answer; the scan
-assembles matrices from the Pell columns of the recurrence, which is
-provably the same set as a brute-force scan of all integer matrices
-within the bound.
+The generator search walks k = 1, 2, ..., UNIT_WALK_POWERS and takes the
+first eps^k that passes the ray, cone and discriminant filters with
+eigenvalue > 1.  Its certificate is one exhaustive scan of the isometries
+with entries up to the least bound entry_bound * 2^j that holds the walk's
+answer; the scan assembles matrices from the Pell columns of the
+recurrence, which is provably the same set as a brute-force scan of all
+integer matrices within the bound.
 
 The nef cone is bounded by the two irrational isotropic rays
 v1 = (-l + sqrt(l^2-1)) h1 + h2 and v2 = h1 + (-l + sqrt(l^2-1)) h2.
@@ -290,23 +290,29 @@ def _max_entry(m):
     return max(abs(e) for row in m for e in row)
 
 
-def _unit_walk(ctx, disc, cap):
-    """The isometry of the first power eps^k (k >= 1) that passes the
-    filters with eigenvalue > 1, or None once its entries exceed cap."""
+# How many powers eps^k the unit walk tries.  A count of powers, not a cap on
+# the entries: those of eps^k grow like (2 l)^k, so an entry cap would stop
+# the walk at a k that falls as l grows.  The generator has been eps^4 at
+# every l tested.
+UNIT_WALK_POWERS = 64
+
+
+def _unit_walk(ctx, disc):
+    """The isometry of the first power eps^k, 1 <= k <= UNIT_WALK_POWERS,
+    that passes the filters with eigenvalue > 1, or None."""
     ell = ctx.ell
     u, b = ell, 1
-    while True:
+    for _ in range(UNIT_WALK_POWERS):
         g = Isometry(ctx.lattice, ((u - ell * b, -b), (b, u + ell * b)))
-        if _max_entry(g.matrix) > cap:
-            return None
         reason, lam = _filter(ctx, disc, g)
         # lam = (p + q sqrt(d)) / n > 1 iff (p - n) + q sqrt(d) > 0
         if reason is None and zsign(lam[0] - lam[2], lam[1], ctx.d) > 0:
             return g
         u, b = ell * u + ctx.d * b, u + ell * b
+    return None
 
 
-def isometry_search(ctx, entry_bound=300, auto_escalate=True, max_doublings=40):
+def isometry_search(ctx, entry_bound=300):
     """Find the minimal-alpha generator among the filtered isometries.
 
     Filters: ray-swapping matrices are rejected, cone-swapping matrices
@@ -316,24 +322,15 @@ def isometry_search(ctx, entry_bound=300, auto_escalate=True, max_doublings=40):
     B = entry_bound * 2^j >= max |entry of g0|: its minimal-alpha accepted
     candidate with alpha > 1 must be g0, and for j > 0 no such candidate
     may fit within B/2, so B is the bound at which doubling from
-    entry_bound first finds a generator.  Without auto_escalate only
-    B = entry_bound is allowed; the walk gives up past
-    entry_bound * 2^max_doublings.
+    entry_bound first finds a generator.
     """
     if entry_bound < 1:
         raise PellError("entry_bound must be >= 1")
-    if max_doublings < 0:
-        raise PellError("max_doublings must be >= 0")
     disc = discriminant_group(ctx.lattice)
-    walked = _unit_walk(ctx, disc, entry_bound << max_doublings
-                        if auto_escalate else entry_bound)
+    walked = _unit_walk(ctx, disc)
     if walked is None:
-        if not auto_escalate:
-            raise PellError(
-                "no accepted generator with alpha > 1 within entry bound %d; "
-                "retry with a larger bound" % entry_bound)
-        raise PellError("generator search exhausted %d doublings"
-                        % max_doublings)
+        raise PellError("the unit walk found no accepted generator with "
+                        "alpha > 1 among eps^1 .. eps^%d" % UNIT_WALK_POWERS)
     bound = entry_bound
     while bound < _max_entry(walked.matrix):
         bound *= 2

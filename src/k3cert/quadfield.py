@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 
 def is_square(n):
@@ -171,33 +170,6 @@ def sign_of(x):
         return x.sign()
     x = Fraction(x)
     return 0 if x == 0 else (1 if x > 0 else -1)
-
-
-class RootPair(NamedTuple):
-    alpha: object  # QuadExt, or Fraction when rational
-    beta: object
-    rational: bool
-
-
-def quadratic_roots(a):
-    """Roots of t^2 - a t + 1 = 0 with integer a.
-
-    Nondegenerate branch (a^2 - 4 positive non-square): returns exact
-    QuadExt roots with alpha >= beta and alpha * beta = 1.  Rational
-    roots are returned in-band with the ``rational`` flag set.
-    """
-    disc = a * a - 4
-    if disc >= 0 and is_square(disc):
-        r = math.isqrt(disc)
-        alpha = Fraction(a + r, 2)
-        beta = Fraction(a - r, 2)
-        return RootPair(alpha, beta, True)
-    if disc < 0:
-        raise ValueError("t^2 - %d t + 1 has no real roots" % a)
-    half = Fraction(1, 2)
-    alpha = QuadExt(half * a, half, disc)
-    beta = QuadExt(half * a, -half, disc)
-    return RootPair(alpha, beta, False)
 
 
 def serialize(x):

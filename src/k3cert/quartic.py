@@ -32,7 +32,6 @@ from .isometry import (
     Isometry,
     compose,
     discriminant_action,
-    make_isometry,
     mw_translation,
     order_of,
     reflection_in,
@@ -92,8 +91,7 @@ class QuarticContext:
         return mat_vec(self.from_hlm_transform, x)
 
     def to_hlm(self, x_fev):
-        t = self.to_fev_transform
-        return tuple(sum(t[i][j] * x_fev[j] for j in range(3)) for i in range(3))
+        return mat_vec(self.to_fev_transform, x_fev)
 
     def isometry_to_fev(self, iso):
         """Conjugate an (H,L,M)-matrix isometry into (f,e,v) coordinates."""
@@ -289,7 +287,7 @@ def check_translation_matrices(ctx, n_bound=5):
             problems.append("phi_%d^* is not trivial on NS*/NS" % n)
         if t.matrix != phi1.power(n).matrix:
             problems.append("phi_%d^* != (phi_1^*)^%d" % (n, n))
-    iota1 = make_isometry(latf, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+    iota1 = Isometry(latf, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
     if discriminant_action(iota1, disc) != "negation":
         problems.append("diag(1,1,-1) is not -id on NS*/NS")
     if order_of(iota1)[0] != 2:
@@ -309,7 +307,7 @@ def check_translation_matrices(ctx, n_bound=5):
 def check_cor35(ctx):
     latf = ctx.lattice_fev
     phi1 = mw_translation(latf, 1)
-    iota1 = make_isometry(latf, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+    iota1 = Isometry(latf, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
     iota3 = compose(phi1, iota1)
     problems = []
     if iota3.matrix != IOTA3_FEV:
@@ -365,7 +363,7 @@ def check_lemma37(ctx, box=20):
     if sorted(complete) != want:
         problems.append("complete enumeration %s != {L, M}" % (complete,))
     # the L <-> M swap fixes H and both lines but is not +-id on NS*/NS
-    swap = make_isometry(lat, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+    swap = Isometry(lat, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
     disc = discriminant_group(lat)
     act = discriminant_action(swap, disc)
     if act != "other":

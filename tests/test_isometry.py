@@ -1,21 +1,22 @@
+from fractions import Fraction
+from math import lcm
+
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from k3cert import pell, quartic
 from k3cert.isometry import (
     Isometry,
     NotAnIsometry,
-    char_poly,
     compose,
     discriminant_action,
     identity,
-    make_isometry,
     mw_translation,
     order_of,
     reflection_in,
 )
-from k3cert.lattice import (
-    IntegerLattice, LatticeError, discriminant_group, mat_inverse_frac)
+from k3cert.lattice import IntegerLattice, LatticeError, discriminant_group
 
 GRAM_HLM = ((4, 1, 1), (1, -2, 0), (1, 0, -2))
 GRAM_FEV = ((0, 1, 0), (1, 0, 0), (0, 0, -20))
@@ -33,15 +34,15 @@ def fev():
 
 def test_rejects_non_isometry(hlm):
     with pytest.raises(NotAnIsometry, match=r"gram entry"):
-        make_isometry(hlm, ((1, 0, 0), (0, 1, 0), (0, 1, 1)))
+        Isometry(hlm, ((1, 0, 0), (0, 1, 0), (0, 1, 1)))
     with pytest.raises(NotAnIsometry):
-        make_isometry(hlm, ((1, 0), (0, 1)))
+        Isometry(hlm, ((1, 0), (0, 1)))
 
 
 def test_identity_and_inverse(hlm):
     e = identity(hlm)
     assert e.is_identity() and e.det() == 1
-    swap = make_isometry(hlm, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+    swap = Isometry(hlm, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
     assert swap.det() == -1
     assert compose(swap, swap).is_identity()
     assert swap.inverse().matrix == swap.matrix
@@ -62,8 +63,8 @@ def test_derived_isometries_pass_the_checked_constructor(word, k):
     # determinant checks; the checked constructor accepts all they build
     fev = IntegerLattice(gram=GRAM_FEV, labels=("f", "e", "v"))
     gens = (mw_translation(fev, 1), mw_translation(fev, -2),
-            make_isometry(fev, ((1, 0, 0), (0, 1, 0), (0, 0, -1))),
-            make_isometry(fev, ((0, 1, 0), (1, 0, 0), (0, 0, 1))))
+            Isometry(fev, ((1, 0, 0), (0, 1, 0), (0, 0, -1))),
+            Isometry(fev, ((0, 1, 0), (1, 0, 0), (0, 0, 1))))
     g = identity(fev)
     for i in word:
         g = compose(g, gens[i])
@@ -71,12 +72,42 @@ def test_derived_isometries_pass_the_checked_constructor(word, k):
         assert Isometry(fev, h.matrix) == h
 
 
+def mat_inverse_frac(m):
+    """Inverse of a square integer matrix by Gauss-Jordan elimination over
+    the rationals, entries as Fractions: the oracle for the integer
+    det(M) adj(M) inverse."""
+    n = len(m)
+    a = [[Fraction(m[i][j]) for j in range(n)]
+         + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise LatticeError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
 def _quartic_generators():
     """The three wall reflections of the quartic chamber and the L <-> M
     swap, on the (H, L, M) lattice."""
     ch = quartic.build_context().chamber
-    swap = make_isometry(ch.lattice, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+    swap = Isometry(ch.lattice, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
     return [*ch.reflections, swap]
+
+
+def _product(lat, word):
+    """The product of a word of isometries of lat; the empty word is the
+    identity."""
+    g = identity(lat)
+    for h in word:
+        g = compose(g, h)
+    return g
 
 
 def _pell_generators(ell):
@@ -92,9 +123,7 @@ def _pell_generators(ell):
 def test_integer_inverse_against_fraction_elimination(ell, data):
     gens = _quartic_generators() if ell is None else _pell_generators(ell)
     word = data.draw(st.lists(st.sampled_from(gens), max_size=6))
-    g = identity(gens[0].lattice)
-    for h in word:
-        g = compose(g, h)
+    g = _product(gens[0].lattice, word)
     inv = g.inverse()
     assert inv.matrix == mat_inverse_frac(g.matrix)
     assert compose(g, inv).is_identity() and compose(inv, g).is_identity()
@@ -111,7 +140,7 @@ def test_integer_inverse_against_fraction_elimination(ell, data):
 def test_compose_order(fev):
     # compose(p, q) applies q first: matrices multiply as p @ q
     t = mw_translation(fev, 1)
-    inv = make_isometry(fev, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+    inv = Isometry(fev, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
     pq = compose(t, inv)
     x = (0, 0, 1)
     assert pq.apply(x) == t.apply(inv.apply(x))
@@ -134,52 +163,93 @@ def test_reflection(hlm):
         reflection_in(hlm, (1, -2, 0))  # norm -8, non-integral reflection
 
 
-def test_char_poly(fev):
-    t = mw_translation(fev, 1)
-    # unipotent: (t - 1)^3 = t^3 - 3t^2 + 3t - 1, low-degree first
-    assert char_poly(t.matrix) == (-1, 3, -3, 1)
-
-
 def test_order_finite(hlm, fev):
     r = reflection_in(hlm, (-6, 7, -3))
     assert order_of(r) == (2, "iterated")
-    iota3 = make_isometry(fev, ((1, 10, -20), (0, 1, 0), (0, 1, -1)))
+    iota3 = Isometry(fev, ((1, 10, -20), (0, 1, 0), (0, 1, -1)))
     assert order_of(iota3) == (2, "iterated")
     assert order_of(identity(hlm)) == (1, "iterated")
-    # the iteration runs to the lcm of the cyclotomic orders, here 6
     a2 = IntegerLattice(gram=((-2, 1), (1, -2)))
-    assert order_of(make_isometry(a2, ((1, -1), (1, 0)))) == (6, "iterated")
-    assert order_of(make_isometry(a2, ((0, -1), (1, -1)))) == (3, "iterated")
+    assert order_of(Isometry(a2, ((1, -1), (1, 0)))) == (6, "iterated")
+    assert order_of(Isometry(a2, ((0, -1), (1, -1)))) == (3, "iterated")
 
 
 def test_order_infinite_unipotent(fev):
     n, cert = order_of(mw_translation(fev, 1))
-    assert n == "infinite" and cert == "nonsemisimple"
+    assert n == "infinite" and cert == "crystallographic"
 
 
 def test_order_infinite_noncyclotomic():
     lat = IntegerLattice(gram=((4, 24), (24, 4)))
-    r = make_isometry(lat, ((0, -1), (1, 12)))
+    r = Isometry(lat, ((0, -1), (1, 12)))
     n, cert = order_of(r)
-    assert n == "infinite" and cert == "noncyclotomic"
+    assert n == "infinite" and cert == "crystallographic"
 
 
 def test_order_rank_limit():
-    # the cyclotomic table is complete for rank <= 3 only; in rank 8 a
-    # characteristic polynomial Phi_5^2 would be certified "noncyclotomic"
+    # the crystallographic restriction to orders dividing 12 holds for
+    # rank <= 3 only; in rank 4 an isometry can have order 5
     a4 = IntegerLattice(gram=((-2, 1, 0, 0), (1, -2, 1, 0), (0, 1, -2, 1),
                               (0, 0, 1, -2)))
     with pytest.raises(LatticeError, match="rank <= 3"):
         order_of(identity(a4))
 
 
+def _sympy_order(m):
+    """The order of m from sympy alone: m has finite order iff every
+    irreducible factor of its characteristic polynomial is cyclotomic and m
+    is diagonalizable, and then the order is the lcm of the factors'
+    indices."""
+    t = sympy.Symbol("t")
+    a = sympy.Matrix(m)
+    _, factors = sympy.Poly(a.charpoly(t).as_expr(), t).factor_list()
+    if not all(f.is_cyclotomic for f, _ in factors) \
+            or not a.is_diagonalizable():
+        return "infinite"
+    return lcm(*(next(k for k in range(1, 100)
+                      if sympy.cyclotomic_poly(k, t, polys=True) == f)
+                 for f, _ in factors))
+
+
+def _signed_permutations():
+    lat = IntegerLattice(gram=((-2, 0, 0), (0, -2, 0), (0, 0, -2)))
+    return st.builds(
+        lambda perm, signs: Isometry(lat, [[signs[i] * int(j == perm[i])
+                                            for j in range(3)]
+                                           for i in range(3)]),
+        st.permutations(range(3)), st.tuples(*[st.sampled_from((1, -1))] * 3))
+
+
+def _a2_rotations():
+    a2 = IntegerLattice(gram=((-2, 1), (1, -2)))
+    return st.integers(0, 5).map(
+        lambda k: Isometry(a2, ((1, -1), (1, 0))).power(k))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(
+    st.lists(st.sampled_from(_quartic_generators()), max_size=5).map(
+        lambda word: _product(quartic.build_context().lattice, word)),
+    _signed_permutations(),
+    _a2_rotations(),
+    st.integers(-5, 5).map(lambda n: mw_translation(
+        IntegerLattice(gram=GRAM_FEV, labels=("f", "e", "v")), n)),
+    st.integers(6, 12).flatmap(
+        lambda ell: st.sampled_from(
+            pell._raw_isometries(pell.build_context(ell), 4 * ell * ell)))))
+def test_order_against_sympy(g):
+    want = _sympy_order(g.matrix)
+    route = "crystallographic" if want == "infinite" else "iterated"
+    assert order_of(g) == (want, route)
+
+
 def test_discriminant_action_kinds(hlm, fev):
     disc_f = discriminant_group(fev)
     assert discriminant_action(mw_translation(fev, 2), disc_f) == "identity"
-    neg = make_isometry(fev, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+    neg = Isometry(fev, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
     assert discriminant_action(neg, disc_f) == "negation"
     disc_h = discriminant_group(hlm)
-    swap = make_isometry(hlm, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+    swap = Isometry(hlm, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
     assert discriminant_action(swap, disc_h) == "other"
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from k3cert import quartic
 from k3cert.isometry import (
-    compose, discriminant_action, make_isometry, reflection_in)
+    Isometry, compose, discriminant_action, reflection_in)
 from k3cert.lattice import (
     DimensionMismatch,
     IntegerLattice,
@@ -20,9 +20,12 @@ from k3cert.lattice import (
     discriminant_group,
     is_dual_vector,
     is_zero_polynomial,
+    lattice_points,
     mat_mul,
+    mat_vec,
     reduce_mod_lattice,
     smith_normal_form,
+    solve_int_linear,
     solve_norm_system,
     solve_pairing_norm,
 )
@@ -172,6 +175,23 @@ def test_adjugate_times_matrix_is_the_determinant(m):
     assert mat_mul(adj, m) == scalar == mat_mul(m, adj)
 
 
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n))))
+def test_solve_int_linear_by_cramer(system):
+    m, rhs = system
+    if det_int(m) == 0:
+        with pytest.raises(LatticeError, match="singular"):
+            solve_int_linear(m, rhs)
+    else:
+        x = solve_int_linear(m, rhs)
+        assert all(isinstance(c, Fraction) for c in x)
+        assert mat_vec(m, x) == tuple(rhs)
+
+
 def _scaled_cosets(disc):
     """The scan of every coset, each also as the integer vector e * rep mod e
     for e = |NS*/NS|, so the oracles below need no fractions."""
@@ -223,8 +243,8 @@ def test_discriminant_coordinates_against_the_scan(lat, data):
 def _small_isometries(lat):
     """+-id and every integral reflection in a vector of {-1, 0, 1}^n."""
     n = lat.rank
-    isometries = {make_isometry(lat, [[s * int(i == j) for j in range(n)]
-                                      for i in range(n)]) for s in (1, -1)}
+    isometries = {Isometry(lat, [[s * int(i == j) for j in range(n)]
+                                 for i in range(n)]) for s in (1, -1)}
     for w in product(range(-1, 2), repeat=n):
         if lat.norm(w) != 0:
             try:
@@ -391,6 +411,13 @@ def test_solve_pairing_norm_rank2():
     lat = IntegerLattice(gram=((4, 24), (24, 4)))
     assert solve_pairing_norm(lat, (1, 0), 4, 4) == [(1, 0)]
     assert solve_pairing_norm(lat, (1, 0), 1, 4) == []
+
+
+def test_lattice_points_rank1():
+    # no kernel: the center solve is of the empty system, det () = 1
+    lat = IntegerLattice(gram=((2,),))
+    assert det_int(()) == 1
+    assert lattice_points(lat, (1,), (2, 4, -2), 0) == [(-1,), (1,), (2,)]
 
 
 def test_solve_pairing_norm_rank4():

@@ -121,11 +121,6 @@ def test_generator_search(ctx6, res6):
     assert "discriminant-other" in reasons
 
 
-def test_search_without_escalation_raises(ctx6):
-    with pytest.raises(pell.PellError, match="larger bound"):
-        pell.isometry_search(ctx6, entry_bound=300, auto_escalate=False)
-
-
 def _quad_ray(ctx, ray):
     """A ray with integer-pair coordinates (p, q) as QuadExt coordinates."""
     return tuple(QuadExt(p, q, ctx.d) for p, q in ray)
@@ -207,18 +202,25 @@ def test_generator_is_the_fourth_power_of_the_unit(ell):
         "news: at l = %d the generator %s is not eps^4" % (ell, g0))
 
 
-def test_search_exhausts_its_doublings(ctx6):
-    # g0 has entries up to 20305 > 300 * 2^3
-    with pytest.raises(pell.PellError, match="exhausted 3 doublings"):
-        pell.isometry_search(ctx6, max_doublings=3)
-    with pytest.raises(pell.PellError, match="max_doublings"):
-        pell.isometry_search(ctx6, max_doublings=-1)
+def test_search_gives_up_after_its_unit_powers(ctx6, monkeypatch):
+    # with every candidate rejected the walk must stop, not run forever
+    calls = []
+
+    def reject(ctx, disc, g):
+        calls.append(g)
+        return "ray-swapping", None
+
+    monkeypatch.setattr(pell, "_filter", reject)
+    with pytest.raises(pell.PellError, match="eps\\^%d$"
+                       % pell.UNIT_WALK_POWERS):
+        pell.isometry_search(ctx6)
+    assert len(calls) == pell.UNIT_WALK_POWERS
 
 
 def test_scan_rejects_a_wrong_walk(ctx6, res6, monkeypatch):
     # the walk proposes g0^2; the scan at its bound finds the smaller g0
     monkeypatch.setattr(pell, "_unit_walk",
-                        lambda ctx, disc, cap: res6.g0.power(2))
+                        lambda ctx, disc: res6.g0.power(2))
     with pytest.raises(pell.PellError, match="the unit walk"):
         pell.isometry_search(ctx6)
 
@@ -285,9 +287,12 @@ def test_pell_discriminant_action_against_the_scan(ell, data):
 
 
 def test_verify_pell_at_large_ell(capsys):
-    assert cli.main(["verify", "pell", "--ell", "2000"]) == 0
-    out = capsys.readouterr().out
-    assert "lemma-4.6-ell-2000" in out
+    # the generator eps^4 has entries near (2 l)^4, about 3.3e14 at
+    # l = 2131 and 1.6e21 at l = 100000: the walk counts powers, not digits
+    for ell in (2131, 100000):
+        assert cli.main(["verify", "pell", "--ell", str(ell)]) == 0
+        out = capsys.readouterr().out
+        assert "lemma-4.6-ell-%d" % ell in out and "6 pass, 0 fail" in out
 
 
 def test_alpha_homomorphism(ctx6, res6, run6):

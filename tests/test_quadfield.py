@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from k3cert.quadfield import (
-    QuadExt, is_square, quadratic_roots, serialize, sign_of, zsign)
+    QuadExt, is_square, serialize, sign_of, zsign)
 
 
 def test_is_square():
@@ -139,26 +139,6 @@ def test_comparisons():
     assert sign_of(r - 1) == 1
     assert sign_of(Fraction(-1, 3)) == -1
     assert sign_of(0) == 0
-
-
-def test_quadratic_roots_irrational():
-    pair = quadratic_roots(3)
-    assert not pair.rational
-    alpha, beta = pair.alpha, pair.beta
-    assert alpha * beta == 1
-    assert alpha + beta == 3
-    assert alpha * alpha - 3 * alpha + 1 == 0
-    assert alpha > beta
-
-
-def test_quadratic_roots_rational_branch():
-    pair = quadratic_roots(2)
-    assert pair.rational
-    assert (pair.alpha, pair.beta) == (1, 1)
-    with pytest.raises(ValueError):
-        quadratic_roots(1)
-    pair = quadratic_roots(-2)
-    assert pair.rational and pair.alpha == -1
 
 
 def test_serialize():
