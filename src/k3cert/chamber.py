@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .lattice import IntegerLattice, LatticeError, form_basis
 from .isometry import reflection_in
@@ -62,8 +63,11 @@ class Chamber:
         forms = []
         refls = []
         for w in self.walls:
+            # reduce_to_chamber's step bound needs reflections keeping the cone
+            if lat.norm(w) >= 0:
+                raise ChamberError("wall %s has (w, w) >= 0" % (w,))
             row = lat.pairing_row(w)
-            val = sum(r * a for r, a in zip(row, self.anchor))
+            val = self.face_value(row, self.anchor)
             if val == 0:
                 raise ChamberError("wall %s passes through the anchor" % (w,))
             s = 1 if val > 0 else -1
@@ -86,7 +90,7 @@ class Chamber:
                 n = _cross(rs[i], rs[j])
                 if all(c == 0 for c in n):
                     continue
-                vals = [sum(nc * rc for nc, rc in zip(n, r)) for r in rs]
+                vals = [self.face_value(n, r) for r in rs]
                 if all(v >= 0 for v in vals):
                     f = n
                 elif all(v <= 0 for v in vals):
@@ -102,11 +106,10 @@ class Chamber:
         """Oriented wall form i evaluated at x (exact, QuadExt-safe)."""
         return self.face_value(self.wall_forms[i], x)
 
-    def face_value(self, f, x):
-        acc = 0
-        for r, c in zip(f, x):
-            acc = acc + r * c
-        return acc
+    @staticmethod
+    def face_value(f, x):
+        """The linear form f at x (QuadExt-safe via __radd__/__rmul__)."""
+        return sum(map(mul, f, x))
 
 
 def in_chamber(chamber, x):
@@ -129,26 +132,36 @@ class ReductionTrace:
         return x
 
 
-def reduce_to_chamber(chamber, x, cap=1000):
+def reduce_to_chamber(chamber, x):
     """Reflect x across strictly violated walls until none is violated.
 
     Tie-break: lowest wall index.  Non-reflective faces never generate
-    reductions.  A step cap guards against non-terminating inputs.
+    reductions.  Contract: x is an integer class of the closed positive
+    cone, (x, x) >= 0 and (x, anchor) > 0; any other class raises
+    ChamberError before any reflection.
+
+    No step cap is needed (Vinberg 1972).  Orient w so that (w, anchor) > 0.
+    A strictly violated wall has (x, w) < 0, and (w, w) < 0, so
+    k = 2(x, w)/(w, w) is a positive integer (the reflection is integral).
+    The reflection fixes the plane orthogonal to w, which meets the cone,
+    so x stays in the cone while the integer (x, anchor) drops by
+    k (w, anchor) >= m = min |(w, anchor)| (10 for the pentagon): at most
+    (x, anchor) // m steps.
     """
-    if all(c == 0 for c in x):
-        raise ChamberError("cannot reduce the zero vector")
+    lat = chamber.lattice
+    xx, xa = lat.norm(x), lat.inner(x, chamber.anchor)
+    if xx < 0 or xa <= 0:
+        raise ChamberError("%s is off the closed positive cone: (x, x) = %s, "
+                           "(x, anchor) = %s" % (tuple(x), xx, xa))
     word = []
     cur = tuple(x)
-    for _ in range(cap):
-        viol = next((i for i in range(len(chamber.walls))
-                     if chamber.wall_value(i, cur) < 0), None)
+    while True:
+        viol = next((i for i, f in enumerate(chamber.wall_forms)
+                     if chamber.face_value(f, cur) < 0), None)
         if viol is None:
             return ReductionTrace(word=tuple(w + 1 for w in word), result=cur)
         cur = chamber.reflections[viol].apply(cur)
         word.append(viol)
-    raise ChamberError(
-        "reduction did not terminate within the cap of %d steps (wall word "
-        "of length %d)" % (cap, len(word)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +197,7 @@ def isotropic_rays_in_wall(lat, wall, anchor):
     out = []
     anchor_row = lat.pairing_row(anchor)
     for ray in rays:
-        val = 0
-        for r, c in zip(anchor_row, ray):
-            val = val + r * c
-        s = sign_of(val)
+        s = sign_of(Chamber.face_value(anchor_row, ray))
         if s == 0:
             raise ChamberError("isotropic ray orthogonal to the anchor")
         out.append(tuple(s * c for c in ray) if s < 0 else ray)

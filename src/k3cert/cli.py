@@ -2,8 +2,9 @@
 
 Subcommands:
     verify all | quartic | pell [--ell N | --ell-range A..B] | weierstrass
+        [--k-bound K]      (0 <= K <= MAX_K_BOUND)
     enumerate sections [--n-bound K] | enumerate q   (1 <= K <= MAX_N_BOUND)
-    reduce --class "x,y,z" [--basis HLM|fev]
+    reduce --class "x,y,z" [--basis HLM|fev]   (x in the closed positive cone)
     orbit --len K          (K <= MAX_ORBIT_LEN)
 
 ``--json PATH`` writes the report; the exit code is 0 iff no item has
@@ -24,6 +25,9 @@ from .report import PASS, Report, run_suite
 USAGE_ERROR = 2
 # level k of the orbit holds 3 * 2^(k-1) classes, so its size doubles per level
 MAX_ORBIT_LEN = 12
+# lemma 4.8 prints g0^k(h1), of about 4 k log10(2 ell) digits: k = 1000 at
+# ell = 7 passes Python's 4300-digit int-to-str limit; k = 50 takes ~0.1 s
+MAX_K_BOUND = 50
 # the sections scan walks 2 box + 1 values of a, box = 10 n^2 + 20 n, and
 # solves each line for n exactly; the cap stays so the accepted range stays
 MAX_N_BOUND = 10
@@ -85,8 +89,6 @@ def _parse_class(text, parser):
         parser.error('--class expects integers like "x,y,z"')
     if len(coords) != 3:
         parser.error("--class expects exactly 3 coordinates")
-    if not any(coords):
-        parser.error("--class must be a nonzero class")
     return coords
 
 
@@ -94,8 +96,8 @@ def cmd_verify(args, parser):
     # every option is checked before any suite runs
     if args.entry_bound < 1:
         parser.error("--entry-bound must be >= 1")
-    if args.k_bound < 0:
-        parser.error("--k-bound must be nonnegative")
+    if not 0 <= args.k_bound <= MAX_K_BOUND:
+        parser.error("--k-bound must be between 0 and %d" % MAX_K_BOUND)
     if args.ell is not None and args.ell_range is not None:
         parser.error("give --ell or --ell-range, not both")
     if args.ell is not None:
@@ -132,8 +134,7 @@ def list_q(ctx):
     return PASS, "Q = %s; classifications: %s" % (q, kinds)
 
 
-def reduce_class(ctx, coords):
-    trace = reduce_to_chamber(ctx.chamber, coords)
+def reduce_class(trace):
     return PASS, ("reduced to %s via wall word %s (basis HLM)"
                   % (trace.result, list(trace.word)))
 
@@ -159,7 +160,9 @@ def cmd_reduce(args, parser):
     ctx = quartic.build_context()
     if args.basis == "fev":
         coords = ctx.to_hlm(coords)
-    return run_suite([("reduce", "Lemma 3.10", reduce_class)], ctx, coords)
+    # off the positive cone this raises ChamberError, a usage error in main
+    trace = reduce_to_chamber(ctx.chamber, coords)
+    return run_suite([("reduce", "Lemma 3.10", reduce_class)], trace)
 
 
 def cmd_orbit(args, parser):

@@ -198,7 +198,7 @@ def check_no_reducible_fibers(ctx, box=20):
                    % (box, ", ".join(map(str, sorted(forced)))))
 
 
-def enumerate_sections(ctx, n_bound=3, box=None):
+def enumerate_sections(ctx, n_bound=3):
     """Section classes of the first fibration in (f,e,v) coords, by a box
     scan: :func:`solve_norm_system` for (x, f) = 1 and (x, x) = -2 walks the
     a-coordinate and solves each line for n exactly, then the effective
@@ -208,10 +208,7 @@ def enumerate_sections(ctx, n_bound=3, box=None):
     zero_section_present).  Solutions are triples (a, b, n) with b = 1,
     sorted by (n, a).
     """
-    if box is None:
-        box = 10 * n_bound * n_bound + 20 * n_bound
-    if box < 10 * n_bound * n_bound + 20 * n_bound:
-        raise LatticeError("box %d too small for n_bound %d" % (box, n_bound))
+    box = 10 * n_bound * n_bound + 20 * n_bound  # holds a = 10 n^2 - 1
     # (x, f) = b = 1 and (x, x) = -2; effective side: positive degree
     # against the ample class, (x, H) = 3 a + 4 b - 20 n with H = 4 f + 3 e + v
     sols = [x for x in solve_norm_system(ctx.lattice_fev, [((1, 0, 0), 1)],
@@ -233,12 +230,11 @@ def enumerate_sections(ctx, n_bound=3, box=None):
             if all(by_n[n][0] == a2 * n * n + a1 * n + a0 for n in ns):
                 fit = (a2, a1, a0)
     if fit is None:
-        raise LatticeError("section classes do not fit one quadratic in n; "
-                           "enlarge the box")
+        raise LatticeError("section classes do not fit one quadratic in n")
     # every |n| <= n_bound must be inside the box, else the fit is untrusted
     for n in range(-n_bound, n_bound + 1):
         if n not in by_n:
-            raise LatticeError("missing section at n = %d; enlarge the box" % n)
+            raise LatticeError("missing section at n = %d" % n)
     zero_section = ctx.to_fev(M)  # e - f
     zero_present = tuple(zero_section) in {tuple(s) for s in sols}
     return sols, fit, zero_present
@@ -414,10 +410,10 @@ def enumerate_Q_bruteforce(ctx, box=12):
             if in_chamber(ctx.chamber, x)]
 
 
-def enumerate_Q_bound_argument(ctx, cap=100):
+def enumerate_Q_bound_argument(ctx):
     """The circle/quadrangle route: exact rational case analysis on the
-    leading coefficient, with exhaustive exclusion for 4 <= x <= cap, a
-    proved tail for every x > 2, and the s = -1 edge closed for every x."""
+    leading coefficient x <= 3, a proved tail that excludes every x > 2 off
+    the s = -1 edge, and the s = -1 edge closed for every x."""
     found = []
     for x in range(1, 4):
         for y in range(-x, x + 1):
@@ -429,13 +425,6 @@ def enumerate_Q_bound_argument(ctx, cap=100):
                         and s + t >= -1):
                     continue
                 found.append((x, y, z))
-    # x >= 4 is impossible: (1/2 - 1/x)^2 >= 1/4 - 1/x^2 would be forced for a
-    # rational solution off the s = -1 edge
-    for x in range(4, cap + 1):
-        lhs = (Fraction(1, 2) - Fraction(1, x)) ** 2
-        rhs = Fraction(1, 4) - Fraction(1, x * x)
-        if lhs >= rhs:
-            raise LatticeError("emptiness inequality fails at x = %d" % x)
     # the s = -1 edge (y = -x) needs z^2 - x z + 2 = 0 with a square
     # discriminant x^2 - 8 = w^2, i.e. (x - w)(x + w) = 8 with w >= 0; the
     # factors d <= 8/d must share the parity of their sum 2x, forcing x = 3
@@ -443,7 +432,8 @@ def enumerate_Q_bound_argument(ctx, cap=100):
             if 8 % d == 0 and d * d <= 8 and (d + 8 // d) % 2 == 0]
     if edge != [3]:
         raise LatticeError("s = -1 edge admits x in %s" % edge)
-    # tail for every x > 2: x^2 ((1/2 - 1/x)^2 - (1/4 - 1/x^2)) = 2 - x < 0
+    # off the s = -1 edge, x >= 4 would force (1/2 - 1/x)^2 >= 1/4 - 1/x^2; the
+    # tail x^2 ((1/2 - 1/x)^2 - (1/4 - 1/x^2)) = 2 - x < 0 for x > 2 denies it
     if not is_zero_polynomial(lambda x: (Fraction(x, 2) - 1) ** 2
                               - (Fraction(x * x, 4) - 1) - (2 - x), (2,)):
         raise LatticeError("tail identity failed")

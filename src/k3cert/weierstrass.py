@@ -8,8 +8,8 @@ are written once, in translate, and evaluated over Fractions at points and
 over sympy's sparse rational-function field K = Q(s, t, a, b), where
 equality is exact, for identities.  Elimination shows the inverse is the
 same formula; the involution identity is proved in K, generically in
-(a, b) and for each concrete translation point.  Only the finite
-automorphisms, with cyclotomic coefficients, use sympy expressions.
+(a, b) and for each concrete translation point.  Finite automorphisms
+are checked on their exponents in mu_12, so sympy serves only K.
 
 Note the second displayed formula has no final negation, so on the curve
 the map may realize P + (a, b) or -(P + (a, b)); restriction_agreement
@@ -21,14 +21,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-import sympy
+from sympy import QQ
 from sympy.polys.fields import field
 
 from .report import run_suite, verdict
 
 # the rational-function field Q(s, t, a, b) of the identity checks
-K, S, T, A, B = field("s,t,a,b", sympy.QQ)
+K, S, T, A, B = field("s,t,a,b", QQ)
 
 
 class CurveError(ValueError):
@@ -169,39 +170,38 @@ def invert_translation_map(a, b):
 # ---------------------------------------------------------------------------
 # finite automorphisms fixing the origin
 
-_ZETA3 = sympy.Rational(-1, 2) + sympy.sqrt(3) * sympy.I / 2
+# d -> (i, j) with (cx, cy) = (zeta^i, zeta^j) = (1, -1), (-1, i), (zeta_3, -1)
+_AUT_EXPONENTS = {2: (0, 6), 4: (6, 3), 6: (4, 6)}
+
+
+def preserves_curve(i, j, p, q):
+    """Whether (x, y) -> (zeta^i x, zeta^j y), zeta = e^(2 pi i/12), maps
+    f = y^2 - x^3 - px - q to cy^2 f.  The image minus cy^2 f is
+        (cy^2 - cx^3) x^3 + p (cy^2 - cx) x + q (cy^2 - 1),
+    so each coefficient vanishes by an identity of exponents mod 12."""
+    return ((3 * i - 2 * j) % 12 == 0
+            and (p == 0 or (i - 2 * j) % 12 == 0)
+            and (q == 0 or 2 * j % 12 == 0))
+
+
+def mu12_order(i, j):
+    """The least k with cx^k = cy^k = 1: zeta^i has order 12 / gcd(i, 12)."""
+    return lcm(12 // gcd(i, 12), 12 // gcd(j, 12))
 
 
 def finite_automorphism(d, p, q):
     """Substitution (x, y) -> (cx*x, cy*y) of exact order d preserving the
-    curve shape; returns ((cx, cy), order)."""
-    p, q = sympy.sympify(p), sympy.sympify(q)
-    if d == 2:
-        cx, cy = sympy.Integer(1), sympy.Integer(-1)
-    elif d == 4:
-        if q != 0:
-            raise CurveError("order 4 requires the shape y^2 = x^3 + px")
-        cx, cy = sympy.Integer(-1), sympy.I
-    elif d == 6:
-        if p != 0:
-            raise CurveError("order 6 requires the shape y^2 = x^3 + q")
-        cx, cy = _ZETA3, sympy.Integer(-1)
-    else:
+    curve shape, with (cx, cy) = (zeta^i, zeta^j); returns ((i, j), order)."""
+    if d not in _AUT_EXPONENTS:
         raise CurveError("finite order must be 2, 4 or 6")
-    x, y = sympy.symbols("x y")
-    f = y ** 2 - x ** 3 - p * x - q
-    image = f.subs({x: cx * x, y: cy * y}, simultaneous=True)
-    # preservation up to the unit cy^2 (the equation may be rescaled)
-    if sympy.expand(image - cy ** 2 * f) != 0:
-        raise CurveError("substitution does not preserve the curve equation")
-    order = None
-    for k in range(1, 13):
-        if sympy.expand(cx ** k - 1) == 0 and sympy.expand(cy ** k - 1) == 0:
-            order = k
-            break
+    i, j = _AUT_EXPONENTS[d]
+    if not preserves_curve(i, j, p, q):
+        raise CurveError("(x, y) -> (zeta^%d x, zeta^%d y) does not preserve "
+                         "y^2 = x^3 + %s x + %s" % (i, j, p, q))
+    order = mu12_order(i, j)
     if order != d:
         raise CurveError("substitution has order %s, expected %d" % (order, d))
-    return (cx, cy), order
+    return (i, j), order
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +340,9 @@ def check_finite_automorphisms():
     problems = []
     for d, p, q in ((2, -2, 1), (4, 5, 0), (6, 0, 7)):
         try:
-            (cx, cy), order = finite_automorphism(d, p, q)
+            finite_automorphism(d, p, q)  # raises unless the order is d
         except CurveError as exc:
             problems.append("d=%d: %s" % (d, exc))
-            continue
-        # the order is the least k with cx^k = cy^k = 1, so no proper
-        # divisor of d is an order once it equals d
-        if order != d:
-            problems.append("d=%d: order came out %d" % (d, order))
     # shape mismatches must be rejected
     for d, p, q in ((4, 1, 1), (6, 1, 1)):
         try:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from k3cert.chamber import (
     pingpong_certify,
     reduce_to_chamber,
 )
+from k3cert.isometry import Isometry
 from k3cert.lattice import IntegerLattice
 from k3cert.quadfield import QuadExt
 
@@ -56,6 +58,10 @@ def test_chamber_construction(lat, pentagon):
     assert len(pentagon.face_forms) == 5
     with pytest.raises(ChamberError):
         Chamber(lattice=lat, anchor=(0, 1, 0), walls=(V,))
+    # walls of positive norm (H) or isotropic ((1, -1, 0)) are not reflective
+    for wall in (H, (1, -1, 0)):
+        with pytest.raises(ChamberError, match=r"\(w, w\) >= 0"):
+            Chamber(lattice=lat, anchor=H, walls=(V, wall))
 
 
 def test_membership(pentagon):
@@ -87,9 +93,9 @@ def test_reduce_roundtrip(pentagon):
 def test_unreduce_inverts_reduce(pentagon, x):
     lat = pentagon.lattice
     try:
-        trace = reduce_to_chamber(pentagon, x, cap=50)
+        trace = reduce_to_chamber(pentagon, x)
     except ChamberError:
-        # off the closed positive cone the reduction need not stop
+        # the contract is the closed positive cone
         assert lat.norm(x) < 0 or lat.inner(x, H) <= 0
         return
     assert trace.unreduce(pentagon) == x
@@ -97,8 +103,8 @@ def test_unreduce_inverts_reduce(pentagon, x):
 
 
 def test_reduce_already_reduced(pentagon):
-    trace = reduce_to_chamber(pentagon, (0, 0, 1))
-    assert trace.word == () and trace.result == (0, 0, 1)
+    trace = reduce_to_chamber(pentagon, (2, -1, -1))
+    assert trace.word == () and trace.result == (2, -1, -1)
 
 
 def test_reduce_zero_rejected(pentagon):
@@ -106,20 +112,34 @@ def test_reduce_zero_rejected(pentagon):
         reduce_to_chamber(pentagon, (0, 0, 0))
 
 
-def test_reduce_cap(pentagon):
-    x = pentagon.reflections[0].apply(H)
-    with pytest.raises(ChamberError, match="terminate"):
-        reduce_to_chamber(pentagon, x, cap=0)
+@settings(deadline=None)
+@given(st.tuples(*[st.integers(-8, 8)] * 3).filter(any))
+def test_reduce_step_bound_on_the_cone(pentagon, x):
+    # on the closed positive cone each reflection lowers (x, H) by a positive
+    # multiple of some |(w, H)| in {20, 20, 10}; off it nothing is reflected
+    lat = pentagon.lattice
+    xh = lat.inner(x, H)
+    if lat.norm(x) >= 0 and xh > 0:
+        trace = reduce_to_chamber(pentagon, x)
+        assert len(trace.word) <= xh // 10
+        assert trace.unreduce(pentagon) == x
+        assert lat.inner(trace.result, H) > 0
+    else:
+        with patch.object(Isometry, "apply",
+                          side_effect=AssertionError("reflected")), \
+                pytest.raises(ChamberError, match="closed positive cone"):
+            reduce_to_chamber(pentagon, x)
 
 
-def test_reduce_cap_message_names_the_length(pentagon):
-    # (-3, -3, -3) lies in the negative cone and never reduces; its entries
-    # grow with every reflection, and the message prints none of them
-    with pytest.raises(ChamberError) as exc:
-        reduce_to_chamber(pentagon, (-3, -3, -3), cap=200)
-    msg = str(exc.value)
-    assert "cap of 200 steps" in msg and "length 200" in msg
-    assert len(msg) < 100
+def test_reduce_off_the_cone_message(pentagon):
+    # (-3, -3, -3) lies in the negative cone, where the reduction once ran
+    # 1,000 steps; M = (0, 0, 1) has negative norm: one short line each
+    for x in ((-3, -3, -3), (0, 0, 1)):
+        with pytest.raises(ChamberError) as exc:
+            reduce_to_chamber(pentagon, x)
+        msg = str(exc.value)
+        assert msg.startswith("%s is off the closed positive cone" % (x,))
+        assert len(msg) < 100
 
 
 def test_isotropic_rays(lat):

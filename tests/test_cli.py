@@ -10,16 +10,30 @@ def run(argv):
 
 
 def test_reduce_trivial(capsys):
-    assert run(["reduce", "--class", "0,0,1"]) == 0
+    # leading-minus values need the = form so argparse does not read a flag
+    assert run(["reduce", "--class=2,-1,-1"]) == 0
     out = capsys.readouterr().out
-    assert "wall word []" in out
+    assert "reduced to (2, -1, -1) via wall word []" in out
 
 
 def test_reduce_fev_basis(capsys):
-    # leading-minus values need the = form so argparse does not read a flag
-    assert run(["reduce", "--class=-1,1,0", "--basis", "fev"]) == 0
+    # H = 4 f + 3 e + v
+    assert run(["reduce", "--class", "4,3,1", "--basis", "fev"]) == 0
     out = capsys.readouterr().out
-    assert "(0, 0, 1)" in out
+    assert "reduced to (1, 0, 0) via wall word []" in out
+
+
+def test_reduce_off_the_cone_exit_2(capsys):
+    # the negative cone, a negative-norm class (M, also given in (f,e,v) as
+    # e - f) and zero: one stderr line each, and no report
+    for argv in (["reduce", "--class=-3,-3,-3"],
+                 ["reduce", "--class", "0,0,1"],
+                 ["reduce", "--class=-1,1,0", "--basis", "fev"],
+                 ["reduce", "--class", "0,0,0"]):
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "off the closed positive cone" in err
 
 
 def test_reduce_nontrivial(capsys):
@@ -73,6 +87,15 @@ def test_verify_pell_single_ell(tmp_path, capsys):
     assert "-143" in item["details"]  # g0 matrix shown
 
 
+@pytest.mark.parametrize("ell", [7, 100000])
+def test_verify_pell_at_the_largest_k_bound(ell, capsys):
+    # at --k-bound 1000 the printed orbit of lemma 4.8 once passed the
+    # 4300-digit int-to-str limit at ell = 7
+    assert run(["verify", "pell", "--ell", str(ell),
+                "--k-bound", str(cli.MAX_K_BOUND)]) == 0
+    assert "6 pass, 0 fail" in capsys.readouterr().out
+
+
 def test_verify_pell_bad_ell_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "pell", "--ell", "3"])
@@ -96,10 +119,11 @@ def test_verify_weierstrass(capsys):
 def test_out_of_range_bounds_exit_2():
     # each value fails validation before any lattice work starts
     for argv in (["verify", "pell", "--ell", "6", "--k-bound", "-1"],
+                 ["verify", "pell", "--ell", "7", "--k-bound",
+                  str(cli.MAX_K_BOUND + 1)],
                  ["verify", "pell", "--ell", "6", "--entry-bound", "0"],
                  ["orbit", "--len", str(cli.MAX_ORBIT_LEN + 1)],
                  ["orbit", "--len", "-1"],
-                 ["reduce", "--class", "0,0,0"],
                  ["enumerate", "sections", "--n-bound", "0"],
                  ["enumerate", "sections", "--n-bound", "-2"],
                  ["enumerate", "sections", "--n-bound",
@@ -134,7 +158,7 @@ def test_main_reuses_one_parser(capsys):
     for argv in calls:
         cli.build_parser.cache_clear()
         alone.append(_call(argv, capsys))
-    assert [code for code, _, _ in alone] == [0, 2, 0, 2, 2, 0, 2, 0]
+    assert [code for code, _, _ in alone] == [0, 2, 0, 2, 2, 2, 2, 0]
     cli.build_parser.cache_clear()
     together = [_call(argv, capsys) for argv in calls]
     assert together == alone
@@ -142,9 +166,9 @@ def test_main_reuses_one_parser(capsys):
 
 
 def test_main_reuses_one_quartic_context(capsys):
-    # the chamber-walk commands, usage errors (exit 2) and a reduction that
-    # fails at its cap (exit 1) give on one cached context what each gives
-    # on a freshly built one
+    # the chamber-walk commands and usage errors (exit 2), among them classes
+    # off the positive cone, give on one cached context what each gives on a
+    # freshly built one
     calls = [["reduce", "--class", "13,-14,6"],
              ["enumerate", "sections", "--n-bound", "0"],
              ["reduce", "--class=-1,1,0", "--basis", "fev"],
@@ -159,7 +183,7 @@ def test_main_reuses_one_quartic_context(capsys):
     for argv in calls:
         quartic.build_context.cache_clear()
         alone.append(_call(argv, capsys))
-    assert [code for code, _, _ in alone] == [0, 2, 0, 0, 2, 0, 1, 2, 0, 0]
+    assert [code for code, _, _ in alone] == [0, 2, 2, 0, 2, 0, 2, 2, 0, 0]
     quartic.build_context.cache_clear()
     together = [_call(argv, capsys) for argv in calls]
     assert together == alone

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -87,14 +88,30 @@ def test_inverse_round_trip_numeric():
 
 
 def test_finite_automorphism_orders():
-    (cx, cy), order = w.finite_automorphism(2, -2, 1)
-    assert (cx, cy, order) == (1, -1, 2)
-    (cx, cy), order = w.finite_automorphism(4, 5, 0)
-    assert order == 4 and cy == sympy.I
-    (cx, cy), order = w.finite_automorphism(6, 0, 7)
-    assert order == 6
-    assert sympy.simplify(cx ** 3 - 1) == 0
-    assert sympy.simplify(cx - 1) != 0
+    # exponents of zeta = e^(2 pi i/12): (1, -1), (-1, i), (zeta_3, -1)
+    assert w.finite_automorphism(2, -2, 1) == ((0, 6), 2)
+    assert w.finite_automorphism(4, 5, 0) == ((6, 3), 4)
+    assert w.finite_automorphism(6, 0, 7) == ((4, 6), 6)
+
+
+def test_exponent_rules_against_sympy():
+    # the oracle substitutes (zeta^i x, zeta^j y) into the curve equation and
+    # expands, for every (i, j); then p and q are set to zero or nonzero
+    zeta = sympy.sqrt(3) / 2 + sympy.I / 2
+    powers = [sympy.expand(zeta ** k) for k in range(12)]
+    x, y, p, q = sympy.symbols("x y p q")
+    f = y ** 2 - x ** 3 - p * x - q
+    for i, j in itertools.product(range(12), repeat=2):
+        cx, cy = powers[i], powers[j]
+        order = next(k for k in range(1, 13)
+                     if sympy.expand(cx ** k - 1) == 0
+                     and sympy.expand(cy ** k - 1) == 0)
+        assert w.mu12_order(i, j) == order, (i, j)
+        image = f.subs({x: cx * x, y: cy * y}, simultaneous=True)
+        residual = sympy.expand(image - cy ** 2 * f)
+        for pv, qv in itertools.product((0, 6), (0, 4)):
+            preserved = residual.subs({p: pv, q: qv}) == 0
+            assert w.preserves_curve(i, j, pv, qv) == preserved, (i, j, pv, qv)
 
 
 def test_finite_automorphism_shape_errors():
