@@ -25,8 +25,8 @@ from .report import PASS, Report, run_suite
 USAGE_ERROR = 2
 # level k of the orbit holds 3 * 2^(k-1) classes, so its size doubles per level
 MAX_ORBIT_LEN = 12
-# lemma 4.8 prints g0^k(h1), of about 4 k log10(2 ell) digits: k = 1000 at
-# ell = 7 passes Python's 4300-digit int-to-str limit; k = 50 takes ~0.1 s
+# lemmas 4.7 and 4.8 build the 2k + 1 powers g0^k, whose entries have about
+# 4 k log10(2 ell) digits; k = 50 takes ~0.1 s at ell = 7 and at ell = 100000
 MAX_K_BOUND = 50
 # the sections scan walks 2 box + 1 values of a, box = 10 n^2 + 20 n, and
 # solves each line for n exactly; the cap stays so the accepted range stays

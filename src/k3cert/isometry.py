@@ -92,12 +92,6 @@ class Isometry:
             k >>= 1
         return out
 
-    def to_json(self, basis_tag=None):
-        obj = {"matrix": [list(r) for r in self.matrix]}
-        if basis_tag is not None:
-            obj["basis"] = basis_tag
-        return obj
-
 
 def identity(lat):
     return Isometry._trusted(lat, identity_matrix(lat.rank))

@@ -251,14 +251,6 @@ class IntegerLattice:
         self.check_vector(w)
         return mat_vec(self.gram, w)
 
-    def to_json(self):
-        return {"labels": list(self.labels), "gram": [list(r) for r in self.gram]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(gram=tuple(tuple(r) for r in obj["gram"]),
-                   labels=tuple(obj["labels"]))
-
 
 # ---------------------------------------------------------------------------
 # dual vectors and the discriminant group

@@ -140,14 +140,6 @@ class QuadExt:
     def __str__(self):
         return serialize(self)
 
-    @staticmethod
-    def rational(x, d):
-        return QuadExt(Fraction(x), Fraction(0), d)
-
-    @staticmethod
-    def sqrt_of(d):
-        return QuadExt(Fraction(0), Fraction(1), d)
-
 
 def zsign(p, q, d):
     """Exact sign of p + q*sqrt(d) for integers p, q and d > 0.

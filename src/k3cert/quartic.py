@@ -72,10 +72,6 @@ CHAMBER_RAYS = (
 )
 
 
-def swap_lm(x):
-    return (x[0], x[2], x[1])
-
-
 @dataclass(frozen=True)
 class QuarticContext:
     lattice: IntegerLattice          # (H, L, M) basis

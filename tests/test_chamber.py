@@ -76,7 +76,7 @@ def test_membership(pentagon):
 
 
 def test_wall_value_quadext(pentagon):
-    ray = (QuadExt.rational(1, 5), QuadExt.rational(0, 5), QuadExt.rational(0, 5))
+    ray = (QuadExt(1, 0, 5), QuadExt(0, 0, 5), QuadExt(0, 0, 5))
     assert pentagon.wall_value(0, ray) == pentagon.wall_value(0, H)
 
 

@@ -87,10 +87,10 @@ def test_verify_pell_single_ell(tmp_path, capsys):
     assert "-143" in item["details"]  # g0 matrix shown
 
 
-@pytest.mark.parametrize("ell", [7, 100000])
+@pytest.mark.parametrize("ell", [7, 100000, 10 ** 22])
 def test_verify_pell_at_the_largest_k_bound(ell, capsys):
-    # at --k-bound 1000 the printed orbit of lemma 4.8 once passed the
-    # 4300-digit int-to-str limit at ell = 7
+    # g0^k(h1) passes the 4300-digit int-to-str limit at k = 1000 and ell = 7,
+    # and at k = 50 and ell = 10^22: no pass path prints an orbit class
     assert run(["verify", "pell", "--ell", str(ell),
                 "--k-bound", str(cli.MAX_K_BOUND)]) == 0
     assert "6 pass, 0 fail" in capsys.readouterr().out

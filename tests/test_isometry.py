@@ -251,9 +251,3 @@ def test_discriminant_action_kinds(hlm, fev):
     disc_h = discriminant_group(hlm)
     swap = Isometry(hlm, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
     assert discriminant_action(swap, disc_h) == "other"
-
-
-def test_to_json(fev):
-    obj = mw_translation(fev, 1).to_json(basis_tag="fev")
-    assert obj["basis"] == "fev"
-    assert obj["matrix"][0] == [1, 10, 20]

@@ -458,8 +458,3 @@ def test_zero_polynomial_rejects_a_smaller_grid(degrees, c):
     assert not is_zero_polynomial(f, degrees)
     if any(degrees):
         assert is_zero_polynomial(f, [max(d - 1, 0) for d in degrees])
-
-
-def test_json_roundtrip(lat3):
-    again = IntegerLattice.from_json(lat3.to_json())
-    assert again == lat3

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3cert import cli, pell
-from k3cert.isometry import discriminant_action
-from k3cert.lattice import discriminant_group
+from k3cert.isometry import Isometry, discriminant_action
+from k3cert.lattice import discriminant_group, lattice_points
 from k3cert.quadfield import QuadExt, zsign
-from k3cert.report import FAIL, PASS, SKIPPED
+from k3cert.report import FAIL, PASS, SKIPPED, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ def _quad_inner(ctx, x, y):
     """The pairing in QuadExt arithmetic: the oracle for pell._zinner."""
     gram = ctx.lattice.gram
     return sum((x[i] * gram[i][j] * y[j] for i in range(2) for j in range(2)),
-               QuadExt.rational(0, ctx.d))
+               QuadExt(0, 0, ctx.d))
 
 
 def _quad_eigen_ratio(ctx, m, ray):
@@ -140,7 +140,7 @@ def _quad_eigen_ratio(ctx, m, ray):
     if img[0] * ray[1] - img[1] * ray[0] != 0:
         return None
     for i in (0, 1):
-        if ray[i] != QuadExt.rational(0, ctx.d):
+        if ray[i] != QuadExt(0, 0, ctx.d):
             return img[i] / ray[i]
     return None
 
@@ -189,16 +189,24 @@ def test_unit_walk_matches_escalating_search(ell):
     assert res.filtered_out == filtered
 
 
-@pytest.mark.parametrize("ell", list(range(6, 30)) + [57, 93])
-def test_generator_is_the_fourth_power_of_the_unit(ell):
-    # eps^4 = u + b sqrt(l^2 - 1) for eps = l + sqrt(l^2 - 1) acts on (h1, h2)
-    # coordinates as ((u - l b, -b), (b, u + l b)); any other exponent is news
+def _eps4(ell):
+    """eps^4 = u + b sqrt(l^2 - 1) for eps = l + sqrt(l^2 - 1), acting on
+    (h1, h2) coordinates as ((u - l b, -b), (b, u + l b))."""
     d = ell * ell - 1
     u, b = 1, 0
     for _ in range(4):
         u, b = ell * u + d * b, u + ell * b
+    return ((u - ell * b, -b), (b, u + ell * b))
+
+
+ELLS = list(range(6, 30)) + [57, 93]
+
+
+@pytest.mark.parametrize("ell", ELLS)
+def test_generator_is_the_fourth_power_of_the_unit(ell):
+    # any other exponent is news
     g0 = _search(ell).g0.matrix
-    assert g0 == ((u - ell * b, -b), (b, u + ell * b)), (
+    assert g0 == _eps4(ell), (
         "news: at l = %d the generator %s is not eps^4" % (ell, g0))
 
 
@@ -342,6 +350,54 @@ def test_independent_class_scan_finds_planted_case():
     # with a much higher cap the slab must eventually contain h2
     wide = pell._independent_low_degree_classes(ctx, (1, 0), 25)
     assert (0, 1) in wide
+
+
+@pytest.mark.parametrize("ell", ELLS)
+def test_slab_of_each_orbit_class_is_the_image_of_h1s(ell):
+    # the slab scan at each orbit class is the oracle for the transport of
+    # h1's slab along the orbit that check_obstruction relies on
+    ctx = pell.build_context(ell)
+    lat, g0 = ctx.lattice, _search(ell).g0
+    slab = lattice_points(lat, ctx.anchor, range(1, pell.DEGREE_CAP), 0)
+    assert slab == [(1, 0), (2, 0), (3, 0)]
+    for k in range(-5, 6):
+        g = g0.power(k)
+        h = g.apply(ctx.anchor)
+        assert lattice_points(lat, h, range(1, pell.DEGREE_CAP), 0) == \
+            sorted(g.apply(c) for c in slab)
+
+
+def test_obstruction_scans_once_per_ell(monkeypatch):
+    calls = []
+    takahashi_obstruction = pell.takahashi_obstruction
+
+    def counted(ctx, h):
+        calls.append((ctx.ell, h))
+        return takahashi_obstruction(ctx, h)
+    monkeypatch.setattr(pell, "takahashi_obstruction", counted)
+    report = pell.full_section4_certificate(ell_range=[6, 7], k_bound=2)
+    assert report.ok
+    assert calls == [(6, (1, 0)), (7, (1, 0))]
+
+
+def test_planted_non_isometry_fails_the_orbit_items_by_name():
+    # eps^4 times a shear has det 1 but is no isometry; at l = 10^22 and
+    # k = 50 its orbit classes have norms far past the 4300-digit limit of
+    # int-to-str, so a failure must name each class as g0^k(h1)
+    ell = 10 ** 22
+    ctx = pell.build_context(ell)
+    (a, b), (c, d) = _eps4(ell)
+    bad = Isometry._trusted(ctx.lattice, ((a + b, b), (c + d, d)))
+    search = pell.GeneratorSearchResult(g0=bad, alpha=None, trace_a=None,
+                                        bound_used=None, accepted=[],
+                                        filtered_out=[])
+    run = pell.PellRun(ctx, k_bound=50, search=search)
+    items = run_suite([s for s in pell.SUITE
+                       if s[0] in ("lemma-4.7", "lemma-4.8")], run).items
+    assert [it.status for it in items] == [FAIL, FAIL]
+    for it in items:
+        assert "orbit class g0^50(h1) does not have norm 4" in it.details
+        assert "exception" not in it.details and len(it.details) < 10 ** 4
 
 
 def test_full_certificate_small_range():

@@ -132,7 +132,7 @@ def test_zsign_against_quadext_sign(pqd, den):
 
 
 def test_comparisons():
-    r = QuadExt.sqrt_of(2)
+    r = QuadExt(0, 1, 2)
     assert 1 < r < 2
     assert r <= r
     assert not (r > r)

@@ -154,7 +154,7 @@ def test_orbit(ctx):
 
 def test_swap_symmetry(ctx):
     # the L <-> M mirror context verifies identically
-    swapped = [quartic.swap_lm(v) for v in (quartic.F, quartic.E, quartic.V)]
+    swapped = [(x[0], x[2], x[1]) for x in (quartic.F, quartic.E, quartic.V)]
     assert swapped == [list(quartic.FP), list(quartic.EP), list(quartic.VP)] \
         or tuple(map(tuple, swapped)) == (quartic.FP, quartic.EP, quartic.VP)
 
