@@ -2,7 +2,7 @@
 
 Subcommands:
     verify all | quartic | pell [--ell N | --ell-range A..B] | weierstrass
-        [--k-bound K]      (0 <= K <= MAX_K_BOUND)
+        [--k-bound K]      (5 < N, A, B <= MAX_ELL; 0 <= K <= MAX_K_BOUND)
     enumerate sections [--n-bound K] | enumerate q   (1 <= K <= MAX_N_BOUND)
     reduce --class "x,y,z" [--basis HLM|fev]   (x in the closed positive cone)
     orbit --len K          (K <= MAX_ORBIT_LEN)
@@ -28,6 +28,10 @@ MAX_ORBIT_LEN = 12
 # lemmas 4.7 and 4.8 build the 2k + 1 powers g0^k, whose entries have about
 # 4 k log10(2 ell) digits; k = 50 takes ~0.1 s at ell = 7 and at ell = 100000
 MAX_K_BOUND = 50
+# the lemma-4.6 details print g0 = eps^4 and the scan's entry bound, about
+# 4 log10(2 ell) digits each: at ell = 10^1000 that is 4,001 digits, inside
+# the 4,300-digit limit of int-to-str conversion
+MAX_ELL = 10 ** 1000
 # the sections scan walks 2 box + 1 values of a, box = 10 n^2 + 20 n, and
 # solves each line for n exactly; the cap stays so the accepted range stays
 MAX_N_BOUND = 10
@@ -106,10 +110,14 @@ def cmd_verify(args, parser):
         ells = [args.ell]
     elif args.ell_range is not None:
         ells = _parse_ell_range(args.ell_range, parser)
-        if any(e <= 5 for e in ells):
+        if ells[0] <= 5:
             parser.error("--ell-range values must exceed 5")
     else:
         ells = range(6, 13)
+    if ells[-1] > MAX_ELL:
+        # a PellError, like any LatticeError, exits 2 with one stderr line
+        raise pell.PellError("--ell and the end of --ell-range must not "
+                             "exceed MAX_ELL = 10^1000")
     report = Report()
     if args.suite in ("all", "quartic"):
         report.extend(quartic.full_section3_certificate().items)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index, mul
 
 from .lattice import (
     IntegerLattice,
@@ -18,7 +19,6 @@ from .lattice import (
     adjugate,
     identity_matrix,
     mat_mul,
-    mat_transpose,
     mat_vec,
     det_int,
 )
@@ -34,19 +34,25 @@ class Isometry:
     matrix: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        try:
+            m = tuple(tuple(index(x) for x in row) for row in self.matrix)
+        except TypeError:
+            raise NotAnIsometry("matrix entries must be integers") from None
         object.__setattr__(self, "matrix", m)
-        n = self.lattice.rank
+        gram = self.lattice.gram
+        n = len(gram)
         if len(m) != n or any(len(r) != n for r in m):
             raise NotAnIsometry("matrix must be %dx%d" % (n, n))
-        a = self.lattice.gram
-        mtam = mat_mul(mat_transpose(m), mat_mul(a, m))
-        for i in range(n):
-            for j in range(n):
-                if mtam[i][j] != a[i][j]:
+        # entry (i, j) of M^T G M is the pairing c_i . (G c_j) of columns
+        cols = tuple(zip(*m))
+        gcols = [[sum(map(mul, row, c)) for row in gram] for c in cols]
+        for i, ci in enumerate(cols):
+            for j, gcj in enumerate(gcols):
+                e = sum(map(mul, ci, gcj))
+                if e != gram[i][j]:
                     raise NotAnIsometry(
                         "gram entry (%d,%d) not preserved: %d != %d"
-                        % (i, j, mtam[i][j], a[i][j]))
+                        % (i, j, e, gram[i][j]))
         if abs(det_int(m)) != 1:
             raise NotAnIsometry("determinant must be +-1")
 
@@ -91,6 +97,25 @@ class Isometry:
             base = compose(base, base)
             k >>= 1
         return out
+
+
+class PowerTable:
+    """The powers g^k of one isometry, each built once, on first read.
+
+    g^k for k > 0 is g^(k-1) g and g^-k is g^-(k-1) g^-1: one compose from
+    the neighbour toward k = 0, and one inverse for the whole table.  It
+    holds only the |k| read so far.
+    """
+
+    def __init__(self, g):
+        one = identity(g.lattice)
+        self._sides = ([one, g], [one, g.inverse()])
+
+    def __getitem__(self, k):
+        side = self._sides[k < 0]
+        while len(side) <= abs(k):
+            side.append(compose(side[-1], side[1]))
+        return side[abs(k)]
 
 
 def identity(lat):

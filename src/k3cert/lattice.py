@@ -32,15 +32,12 @@ class NotABasis(LatticeError):
 # small exact matrix helpers (rank is tiny, lists of lists are fine)
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a, x):
-    return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in a)
+    return tuple(sum(map(mul, row, x)) for row in a)
 
 
 def mat_transpose(a):
@@ -390,21 +387,25 @@ def _integer_roots(a, b, c, bound):
 
 def solve_norm_system(lat, constraints, norm, box):
     """All nonzero vectors x with |coords| <= box, (x, v_i) = c_i for every
-    constraint (v_i, c_i) and (x, x) = norm, in lexicographic order.
+    constraint (v_i, c_i) and (x, x) = norm, in lexicographic order.  norm
+    is one integer or a tuple of them; a tuple gives the vectors of every
+    listed norm, found in one walk.
 
     Only heads are scanned, never the whole box.  The first constraint
     whose pairing row r is nonzero pins a coordinate p with r_p != 0; the
     last remaining coordinate q carries a line, and the other n - 1 (no
     pin) or n - 2 coordinates form the head.  Each head fixes the scaled
     line s x = base + u d, with s = r_p and d = s e_q - r_q e_p under a pin
-    (s = 1 and d = e_q without), on which s^2 ((x, x) - norm) is the
-    quadratic (d, d) u^2 + 2 (base, d) u + (base, base) - s^2 norm; its
-    integer roots |u| <= box are solved exactly.  Every candidate is then
-    checked against every constraint and the norm.  A rank-n scan visits
-    (2 box + 1)^(n-1) heads, or (2 box + 1)^(n-2) under a constraint.
+    (s = 1 and d = e_q without), on which s^2 ((x, x) - t) is the
+    quadratic (d, d) u^2 + 2 (base, d) u + (base, base) - s^2 t; its
+    integer roots |u| <= box are solved exactly for each norm t.  Every
+    candidate is then checked against every constraint and its norm t.  A
+    rank-n scan visits (2 box + 1)^(n-1) heads, or (2 box + 1)^(n-2) under
+    a constraint.
     """
     if box < 1:
         raise LatticeError("box must be >= 1")
+    norms = set(norm) if isinstance(norm, tuple) else {norm}
     n = lat.rank
     gram = lat.gram
     rows = [(lat.pairing_row(v), c) for v, c in constraints]
@@ -424,16 +425,17 @@ def solve_norm_system(lat, constraints, norm, box):
         if pin:
             base[p] = c0 - sum(r[i] * h for i, h in zip(heads, head))
         gb = [sum(map(mul, row, base)) for row in gram]
-        bd, bb = sum(map(mul, gb, d)), sum(map(mul, gb, base))
-        for u in _integer_roots(dd, 2 * bd, bb - s * s * norm, box):
-            sx = [b + u * di for b, di in zip(base, d)]
-            if any(v % s for v in sx):
-                continue
-            x = tuple(v // s for v in sx)
-            if (any(x) and max(map(abs, x)) <= box
-                    and all(sum(map(mul, ri, x)) == ci for ri, ci in rows)
-                    and lat.norm(x) == norm):
-                out.append(x)
+        bd, bb = 2 * sum(map(mul, gb, d)), sum(map(mul, gb, base))
+        for t in norms:
+            for u in _integer_roots(dd, bd, bb - s * s * t, box):
+                sx = [b + u * di for b, di in zip(base, d)]
+                if any(v % s for v in sx):
+                    continue
+                x = tuple(v // s for v in sx)
+                if (any(x) and max(map(abs, x)) <= box
+                        and all(sum(map(mul, ri, x)) == ci for ri, ci in rows)
+                        and lat.norm(x) == t):
+                    out.append(x)
     out.sort()
     return out
 

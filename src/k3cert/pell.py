@@ -37,6 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lattice import (
+    DiscriminantGroup,
     IntegerLattice,
     LatticeError,
     discriminant_group,
@@ -44,7 +45,7 @@ from .lattice import (
     lattice_points,
     solve_norm_system,
 )
-from .isometry import Isometry, compose, discriminant_action, identity
+from .isometry import Isometry, PowerTable, discriminant_action
 from .quadfield import QuadExt, zsign
 from .report import FAIL, PASS, SKIPPED, Report, run_suite, verdict
 
@@ -60,6 +61,8 @@ class PellContext:
     anchor: tuple                  # h1
     v1: tuple = field(compare=False)  # coordinates as integer pairs (p, q)
     v2: tuple = field(compare=False)
+    # NS*/NS, built once per l for check_discriminant and isometry_search
+    disc: DiscriminantGroup = field(compare=False)
 
     @property
     def d(self):
@@ -76,7 +79,8 @@ def build_context(ell):
                          labels=("h1", "h2"))
     # -l + sqrt(l^2 - 1) is the pair (-l, 1)
     ctx = PellContext(ell=ell, lattice=lat, anchor=(1, 0),
-                      v1=((-ell, 1), (1, 0)), v2=((1, 0), (-ell, 1)))
+                      v1=((-ell, 1), (1, 0)), v2=((1, 0), (-ell, 1)),
+                      disc=discriminant_group(lat))
     for ray in (ctx.v1, ctx.v2):
         if _zinner(ctx, ray, ray) != (0, 0):
             raise PellError("boundary ray is not isotropic")
@@ -141,11 +145,13 @@ def check_representation(ctx, targets=(0, 2, -2), box=100):
         raise PellError("box must be >= 1")
     ell = ctx.ell
     problems = []
+    # one walk for every target, each x solved for y exactly; the first hit
+    # of a norm is its least (x, y)
+    hits = solve_norm_system(ctx.lattice, [], tuple(targets), box)
     for t in targets:
-        # each x solved for y exactly; the first hit is the least (x, y)
-        hits = solve_norm_system(ctx.lattice, [], t, box)
-        if hits:
-            problems.append("norm %d represented by %s" % (t, hits[0]))
+        first = next((x for x in hits if ctx.lattice.norm(x) == t), None)
+        if first is not None:
+            problems.append("norm %d represented by %s" % (t, first))
     # structural route: the norm form is 4((x + l y)^2 - (l^2-1) y^2), so 4
     # divides every value (rules out +-2), and value 0 would force the Pell
     # conic (x + l y)^2 = (l^2 - 1) y^2 with irrational sqrt(l^2 - 1)
@@ -164,7 +170,7 @@ def check_representation(ctx, targets=(0, 2, -2), box=100):
 
 
 def check_discriminant(ctx):
-    disc = discriminant_group(ctx.lattice)
+    disc = ctx.disc
     want = (4, 4 * ctx.d)
     problems = []
     if disc.invariant_factors != want:
@@ -231,6 +237,11 @@ class GeneratorSearchResult:
     bound_used: int
     accepted: list
     filtered_out: list  # (matrix, reason)
+    # the powers g0^k that the generator, alpha and orbit checks read
+    powers: PowerTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.powers = PowerTable(self.g0)
 
 
 def _pell_columns(ell, bound):
@@ -326,7 +337,7 @@ def isometry_search(ctx, entry_bound=300):
     """
     if entry_bound < 1:
         raise PellError("entry_bound must be >= 1")
-    disc = discriminant_group(ctx.lattice)
+    disc = ctx.disc
     walked = _unit_walk(ctx, disc)
     if walked is None:
         raise PellError("the unit walk found no accepted generator with "
@@ -352,10 +363,11 @@ def isometry_search(ctx, entry_bound=300):
         raise PellError("an accepted isometry with alpha > 1 fits within "
                         "entry bound %d" % (bound // 2))
     a = g0.matrix[0][0] + g0.matrix[1][1]
-    _check_generator(ctx, g0, alpha, a, accepted)
-    return GeneratorSearchResult(g0=g0, alpha=alpha, trace_a=a,
-                                 bound_used=bound, accepted=accepted,
-                                 filtered_out=filtered)
+    res = GeneratorSearchResult(g0=g0, alpha=alpha, trace_a=a,
+                                bound_used=bound, accepted=accepted,
+                                filtered_out=filtered)
+    _check_generator(ctx, res)
+    return res
 
 
 def _raw_isometries(ctx, bound):
@@ -373,7 +385,8 @@ def _raw_isometries(ctx, bound):
     return out
 
 
-def _check_generator(ctx, g0, alpha, a, accepted):
+def _check_generator(ctx, res):
+    g0, alpha, a = res.g0, res.alpha, res.trace_a
     if g0.det() != 1:
         raise PellError("generator has determinant %d" % g0.det())
     if a < 3:
@@ -389,22 +402,24 @@ def _check_generator(ctx, g0, alpha, a, accepted):
     if beta is None or _zmul((p, q), beta[:2], d) != (n * beta[2], 0):
         raise PellError("alpha * beta != 1")
     # every accepted candidate must be a power of g0 within the search range
-    for g, lam in accepted:
-        if not _is_power_of(g0, g):
+    for g, lam in res.accepted:
+        if not _is_power_of(res.powers, g):
             raise PellError("accepted candidate %s is not a power of the "
                             "generator" % (g.matrix,))
 
 
-def _is_power_of(g0, g, cap=64):
+def _is_power_of(powers, g, cap=64):
+    """Whether g is g0^k for some |k| < cap, read off the power table of g0.
+    Each side stops at the first power with an entry beyond g's largest; a
+    miss fails the search, so the stop never admits a candidate."""
     limit = _max_entry(g.matrix)
-    for base in (g0, g0.inverse()):
-        acc = identity(g0.lattice)
-        for _ in range(cap):
-            if acc.matrix == g.matrix:
+    for sign in (1, -1):
+        for k in range(cap):
+            h = powers[sign * k]
+            if h.matrix == g.matrix:
                 return True
-            if _max_entry(acc.matrix) > limit:
+            if _max_entry(h.matrix) > limit:
                 break
-            acc = compose(acc, base)
     return False
 
 
@@ -442,15 +457,14 @@ def check_generator(run):
 def check_alpha_homomorphism(run, n_bound=5):
     if run.search is None:
         return NO_GENERATOR
-    ctx, g0 = run.ctx, run.search.g0
+    ctx, powers = run.ctx, run.search.powers
     d = ctx.d
     # alpha = (ap + aq sqrt(d)) / an, and lam = (p + q sqrt(d)) / m equals
     # num / den exactly when (p + q sqrt(d)) den = m num
     ap, aq, an = _as_triple(run.search.alpha)
     problems = []
     for n in range(-n_bound, n_bound + 1):
-        gn = g0.power(n)
-        lam = _eigen_ratio(ctx, gn.matrix, ctx.v1)
+        lam = _eigen_ratio(ctx, powers[n].matrix, ctx.v1)
         if lam is None:
             problems.append("g0^%d does not fix the v1 ray" % n)
             continue
@@ -463,7 +477,7 @@ def check_alpha_homomorphism(run, n_bound=5):
             problems.append("alpha(g0^%d) = 1 with n != 0" % n)
     if _zpow((ap, aq), 0, d) != (1, 0):
         problems.append("alpha^0 != 1")
-    lam = _eigen_ratio(ctx, g0.inverse().matrix, ctx.v1)
+    lam = _eigen_ratio(ctx, powers[-1].matrix, ctx.v1)
     if lam is None or _zmul(lam[:2], (ap, aq), d) != (lam[2] * an, 0):
         problems.append("alpha(g0^-1) is not the conjugate root")
     # monotonicity of the largest root in the trace: for a1 < a2 the value
@@ -491,7 +505,7 @@ def enumerate_H_orbit(ctx, res, k_bound=5):
     orbit = []
     problems = []
     for k in range(-k_bound, k_bound + 1):
-        h = res.g0.power(k).apply(ctx.anchor)
+        h = res.powers[k].apply(ctx.anchor)
         orbit.append(h)
         if lat.norm(h) != 4:
             problems.append("orbit class g0^%d(h1) does not have norm 4" % k)

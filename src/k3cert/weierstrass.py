@@ -18,7 +18,6 @@ measures which convention holds and reports it rather than assuming one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -71,9 +70,19 @@ class WeierstrassCurve:
             raise CurveError("curve y^2 = x^3 + px + q is singular")
 
     def contains(self, pt):
+        """y^2 = x^3 + p x + q with every denominator cleared, so no gcd is
+        taken: for x = a/b, y = c/e, p = P/Q and q = R/S it reads
+        c^2 b^3 Q S = e^2 (a^3 Q S + P a b^2 S + R b^3 Q)."""
         if pt.at_infinity:
             return True
-        return pt.y ** 2 == pt.x ** 3 + self.p * pt.x + self.q
+        a, b = pt.x.numerator, pt.x.denominator
+        c, e = pt.y.numerator, pt.y.denominator
+        P, Q = self.p.numerator, self.p.denominator
+        R, S = self.q.numerator, self.q.denominator
+        b2 = b * b
+        b3 = b2 * b
+        return c * c * b3 * Q * S == e * e * (a * a * a * Q * S
+                                              + P * a * b2 * S + R * b3 * Q)
 
     def neg(self, pt):
         if pt.at_infinity:
@@ -276,9 +285,21 @@ def check_group_law_oracle():
     if chord_tangent_add(e, p, e.neg(p)) != O:
         problems.append("P + (-P) != O")
     # associativity and commutativity on triples from a cyclic subgroup;
-    # points are frozen, so each sum is computed once
+    # each sum is computed once, memoized by the integer numerators and
+    # denominators of its summands (hashing a Fraction takes a modular
+    # inverse)
     e2 = WeierstrassCurve(0, 17)
-    add = functools.cache(lambda p, q: chord_tangent_add(e2, p, q))
+    sums = {}
+
+    def key(pt):
+        return None if pt.at_infinity else (
+            pt.x.numerator, pt.x.denominator, pt.y.numerator, pt.y.denominator)
+
+    def add(p, q):
+        k = key(p), key(q)
+        if k not in sums:
+            sums[k] = chord_tangent_add(e2, p, q)
+        return sums[k]
     pts = [O] + multiples(e2, CurvePoint.affine(2, 5), 6)
     triples = 0
     for a in pts:

@@ -13,8 +13,10 @@ from k3cert.lattice import discriminant_group
 from k3cert.report import DISCREPANCY, PASS
 
 
-REFERENCE = (Path(__file__).resolve().parents[1]
-             / "bench" / "reference" / "certificate.json")
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "bench" / "reference" / "certificate.json"
+# verify pell --ell N --json for the pell-sweep l = 6..29, 57 and 93
+PELL_REFERENCE = ROOT / "tests" / "reference" / "pell-sweep.json"
 
 
 @pytest.fixture(scope="module")
@@ -152,10 +154,24 @@ def test_criterion_9_report_determinism(tmp_path):
     for path in paths:
         assert cli.main(["verify", "all", "--json", str(path)]) == 0
 
-    def normalized(path):
-        obj = json.loads(path.read_text())
-        for item in obj["items"]:
-            del item["elapsed_ms"]
-        return obj
+    assert _normalized(paths[0]) == _normalized(paths[1]) == reference
 
-    assert normalized(paths[0]) == normalized(paths[1]) == reference
+
+def _normalized(path):
+    """A written report without the run-dependent elapsed_ms."""
+    obj = json.loads(path.read_text())
+    for item in obj["items"]:
+        del item["elapsed_ms"]
+    return obj
+
+
+def test_criterion_10_pell_sweep_reports(tmp_path):
+    # the stored golden reports, read and never written here
+    reference = json.loads(PELL_REFERENCE.read_text())
+    assert [r["ell"] for r in reference] == list(range(6, 30)) + [57, 93]
+    path = tmp_path / "pell.json"
+    for entry in reference:
+        ell = entry["ell"]
+        assert cli.main(["verify", "pell", "--ell", str(ell),
+                         "--json", str(path)]) == 0
+        assert _normalized(path) == entry["report"], "ell=%d" % ell

@@ -96,6 +96,27 @@ def test_verify_pell_at_the_largest_k_bound(ell, capsys):
     assert "6 pass, 0 fail" in capsys.readouterr().out
 
 
+def test_verify_pell_at_the_largest_ell(capsys):
+    # g0 = eps^4 and the entry bound print in full, 4,001 digits at the cap
+    code, out, err = _call(["verify", "pell", "--ell", str(cli.MAX_ELL)],
+                           capsys)
+    assert code == 0 and err == ""
+    assert "6 pass, 0 fail" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ell", str(cli.MAX_ELL + 1)],
+    ["--ell", str(10 ** 1100)],
+    ["--ell-range", "6..%d" % (cli.MAX_ELL + 1)],
+    ["--ell-range", "%d..%d" % (cli.MAX_ELL, cli.MAX_ELL + 1)],
+])
+def test_verify_pell_above_the_largest_ell_exit_2(argv, capsys):
+    # one stderr line and no report, before any lattice work starts
+    code, out, err = _call(["verify", "pell"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "MAX_ELL" in err
+
+
 def test_verify_pell_bad_ell_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "pell", "--ell", "3"])

@@ -137,6 +137,88 @@ def test_integer_inverse_against_fraction_elimination(ell, data):
         doubled.inverse()
 
 
+@pytest.mark.parametrize("matrix", [
+    ((Fraction(3, 2), 0, 0), (0, Fraction(19, 10), 0), (0, 0, 1)),
+    ((Fraction(3, 2), 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1.9, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1.0, 0), (0, 0, 1)),
+    ((Fraction(1), 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, "1", 0), (0, 0, 1)),
+])
+def test_rejects_non_integer_entries(hlm, matrix):
+    # entries are never truncated: int(3/2) and int(1.9) would read as the
+    # identity, so only exact ints pass, whatever value they stand for
+    with pytest.raises(NotAnIsometry, match="integers"):
+        Isometry(hlm, matrix)
+
+
+def test_rejects_a_shear_of_the_hyperbolic_plane():
+    # det 1 and (c_1, c_1), (c_1, c_2) preserved: only the last diagonal
+    # entry of M^T G M, (c_2, c_2) = 2 != 0, tells it from an isometry
+    u = IntegerLattice(gram=((0, 1), (1, 0)))
+    with pytest.raises(NotAnIsometry, match=r"entry \(1,1\).*2 != 0"):
+        Isometry(u, ((1, 1), (0, 1)))
+
+
+def _preserves_gram_literally(gram, m):
+    """M^T G M = G as the triple sums sum_kl m_ki g_kl m_lj, and |det M| = 1
+    from sympy: the oracle for the checked constructor."""
+    n = len(gram)
+    return all(sum(m[k][i] * gram[k][l] * m[l][j]
+                   for k in range(n) for l in range(n)) == gram[i][j]
+               for i in range(n) for j in range(n)) \
+        and abs(sympy.Matrix(m).det()) == 1
+
+
+def _isometry_words():
+    """Products of known isometries of the (H, L, M), (f, e, v), Pell l = 7
+    and hyperbolic-plane lattices, as (gram, matrix) pairs.  On the
+    hyperbolic plane the shear ((1, 1), (0, 1)), one perturbation away from
+    the identity, changes only the entry (2, 2) of M^T G M."""
+    fev = IntegerLattice(gram=GRAM_FEV, labels=("f", "e", "v"))
+    u = IntegerLattice(gram=((0, 1), (1, 0)))
+    gen_sets = [
+        _quartic_generators(),
+        [mw_translation(fev, 1), mw_translation(fev, -2),
+         Isometry(fev, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))],
+        _pell_generators(7),
+        [Isometry(u, ((0, 1), (1, 0))), Isometry(u, ((-1, 0), (0, -1)))],
+    ]
+    return st.sampled_from(gen_sets).flatmap(
+        lambda gens: st.lists(st.sampled_from(gens), max_size=4).map(
+            lambda word: (gens[0].lattice.gram,
+                          _product(gens[0].lattice, word).matrix)))
+
+
+def _random_matrices():
+    """Small integer matrices of the right size for the same lattices."""
+    grams = (GRAM_HLM, GRAM_FEV, ((4, 28), (28, 4)), ((-2, 1), (1, -2)))
+    return st.sampled_from(grams).flatmap(lambda gram: st.tuples(
+        st.just(gram),
+        st.lists(st.lists(st.integers(-2, 2), min_size=len(gram),
+                          max_size=len(gram)),
+                 min_size=len(gram), max_size=len(gram))))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(_isometry_words(), _random_matrices()), st.data())
+def test_constructor_against_the_literal_check(pair, data):
+    gram, m = pair
+    m = [list(row) for row in m]
+    if data.draw(st.booleans(), label="perturb"):
+        i = data.draw(st.integers(0, len(m) - 1))
+        j = data.draw(st.integers(0, len(m) - 1))
+        m[i][j] += data.draw(st.sampled_from((-1, 1)))
+    lat = IntegerLattice(gram=gram)
+    want = _preserves_gram_literally(gram, m)
+    try:
+        g = Isometry(lat, m)
+    except NotAnIsometry:
+        assert not want
+    else:
+        assert want and g.matrix == tuple(map(tuple, m))
+
+
 def test_compose_order(fev):
     # compose(p, q) applies q first: matrices multiply as p @ q
     t = mw_translation(fev, 1)

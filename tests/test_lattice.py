@@ -339,9 +339,9 @@ def literal_box_scan(gram, constraints, norm, box):
             and pair(x, x) == norm]
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.data())
-def test_solve_norm_system_against_the_literal_scan(data):
+def _draw_norm_system(data):
+    """A random even lattice of rank 1-4, a box, a point in it, and 0-2
+    constraints, which pass through the point when from_point is drawn."""
     n = data.draw(st.integers(1, 4), label="rank")
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -367,9 +367,54 @@ def test_solve_norm_system_against_the_literal_scan(data):
         c = lat.inner(point, v) if from_point else data.draw(
             st.integers(-6, 6))
         constraints.append((v, c))
+    return lat, constraints, box, point, from_point
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_solve_norm_system_against_the_literal_scan(data):
+    lat, constraints, box, point, from_point = _draw_norm_system(data)
     norm = lat.norm(point) if from_point else 2 * data.draw(st.integers(-4, 4))
     assert solve_norm_system(lat, constraints, norm, box) == \
-        literal_box_scan(gram, constraints, norm, box)
+        literal_box_scan(lat.gram, constraints, norm, box)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_multi_norm_walk_against_one_walk_per_norm(data):
+    # one walk for a tuple of norms finds what one walk per norm and the
+    # literal box scan per norm find, merged in lexicographic order
+    lat, constraints, box, point, from_point = _draw_norm_system(data)
+    norms = tuple(data.draw(st.lists(st.integers(-8, 8), min_size=1,
+                                     max_size=4), label="norms"))
+    if from_point:
+        norms += (lat.norm(point),)
+    together = solve_norm_system(lat, constraints, norms, box)
+    assert together == sorted(
+        x for t in set(norms) for x in solve_norm_system(lat, constraints, t,
+                                                         box))
+    assert together == sorted(
+        x for t in set(norms)
+        for x in literal_box_scan(lat.gram, constraints, t, box))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_matrix_kernels_against_index_loops(data):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    entries = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                        st.fractions(max_denominator=7))
+
+    def matrix(rows, cols):
+        return tuple(tuple(data.draw(entries) for _ in range(cols))
+                     for _ in range(rows))
+
+    a, b, x = matrix(n, k), matrix(k, m), matrix(1, k)[0]
+    assert mat_mul(a, b) == tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
+        for i in range(n))
+    assert mat_vec(a, x) == tuple(sum(a[i][t] * x[t] for t in range(k))
+                                  for i in range(n))
 
 
 def test_solve_pairing_norm_complete(lat3):

@@ -1,11 +1,12 @@
 import functools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3cert import cli, pell
+from k3cert import cli, isometry, pell
 from k3cert.isometry import Isometry, discriminant_action
 from k3cert.lattice import discriminant_group, lattice_points
 from k3cert.quadfield import QuadExt, zsign
@@ -66,6 +67,25 @@ def test_representation_failure_names_the_first_hit(ell):
             for t in targets if hits[t]]
     assert want and all(not hits[t] for t in (0, 2, -2))
     assert pell.check_representation(ctx, targets=targets, box=50) == \
+        (FAIL, "; ".join(want))
+
+
+@pytest.mark.parametrize("ell", [6, 29])
+def test_representation_names_the_first_hit_of_each_norm(ell):
+    # one walk serves every target: each represented norm names its own
+    # least (x, y), in the order of the targets
+    ctx = pell.build_context(ell)
+    targets = (36, 0, 4, 16)
+    hits = {t: [] for t in targets}
+    for x in range(-20, 21):
+        for y in range(-20, 21):
+            n = 4 * x * x + 8 * ell * x * y + 4 * y * y
+            if (x, y) != (0, 0) and n in hits:
+                hits[n].append((x, y))
+    want = ["norm %d represented by %s" % (t, hits[t][0])
+            for t in targets if hits[t]]
+    assert len(want) == 3 and len({w.split(" by ")[1] for w in want}) == 3
+    assert pell.check_representation(ctx, targets=targets, box=20) == \
         (FAIL, "; ".join(want))
 
 
@@ -208,6 +228,33 @@ def test_generator_is_the_fourth_power_of_the_unit(ell):
     g0 = _search(ell).g0.matrix
     assert g0 == _eps4(ell), (
         "news: at l = %d the generator %s is not eps^4" % (ell, g0))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.one_of(st.just(10 ** 22), st.integers(6, 10 ** 6)),
+       st.permutations(range(-50, 51)))
+def test_power_table_against_binary_powers(ell, order):
+    # read in a random order, each entry equals the binary exponentiation;
+    # reading |k| <= 50 costs 98 composes and one inverse
+    g0 = Isometry(pell.build_context(ell).lattice, _eps4(ell))
+    calls = {"compose": 0, "inverse": 0}
+    compose, inverse = isometry.compose, Isometry.inverse
+
+    def counted_compose(p, q):
+        calls["compose"] += 1
+        return compose(p, q)
+
+    def counted_inverse(g):
+        calls["inverse"] += 1
+        return inverse(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isometry, "compose", counted_compose)
+        mp.setattr(Isometry, "inverse", counted_inverse)
+        table = isometry.PowerTable(g0)
+        got = {k: table[k] for k in order}
+    assert calls == {"compose": 98, "inverse": 1}
+    for k in order:
+        assert got[k].matrix == g0.power(k).matrix
 
 
 def test_search_gives_up_after_its_unit_powers(ctx6, monkeypatch):
@@ -380,6 +427,28 @@ def test_obstruction_scans_once_per_ell(monkeypatch):
     assert calls == [(6, (1, 0)), (7, (1, 0))]
 
 
+def test_one_discriminant_group_and_one_box_walk_per_ell(monkeypatch):
+    # lemmas 4.4 and 4.6 share the context's NS*/NS, and lemma 4.4 finds
+    # the norms 0, 2 and -2 in one walk of its box
+    discs, walks = [], []
+    discriminant_group, solve_norm_system = (pell.discriminant_group,
+                                             pell.solve_norm_system)
+
+    def counted_disc(lat):
+        discs.append(lat.gram[0][1] // 4)
+        return discriminant_group(lat)
+
+    def counted_walk(lat, constraints, norm, box):
+        walks.append((lat.gram[0][1] // 4, norm))
+        return solve_norm_system(lat, constraints, norm, box)
+    monkeypatch.setattr(pell, "discriminant_group", counted_disc)
+    monkeypatch.setattr(pell, "solve_norm_system", counted_walk)
+    report = pell.full_section4_certificate(ell_range=[6, 7], k_bound=2)
+    assert report.ok
+    assert discs == [6, 7]
+    assert walks == [(6, (0, 2, -2)), (7, (0, 2, -2))]
+
+
 def test_planted_non_isometry_fails_the_orbit_items_by_name():
     # eps^4 times a shear has det 1 but is no isometry; at l = 10^22 and
     # k = 50 its orbit classes have norms far past the 4300-digit limit of
@@ -430,12 +499,14 @@ def test_search_crash_fails_only_its_item(monkeypatch):
 
 
 def test_check_generator_rejects_a_wrong_alpha(ctx6, res6):
-    g0, alpha, a = res6.g0, res6.alpha, res6.trace_a
-    pell._check_generator(ctx6, g0, alpha, a, res6.accepted)
+    alpha, a = res6.alpha, res6.trace_a
+    pell._check_generator(ctx6, res6)
     with pytest.raises(pell.PellError, match="does not satisfy"):
-        pell._check_generator(ctx6, g0, alpha + 1, a, [])
+        pell._check_generator(ctx6, replace(res6, alpha=alpha + 1,
+                                            accepted=[]))
     with pytest.raises(pell.PellError, match="does not satisfy"):
-        pell._check_generator(ctx6, g0, alpha, a + 2, [])
+        pell._check_generator(ctx6, replace(res6, trace_a=a + 2, accepted=[]))
     # the conjugate root satisfies the quadratic but is 1 / alpha
     with pytest.raises(pell.PellError, match="alpha \\* beta"):
-        pell._check_generator(ctx6, g0, alpha.conjugate(), a, [])
+        pell._check_generator(ctx6, replace(res6, alpha=alpha.conjugate(),
+                                            accepted=[]))

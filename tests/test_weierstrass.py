@@ -175,3 +175,34 @@ def test_apply_on_the_excluded_line_is_a_curve_error(a, b, t):
     # check_restriction skips such points by catching CurveError
     with pytest.raises(w.CurveError, match="undefined"):
         w.translation_map(a, b).apply(w.CurvePoint.affine(a, t))
+
+
+def _contains_by_fractions(e, pt):
+    """The curve equation in Fraction arithmetic: the oracle for the
+    gcd-free contains."""
+    return pt.y ** 2 == pt.x ** 3 + e.p * pt.x + e.q
+
+
+@settings(deadline=None, max_examples=200)
+@given(fractions, fractions, fractions, st.one_of(st.just(0), fractions))
+def test_contains_against_fraction_arithmetic(p, x, y, shift):
+    # q puts (x, y) on the curve; a nonzero shift of y takes it off
+    q = y * y - x ** 3 - p * x
+    assume(4 * p ** 3 + 27 * q ** 2 != 0)
+    e = curve(p, q)
+    for pt in (w.CurvePoint.affine(x, y), w.CurvePoint.affine(x, y + shift)):
+        assert e.contains(pt) == _contains_by_fractions(e, pt)
+    assert e.contains(w.CurvePoint.affine(x, y))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(w._TEST_CURVES), st.integers(1, 42), fractions)
+def test_contains_at_large_heights(test_curve, k, shift):
+    # multiples of the base point have numerators of hundreds of digits
+    p, q, base, _ = test_curve
+    e = curve(p, q)
+    pt = w.multiples(e, w.CurvePoint.affine(*base), k)[-1]
+    assume(not pt.at_infinity)
+    assert e.contains(pt) and _contains_by_fractions(e, pt)
+    off = w.CurvePoint.affine(pt.x, pt.y + shift)
+    assert e.contains(off) == _contains_by_fractions(e, off) == (shift == 0)
