@@ -2,7 +2,8 @@
 
 Subcommands:
     verify all | quartic | pell [--ell N | --ell-range A..B] | weierstrass
-        [--k-bound K]      (5 < N, A, B <= MAX_ELL; 0 <= K <= MAX_K_BOUND)
+        [--k-bound K]      (5 < N, A, B <= MAX_ELL; B - A < MAX_ELL_COUNT;
+                            0 <= K <= MAX_K_BOUND)
     enumerate sections [--n-bound K] | enumerate q   (1 <= K <= MAX_N_BOUND)
     reduce --class "x,y,z" [--basis HLM|fev]   (x in the closed positive cone)
     orbit --len K          (K <= MAX_ORBIT_LEN)
@@ -32,6 +33,9 @@ MAX_K_BOUND = 50
 # 4 log10(2 ell) digits each: at ell = 10^1000 that is 4,001 digits, inside
 # the 4,300-digit limit of int-to-str conversion
 MAX_ELL = 10 ** 1000
+# each ell takes a few ms at small ell (6..200 in about 1.4 s) and every item
+# is held until the report prints, so a range runs at most this many ell
+MAX_ELL_COUNT = 10_000
 # the sections scan walks 2 box + 1 values of a, box = 10 n^2 + 20 n, and
 # solves each line for n exactly; the cap stays so the accepted range stays
 MAX_N_BOUND = 10
@@ -118,6 +122,10 @@ def cmd_verify(args, parser):
         # a PellError, like any LatticeError, exits 2 with one stderr line
         raise pell.PellError("--ell and the end of --ell-range must not "
                              "exceed MAX_ELL = 10^1000")
+    # the count from the ends: len() of a huge range overflows
+    if ells[-1] - ells[0] + 1 > MAX_ELL_COUNT:
+        raise pell.PellError("--ell-range must not hold more than "
+                             "MAX_ELL_COUNT = %d values" % MAX_ELL_COUNT)
     report = Report()
     if args.suite in ("all", "quartic"):
         report.extend(quartic.full_section3_certificate().items)
@@ -137,7 +145,7 @@ def list_sections(ctx, n_bound):
 
 
 def list_q(ctx):
-    q = quartic.enumerate_Q_bruteforce(ctx)
+    q = list(ctx.q_classes)
     kinds = {a: quartic.classify_polarization(ctx, a) for a in q}
     return PASS, "Q = %s; classifications: %s" % (q, kinds)
 

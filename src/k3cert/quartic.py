@@ -95,6 +95,12 @@ class QuarticContext:
                     mat_mul(iso.matrix, self.to_fev_transform))
         return Isometry(self.lattice_fev, m)
 
+    @functools.cached_property
+    def q_classes(self):
+        """Q of lemma 3.9 by the box scan, walked on first use and kept:
+        lemmas 3.9 and 3.10 and `enumerate q` read it here."""
+        return tuple(enumerate_Q_bruteforce(self))
+
 
 @functools.cache
 def build_context():
@@ -440,7 +446,7 @@ def enumerate_Q_bound_argument(ctx):
 def check_lemma39(ctx):
     expected = sorted([H, (2, -1, -1), (3, -3, 1), (3, 1, -3)])
     problems = []
-    brute = enumerate_Q_bruteforce(ctx)
+    brute = list(ctx.q_classes)
     bound = enumerate_Q_bound_argument(ctx)
     if brute != bound:
         problems.append("routes disagree: brute %s vs bound %s" % (brute, bound))
@@ -518,7 +524,7 @@ def check_lemma310(ctx, rounds=100, seed=2024):
                             % (p, word))
             break
     # classes already reduced stay put
-    for q in enumerate_Q_bruteforce(ctx):
+    for q in ctx.q_classes:
         if reduce_to_chamber(ch, q).word != ():
             problems.append("reduced class %s moved" % (q,))
     return verdict(problems, "%d randomized interior round trips recover "

@@ -24,7 +24,7 @@ class ReportItem:
     status: str
     details: str
     paper_ref: str = ""
-    elapsed_ms: int = 0
+    elapsed_ms: float = 0.0     # milliseconds, to the microsecond
 
     def to_json(self):
         return {"id": self.id, "status": self.status, "details": self.details,
@@ -90,14 +90,15 @@ def _crash_site(exc):
 
 
 def timed_item(id, paper_ref, fn):
-    """Run fn() -> (status, details) and wrap it with timing."""
+    """Run fn() -> (status, details) and wrap it with its time in
+    milliseconds, rounded to the microsecond."""
     t0 = time.perf_counter_ns()
     try:
         status, details = fn()
     except Exception as exc:  # defensive: a crash is a failure, not an abort
         status, details = FAIL, "exception %s at %s: %s" % (
             type(exc).__name__, _crash_site(exc), exc)
-    ms = (time.perf_counter_ns() - t0) // 1_000_000
+    ms = round((time.perf_counter_ns() - t0) / 1e6, 3)
     return ReportItem(id=id, status=status, details=details,
                       paper_ref=paper_ref, elapsed_ms=ms)
 

@@ -1,15 +1,21 @@
 """Elliptic-curve group law and plane translation maps, exactly.
 
-The chord-tangent addition over Q (Fractions) is the independent oracle.
+The chord-tangent addition is the independent oracle.  It works on the
+integer numerators and denominators of its summands and reduces the slope
+and each coordinate of the sum once, by one gcd each.  A SumTable holds the
+sums of one curve, each computed once and keyed by those integers; the
+sample multiples, the restriction check and the group-law oracle read it.
 The translation-by-(a, b) formulas
     s' = ((t - b)/(s - a))^2 - s - a,
     t' = ((t - b)/(s - a)) (s' - a) + b
 are written once, in translate, and evaluated over Fractions at points and
 over sympy's sparse rational-function field K = Q(s, t, a, b), where
-equality is exact, for identities.  Elimination shows the inverse is the
-same formula; the involution identity is proved in K, generically in
-(a, b) and for each concrete translation point.  Finite automorphisms
-are checked on their exponents in mu_12, so sympy serves only K.
+equality is exact, for identities.  K is built as the fraction field of
+Z[s, t, a, b] (the same field), so its gcds run over the integers; Fraction
+translation points still coerce into it.  Elimination shows the inverse is
+the same formula; the involution identity is proved in K, generically in
+(a, b) and for each concrete translation point.  Finite automorphisms are
+checked on their exponents in mu_12, so sympy serves only K.
 
 Note the second displayed formula has no final negation, so on the curve
 the map may realize P + (a, b) or -(P + (a, b)); restriction_agreement
@@ -22,13 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from sympy import QQ
+from sympy import ZZ
 from sympy.polys.fields import field
 
 from .report import run_suite, verdict
 
-# the rational-function field Q(s, t, a, b) of the identity checks
-K, S, T, A, B = field("s,t,a,b", QQ)
+# the rational-function field Q(s, t, a, b) of the identity checks, as the
+# fraction field of Z[s, t, a, b]
+K, S, T, A, B = field("s,t,a,b", ZZ)
 
 
 class CurveError(ValueError):
@@ -90,8 +97,19 @@ class WeierstrassCurve:
         return CurvePoint.affine(pt.x, -pt.y)
 
 
+def _parts(pt):
+    """The integers a, b, c, e of an affine point (a/b, c/e)."""
+    return pt.x.numerator, pt.x.denominator, pt.y.numerator, pt.y.denominator
+
+
 def chord_tangent_add(curve, p1, p2):
-    """Standard group law with O at infinity; exact Fractions throughout."""
+    """Standard group law with O at infinity, exactly.
+
+    With x_i = a_i/b_i and y_i = c_i/e_i in lowest terms, the slope is
+    reduced once, then x3 = lam^2 - x1 - x2 and y3 = lam (x2 - x3) - y2 are
+    each one integer fraction reduced once; the line through both summands
+    gives y3 from either, and p2, the fixed summand of a chain of
+    multiples, keeps its numbers small."""
     for pt in (p1, p2):
         if not curve.contains(pt):
             raise CurveError("point %s is not on the curve" % (pt,))
@@ -99,25 +117,61 @@ def chord_tangent_add(curve, p1, p2):
         return p2
     if p2.at_infinity:
         return p1
-    if p1.x == p2.x:
-        if p1.y == -p2.y:
+    a1, b1, c1, e1 = _parts(p1)
+    a2, b2, c2, e2 = _parts(p2)
+    if a1 == a2 and b1 == b2:
+        if c1 == -c2:  # on the curve y2 = +-y1, so e1 = e2
             return O
-        # doubling
-        slope = (3 * p1.x ** 2 + curve.p) / (2 * p1.y)
+        # doubling: lam = (3 x1^2 + p) / (2 y1), p = P/Q
+        P, Q = curve.p.numerator, curve.p.denominator
+        num = (3 * a1 * a1 * Q + P * b1 * b1) * e1
+        den = 2 * c1 * b1 * b1 * Q
     else:
-        slope = (p2.y - p1.y) / (p2.x - p1.x)
-    x3 = slope ** 2 - p1.x - p2.x
-    y3 = slope * (p1.x - x3) - p1.y
-    return CurvePoint.affine(x3, y3)
+        num = (c2 * e1 - c1 * e2) * b1 * b2
+        den = (a2 * b1 - a1 * b2) * e1 * e2
+    # a negative den is fine: x3 reads den^2, and y3's Fraction fixes signs
+    g = gcd(num, den)
+    num //= g
+    den //= g
+    den2 = den * den
+    x3 = Fraction(num * num * b1 * b2 - den2 * (a1 * b2 + a2 * b1),
+                  den2 * b1 * b2)
+    a3, b3 = x3.numerator, x3.denominator
+    y3 = Fraction(num * (a2 * b3 - a3 * b2) * e2 - c2 * den * b2 * b3,
+                  den * b2 * b3 * e2)
+    return CurvePoint(x3, y3)
 
 
-def multiples(curve, base, count):
-    """base, 2*base, ..., count*base (entries may include O)."""
+def _key(pt):
+    """A point as integers: hashing a Fraction takes a modular inverse."""
+    return None if pt.at_infinity else _parts(pt)
+
+
+class SumTable:
+    """The sums p + q on one curve, each computed once by chord_tangent_add
+    and kept under the integer numerators and denominators of (p, q).  The
+    key is ordered, so p + q and q + p are computed separately."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self._sums = {}
+
+    def add(self, p, q):
+        k = _key(p), _key(q)
+        total = self._sums.get(k)
+        if total is None:
+            total = self._sums[k] = chord_tangent_add(self.curve, p, q)
+        return total
+
+
+def multiples(sums, base, count):
+    """base, 2*base, ..., count*base (entries may include O), each step a sum
+    read from the table."""
     out = []
     acc = base
     for _ in range(count):
         out.append(acc)
-        acc = chord_tangent_add(curve, acc, base)
+        acc = sums.add(acc, base)
     return out
 
 
@@ -215,13 +269,15 @@ def finite_automorphism(d, p, q):
 
 # ---------------------------------------------------------------------------
 
-def restriction_agreement(curve, ab, samples):
-    """Measure whether the plane map restricted to the curve is P + (a, b)
-    or -(P + (a, b)), uniformly over the samples.
+def restriction_agreement(sums, ab, samples):
+    """Measure whether the plane map restricted to the curve of the sums
+    table is P + (a, b) or -(P + (a, b)), uniformly over the samples; each
+    P + (a, b) is read from the table.
 
     Returns (convention, checked) where convention is "plain-addition" or
     "addition-then-negation".  Raises on a mixed or unexplained verdict.
     """
+    curve = sums.curve
     if not curve.contains(ab):
         raise CurveError("translation point %s is not on the curve" % (ab,))
     phi = translation_map(ab.x, ab.y)
@@ -230,7 +286,7 @@ def restriction_agreement(curve, ab, samples):
     for pt in samples:
         if pt.at_infinity or pt.x == ab.x:
             continue  # map undefined along s = a
-        expected = chord_tangent_add(curve, pt, ab)
+        expected = sums.add(pt, ab)
         if expected.at_infinity:
             continue
         img = phi.apply(pt)
@@ -267,10 +323,10 @@ _TEST_CURVES = (
 )
 
 
-def _sample_points(curve, base, count=42):
+def _sample_points(sums, base, count=42):
     """Multiples of the base point; on torsion curves the list repeats, which
     is fine for agreement sampling."""
-    return [pt for pt in multiples(curve, base, count) if not pt.at_infinity]
+    return [pt for pt in multiples(sums, base, count) if not pt.at_infinity]
 
 
 def check_group_law_oracle():
@@ -285,22 +341,10 @@ def check_group_law_oracle():
     if chord_tangent_add(e, p, e.neg(p)) != O:
         problems.append("P + (-P) != O")
     # associativity and commutativity on triples from a cyclic subgroup;
-    # each sum is computed once, memoized by the integer numerators and
-    # denominators of its summands (hashing a Fraction takes a modular
-    # inverse)
-    e2 = WeierstrassCurve(0, 17)
-    sums = {}
-
-    def key(pt):
-        return None if pt.at_infinity else (
-            pt.x.numerator, pt.x.denominator, pt.y.numerator, pt.y.denominator)
-
-    def add(p, q):
-        k = key(p), key(q)
-        if k not in sums:
-            sums[k] = chord_tangent_add(e2, p, q)
-        return sums[k]
-    pts = [O] + multiples(e2, CurvePoint.affine(2, 5), 6)
+    # each sum is computed once, in the table
+    sums = SumTable(WeierstrassCurve(0, 17))
+    add = sums.add
+    pts = [O] + multiples(sums, CurvePoint.affine(2, 5), 6)
     triples = 0
     for a in pts:
         for b in pts:
@@ -378,12 +422,13 @@ def check_finite_automorphisms():
 def check_restriction():
     problems = []
     verdicts = []
+    tables = {}  # one sums table per curve
     for p, q, base, ab in _TEST_CURVES:
-        curve = WeierstrassCurve(p, q)
-        samples = _sample_points(curve, CurvePoint.affine(*base))
+        sums = tables[p, q] = SumTable(WeierstrassCurve(p, q))
+        samples = _sample_points(sums, CurvePoint.affine(*base))
         try:
             convention, n = restriction_agreement(
-                curve, CurvePoint.affine(*ab), samples)
+                sums, CurvePoint.affine(*ab), samples)
         except CurveError as exc:
             problems.append("curve (p=%s, q=%s): %s" % (p, q, exc))
             continue
@@ -393,9 +438,8 @@ def check_restriction():
     if len(set(verdicts)) > 1:
         problems.append("convention differs across curves: %s" % verdicts)
     # 2-torsion translation: the restricted map squares to the identity
-    curve = WeierstrassCurve(-2, 1)
     phi = translation_map(1, 0)
-    for pt in _sample_points(curve, CurvePoint.affine(0, 1), 8):
+    for pt in _sample_points(tables[-2, 1], CurvePoint.affine(0, 1), 8):
         if pt.x == 1:
             continue
         try:

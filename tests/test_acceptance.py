@@ -133,11 +133,11 @@ def test_criterion_8_weierstrass():
     assert status == PASS, details
     assert len(weierstrass._TEST_CURVES) >= 3
     for p, q, base, ab in weierstrass._TEST_CURVES:
-        e = weierstrass.WeierstrassCurve(p, q)
+        sums = weierstrass.SumTable(weierstrass.WeierstrassCurve(p, q))
         samples = weierstrass._sample_points(
-            e, weierstrass.CurvePoint.affine(*base))
+            sums, weierstrass.CurvePoint.affine(*base))
         convention, n = weierstrass.restriction_agreement(
-            e, weierstrass.CurvePoint.affine(*ab), samples)
+            sums, weierstrass.CurvePoint.affine(*ab), samples)
         assert n >= 20
         assert convention == "addition-then-negation"
     status, details = weierstrass.check_finite_automorphisms()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from k3cert import cli, quartic
+from k3cert.report import Report
 
 
 def run(argv):
@@ -115,6 +116,39 @@ def test_verify_pell_above_the_largest_ell_exit_2(argv, capsys):
     code, out, err = _call(["verify", "pell"] + argv, capsys)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "MAX_ELL" in err
+
+
+@pytest.mark.parametrize("ell_range", [
+    "6..1000000000",
+    "6..%d" % (6 + cli.MAX_ELL_COUNT),
+    "6..%d" % 10 ** 30,
+    "%d..%d" % (cli.MAX_ELL - cli.MAX_ELL_COUNT, cli.MAX_ELL),
+])
+def test_verify_pell_range_above_the_largest_count_exit_2(ell_range, capsys,
+                                                          monkeypatch):
+    # one stderr line and no report, before any item runs: the count comes
+    # from the ends of the range, never by walking it
+    def no_items(*args, **kwargs):
+        raise AssertionError("an item ran")
+    monkeypatch.setattr(cli.pell, "full_section4_certificate", no_items)
+    code, out, err = _call(["verify", "pell", "--ell-range", ell_range],
+                           capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "MAX_ELL_COUNT" in err
+
+
+def test_verify_pell_range_at_the_largest_count(capsys, monkeypatch):
+    # MAX_ELL_COUNT values are accepted and handed on as they are
+    seen = []
+
+    def record(ells, **kwargs):
+        seen.append(ells)
+        return Report()
+    monkeypatch.setattr(cli.pell, "full_section4_certificate", record)
+    code, _, err = _call(["verify", "pell", "--ell-range",
+                          "6..%d" % (5 + cli.MAX_ELL_COUNT)], capsys)
+    assert code == 0 and err == ""
+    assert seen == [range(6, 6 + cli.MAX_ELL_COUNT)]
 
 
 def test_verify_pell_bad_ell_exit_2():

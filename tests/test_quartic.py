@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import k3cert
-from k3cert import quartic
+from k3cert import cli, quartic
 from k3cert.lattice import IntegerLattice, LatticeError
 from k3cert.chamber import in_chamber, pingpong_certify
 from k3cert.report import DISCREPANCY, FAIL, PASS
@@ -166,3 +166,24 @@ def test_full_certificate(ctx):
     assert statuses.pop("prop-3.3-sections") == DISCREPANCY
     assert all(s == PASS for s in statuses.values())
     assert report.ok
+
+
+def test_verify_quartic_walks_the_Q_box_once(monkeypatch, capsys):
+    # on a fresh context, lemmas 3.9 and 3.10 and `enumerate q` share one
+    # norm-4 box walk: the context keeps Q
+    fresh = quartic.build_context.__wrapped__()
+    monkeypatch.setattr(quartic, "build_context", lambda: fresh)
+    walks = []
+    solve = quartic.solve_norm_system
+
+    def counting(lat, constraints, norm, box):
+        if norm == 4:
+            walks.append(box)
+        return solve(lat, constraints, norm, box)
+    monkeypatch.setattr(quartic, "solve_norm_system", counting)
+    assert cli.main(["verify", "quartic"]) == 0
+    assert walks == [12]
+    assert cli.main(["enumerate", "q"]) == 0
+    assert walks == [12]
+    assert "Q = [(1, 0, 0), (2, -1, -1), (3, -3, 1), (3, 1, -3)]" in (
+        capsys.readouterr().out)

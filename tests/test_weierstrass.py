@@ -6,7 +6,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from k3cert import weierstrass as w
-from k3cert.report import PASS
+from k3cert.report import FAIL, PASS
 
 
 def curve(p, q):
@@ -124,17 +124,18 @@ def test_finite_automorphism_shape_errors():
 
 
 def test_restriction_convention_uniform():
-    e = curve(0, 1)
-    samples = w._sample_points(e, w.CurvePoint.affine(2, 3))
-    convention, n = w.restriction_agreement(e, w.CurvePoint.affine(0, 1), samples)
+    sums = w.SumTable(curve(0, 1))
+    samples = w._sample_points(sums, w.CurvePoint.affine(2, 3))
+    convention, n = w.restriction_agreement(sums, w.CurvePoint.affine(0, 1),
+                                            samples)
     assert convention == "addition-then-negation"
     assert n >= 20
 
 
 def test_restriction_requires_on_curve_translation():
-    e = curve(0, 1)
+    sums = w.SumTable(curve(0, 1))
     with pytest.raises(w.CurveError):
-        w.restriction_agreement(e, w.CurvePoint.affine(1, 1), [])
+        w.restriction_agreement(sums, w.CurvePoint.affine(1, 1), [])
 
 
 def test_full_certificate():
@@ -162,7 +163,7 @@ def test_translate_is_an_involution(a, b, s, t):
 def test_translate_is_negated_addition_on_the_curves(test_curve, k):
     p, q, base, ab = test_curve
     e = curve(p, q)
-    pt = w.multiples(e, w.CurvePoint.affine(*base), k)[-1]
+    pt = w.multiples(w.SumTable(e), w.CurvePoint.affine(*base), k)[-1]
     ab = w.CurvePoint.affine(*ab)
     assume(not pt.at_infinity and pt.x != ab.x)
     image = w.CurvePoint.affine(*w.translate(ab.x, ab.y, pt.x, pt.y))
@@ -201,8 +202,145 @@ def test_contains_at_large_heights(test_curve, k, shift):
     # multiples of the base point have numerators of hundreds of digits
     p, q, base, _ = test_curve
     e = curve(p, q)
-    pt = w.multiples(e, w.CurvePoint.affine(*base), k)[-1]
+    pt = w.multiples(w.SumTable(e), w.CurvePoint.affine(*base), k)[-1]
     assume(not pt.at_infinity)
     assert e.contains(pt) and _contains_by_fractions(e, pt)
+    # the shifted point is on the curve iff it is pt or -pt
     off = w.CurvePoint.affine(pt.x, pt.y + shift)
-    assert e.contains(off) == _contains_by_fractions(e, off) == (shift == 0)
+    assert e.contains(off) == _contains_by_fractions(e, off) == (
+        shift == 0 or shift == -2 * pt.y)
+
+
+def _add_by_fractions(e, p1, p2):
+    """The textbook chord-tangent formulas in Fraction arithmetic, with
+    y3 = lam (x1 - x3) - y1: the oracle for the integer chord_tangent_add."""
+    if p1.at_infinity:
+        return p2
+    if p2.at_infinity:
+        return p1
+    if p1.x == p2.x:
+        if p1.y == -p2.y:
+            return w.O
+        slope = (3 * p1.x ** 2 + e.p) / (2 * p1.y)
+    else:
+        slope = (p2.y - p1.y) / (p2.x - p1.x)
+    x3 = slope ** 2 - p1.x - p2.x
+    return w.CurvePoint.affine(x3, slope * (p1.x - x3) - p1.y)
+
+
+@settings(deadline=None, max_examples=300)
+@given(fractions, fractions, fractions, fractions,
+       st.sampled_from(["distinct", "double", "negate", "O+P", "P+O"]))
+def test_integer_addition_against_fraction_formulas(x1, y1, x2, y2, case):
+    # the curve through (x1, y1) and (x2, y2): rational p and q
+    assume(x1 != x2)
+    p = (y2 * y2 - y1 * y1 - x2 ** 3 + x1 ** 3) / (x2 - x1)
+    q = y1 * y1 - x1 ** 3 - p * x1
+    assume(4 * p ** 3 + 27 * q ** 2 != 0)
+    e = curve(p, q)
+    p1, p2 = w.CurvePoint.affine(x1, y1), w.CurvePoint.affine(x2, y2)
+    p1, p2 = {"distinct": (p1, p2), "double": (p1, p1),
+              "negate": (p1, e.neg(p1)), "O+P": (w.O, p1),
+              "P+O": (p1, w.O)}[case]
+    got = w.chord_tangent_add(e, p1, p2)
+    assert got == _add_by_fractions(e, p1, p2)
+    assert e.contains(got)
+    if not got.at_infinity:  # both coordinates in lowest terms
+        assert got == w.CurvePoint.affine(got.x, got.y)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(w._TEST_CURVES), st.integers(1, 42), st.integers(1, 42))
+def test_integer_addition_at_large_heights(test_curve, j, k):
+    # sums of two sample multiples; the 42nd multiple of (2, 5) on
+    # y^2 = x^3 + 17 has an 814-digit x-denominator
+    p, q, base, _ = test_curve
+    e = curve(p, q)
+    pts = w.multiples(w.SumTable(e), w.CurvePoint.affine(*base), 42)
+    for p1, p2 in ((pts[j - 1], pts[k - 1]), (pts[j - 1], pts[j - 1])):
+        assert w.chord_tangent_add(e, p1, p2) == _add_by_fractions(e, p1, p2)
+
+
+def test_sample_multiples_against_fraction_formulas():
+    e = curve(0, 17)
+    base = w.CurvePoint.affine(2, 5)
+    acc, want = base, []
+    for _ in range(42):
+        want.append(acc)
+        acc = _add_by_fractions(e, acc, base)
+    assert w.multiples(w.SumTable(e), base, 42) == want
+    assert len(str(want[-1].x.denominator)) == 814
+
+
+def test_off_curve_second_summand_rejected():
+    e = curve(0, 1)
+    with pytest.raises(w.CurveError):
+        w.chord_tangent_add(e, w.CurvePoint.affine(2, 3),
+                            w.CurvePoint.affine(1, 1))
+
+
+def _count_sums(monkeypatch):
+    """Record (p, q, summands) for every chord_tangent_add call."""
+    calls = []
+    add = w.chord_tangent_add
+
+    def counting(e, p1, p2):
+        calls.append((e.p, e.q, w._key(p1), w._key(p2)))
+        return add(e, p1, p2)
+    monkeypatch.setattr(w, "chord_tangent_add", counting)
+    return calls
+
+
+def test_restriction_computes_each_sum_once(monkeypatch):
+    calls = _count_sums(monkeypatch)
+    status, details = w.check_restriction()
+    assert status == PASS, details
+    assert len(calls) == len(set(calls))
+    # on y^2 = x^3 + 17 the translation point is the base, so the 42 steps
+    # of the sample multiples are every sum restriction_agreement reads
+    assert sum(1 for c in calls if (c[0], c[1]) == (0, 17)) == 42
+
+
+def test_group_law_oracle_computes_each_sum_once(monkeypatch):
+    calls = _count_sums(monkeypatch)
+    status, details = w.check_group_law_oracle()
+    assert status == PASS, details
+    assert len(calls) == len(set(calls))
+
+
+def test_sum_table_keeps_the_order_of_the_summands(monkeypatch):
+    # p + q and q + p are two entries, so the commutativity check compares
+    # two computations
+    calls = _count_sums(monkeypatch)
+    sums = w.SumTable(curve(0, 17))
+    p, q = w.CurvePoint.affine(2, 5), w.CurvePoint.affine(-1, 4)
+    assert sums.add(p, q) == sums.add(q, p) == sums.add(p, q)
+    assert len(calls) == 2
+
+
+def test_field_over_the_integers():
+    # K is the fraction field of Z[s, t, a, b]; Fraction translation points
+    # coerce into it, phi o phi = id holds there, and a wrong composition
+    # is still told apart
+    assert w.K.domain == sympy.ZZ
+    a, b = Fraction(1, 2), Fraction(-3, 7)
+    phi = w.invert_translation_map(a, b)
+    assert phi.compose(phi).components() == (w.S, w.T)
+    other = w.translation_map(a, b + Fraction(1, 3))
+    assert phi.compose(other).components() != (w.S, w.T)
+
+
+def test_inverse_check_rejects_a_wrong_formula(monkeypatch):
+    # t' without its final + b is no involution, generically, at (0, 1) or
+    # at a rational point
+    def wrong(a, b, s, t):
+        lam = (t - b) / (s - a)
+        s2 = lam ** 2 - s - a
+        return s2, lam * (s2 - a)
+    monkeypatch.setattr(w, "translate", wrong)
+    for ab in ((w.A, w.B), (0, 1), (Fraction(1, 2), Fraction(-3, 7))):
+        with pytest.raises(w.CurveError, match="residual"):
+            w.invert_translation_map(*ab)
+    inverse = next(it for it in w.full_weierstrass_certificate().items
+                   if it.id == "thm-2.2-inverse")
+    assert inverse.status == FAIL and "residual" in inverse.details
