@@ -8,6 +8,7 @@ ample anchor is strictly inside.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -281,25 +282,36 @@ def pingpong_certify(chamber):
 
 def orbit_of_anchor(chamber, max_word_len):
     """Images of the anchor under all reduced words (no adjacent repeats)
-    in the wall reflections, up to the given length.  Raises on duplicates,
-    which would contradict a ping-pong certificate."""
-    k = len(chamber.walls)
-    out = [tuple(chamber.anchor)]
-    frontier = [((), tuple(chamber.anchor))]
-    seen = {tuple(chamber.anchor)}
-    for _ in range(max_word_len):
-        nxt = []
-        for word, vec in frontier:
-            for i in range(k):
-                if word and word[-1] == i:
-                    continue
-                img = chamber.reflections[i].apply(vec)
-                if img in seen:
-                    raise ChamberError(
-                        "duplicate orbit class %s (word %s + wall %d)"
-                        % (img, word, i + 1))
-                seen.add(img)
-                out.append(img)
-                nxt.append((word + (i,), img))
-        frontier = nxt
+    in the wall reflections, up to the given length, level by level in the
+    order of the words.  Raises on duplicates, which would contradict a
+    ping-pong certificate.
+
+    Each level is one comprehension over the previous one.  At rank 3 (the
+    quartic lattice) the reflection matrices are unrolled, nine integer
+    products a class with no call, so a walk's cost is close to that of
+    printing it; other ranks go through ``Isometry.apply``."""
+    refls = chamber.reflections
+    mats = [r.matrix for r in refls]
+    anchor = tuple(chamber.anchor)
+    out = [anchor]
+    seen = {anchor}
+    level = [(None, anchor)]    # (last wall, class)
+    for length in range(1, max_word_len + 1):
+        if chamber.lattice.rank == 3:
+            level = [(i, (a0 * x + a1 * y + a2 * z,
+                          b0 * x + b1 * y + b2 * z,
+                          c0 * x + c1 * y + c2 * z))
+                     for last, (x, y, z) in level
+                     for i, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2))
+                     in enumerate(mats) if i != last]
+        else:
+            level = [(i, r.apply(v)) for last, v in level
+                     for i, r in enumerate(refls) if i != last]
+        images = [v for _, v in level]
+        seen.update(images)
+        out += images
+        if len(seen) != len(out):
+            dup = next(v for v, n in Counter(out).items() if n > 1)
+            raise ChamberError("duplicate orbit class %s at word length %d"
+                               % (dup, length))
     return out

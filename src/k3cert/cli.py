@@ -2,8 +2,9 @@
 
 Subcommands:
     verify all | quartic | pell [--ell N | --ell-range A..B] | weierstrass
-        [--k-bound K]      (5 < N, A, B <= MAX_ELL; B - A < MAX_ELL_COUNT;
-                            0 <= K <= MAX_K_BOUND)
+        [--k-bound K] [--entry-bound E]
+        (5 < N, A, B <= MAX_ELL; B - A < MAX_ELL_COUNT; 0 <= K <= MAX_K_BOUND;
+         1 <= E <= MAX_ENTRY_BOUND)
     enumerate sections [--n-bound K] | enumerate q   (1 <= K <= MAX_N_BOUND)
     reduce --class "x,y,z" [--basis HLM|fev]   (x in the closed positive cone)
     orbit --len K          (K <= MAX_ORBIT_LEN)
@@ -33,8 +34,16 @@ MAX_K_BOUND = 50
 # 4 log10(2 ell) digits each: at ell = 10^1000 that is 4,001 digits, inside
 # the 4,300-digit limit of int-to-str conversion
 MAX_ELL = 10 ** 1000
-# each ell takes a few ms at small ell (6..200 in about 1.4 s) and every item
-# is held until the report prints, so a range runs at most this many ell
+# the lemma-4.6 scan pairs the Pell columns with entries up to the bound,
+# about log(E) / log(2 ell) of them, so its pairs grow like log(E)^2; and its
+# power check reads g0^k for |k| < 64, which holds every accepted candidate
+# only while g0^64 is past the bound (at ell = 6, up to about 10^275: from
+# 10^280 the check fails a true lemma).  At the cap, a cold
+# verify pell --ell 6 takes about 1.0 s
+MAX_ENTRY_BOUND = 10 ** 100
+# each ell takes a few ms at small ell (a cold --ell-range 6..200 takes about
+# 1.2 s, 0.3 s of it in the items) and every item is held until the report
+# prints, so a range runs at most this many ell
 MAX_ELL_COUNT = 10_000
 # the sections scan walks 2 box + 1 values of a, box = 10 n^2 + 20 n, and
 # solves each line for n exactly; the cap stays so the accepted range stays
@@ -104,6 +113,10 @@ def cmd_verify(args, parser):
     # every option is checked before any suite runs
     if args.entry_bound < 1:
         parser.error("--entry-bound must be >= 1")
+    if args.entry_bound > MAX_ENTRY_BOUND:
+        # a PellError, like any LatticeError, exits 2 with one stderr line
+        raise pell.PellError("--entry-bound must not exceed "
+                             "MAX_ENTRY_BOUND = 10^100")
     if not 0 <= args.k_bound <= MAX_K_BOUND:
         parser.error("--k-bound must be between 0 and %d" % MAX_K_BOUND)
     if args.ell is not None and args.ell_range is not None:
@@ -157,8 +170,11 @@ def reduce_class(trace):
 
 def list_orbit(ctx, length):
     orbit = orbit_of_anchor(ctx.chamber, length)
-    return PASS, ("%d distinct classes up to word length %d: %s"
-                  % (len(orbit), length, orbit))
+    # the repr of the list of rank-3 classes, written out: the list's own
+    # repr takes twice as long, about as long as the walk itself
+    text = ", ".join([f"({x}, {y}, {z})" for x, y, z in orbit])
+    return PASS, ("%d distinct classes up to word length %d: [%s]"
+                  % (len(orbit), length, text))
 
 
 def cmd_enumerate(args, parser):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import index, mul
 
 from .lattice import (
@@ -177,18 +176,17 @@ def order_of(g):
 
 def discriminant_action(g, disc):
     """Classify the induced action on NS*/NS: "identity", "negation" or
-    "other".
+    "other".  g is an Isometry, or the integer matrix of one whose
+    M^T G M = G its caller has checked.
 
     g acts as sign * id exactly when g u - sign * u lies in the lattice,
     i.e. is integral, for every generator u (identity wins when both hold).
-    With w = D u integral for the lcm D of u's denominators, that is
-    (g - sign) w = 0 mod D, in integers.
+    With w = d u the integral scaled generator, d its factor and the lcm of
+    u's denominators, that is (g - sign) w = 0 mod d, in integers.
     """
-    scaled = []
-    for u in disc.generators:
-        den = lcm(*(c.denominator for c in u))
-        w = tuple(c.numerator * (den // c.denominator) for c in u)
-        scaled.append((mat_vec(g.matrix, w), w, den))
+    m = g.matrix if isinstance(g, Isometry) else g
+    scaled = [(mat_vec(m, w), w, den) for w, den in
+              zip(disc.scaled_generators, disc.invariant_factors)]
     for kind, sign in (("identity", 1), ("negation", -1)):
         if all((a - sign * b) % den == 0
                for gw, w, den in scaled for a, b in zip(gw, w)):

@@ -253,12 +253,12 @@ class IntegerLattice:
 # dual vectors and the discriminant group
 
 def is_dual_vector(lat, u):
-    """True if u (rational coordinates) pairs integrally with the lattice."""
-    for i in range(lat.rank):
-        p = sum(Fraction(u[j]) * lat.gram[i][j] for j in range(lat.rank))
-        if p.denominator != 1:
-            return False
-    return True
+    """True if u (int or Fraction coordinates) pairs integrally with the
+    lattice: with D the lcm of u's denominators and w = D u integral, that
+    is G w = 0 mod D, in integers."""
+    den = math.lcm(*(c.denominator for c in u))
+    w = [c.numerator * (den // c.denominator) for c in u]
+    return all(sum(map(mul, row, w)) % den == 0 for row in lat.gram)
 
 
 def reduce_mod_lattice(u):
@@ -279,6 +279,9 @@ class DiscriminantGroup:
     invariant_factors: tuple
     generators: tuple  # one dual vector (tuple of Fractions) per factor
     coordinate_rows: tuple  # the rows of V^-1 (integral) for those factors
+    # d_i times generator i, an integer vector: a generator's denominator
+    # is its factor d_i, which discriminant_group checks
+    scaled_generators: tuple
 
     @property
     def order(self):
@@ -329,8 +332,12 @@ def discriminant_group(lat):
     # V^-1 = adj(V) / det V = det V adj(V)
     adj_v = adjugate(v)
     rows = tuple(tuple(det_v * c for c in adj_v[i]) for i in nontrivial)
+    # exact once every denominator divides its factor, checked below
+    scaled = tuple(tuple(c.numerator * (di // c.denominator) for c in g)
+                   for di, g in zip(factors, gens))
     grp = DiscriminantGroup(lattice=lat, invariant_factors=factors,
-                            generators=gens, coordinate_rows=rows)
+                            generators=gens, coordinate_rows=rows,
+                            scaled_generators=scaled)
     for di, g in zip(factors, gens):
         if grp.element_order(g) != di:
             raise LatticeError("discriminant generator has wrong order")
@@ -366,23 +373,13 @@ def change_basis(lat, new_basis):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _integer_roots(a, b, c, bound):
-    """The integers u with |u| <= bound and a u^2 + b u + c = 0, ascending.
-    Exact: the roots of a quadratic come from the integer square root of
-    its discriminant; a = 0 leaves a linear equation, and a = b = 0 holds
-    for every u or for none."""
-    if a == 0:
-        if b == 0:
-            return range(-bound, bound + 1) if c == 0 else ()
-        roots = (-c // b,) if c % b == 0 else ()
-    else:
-        disc = b * b - 4 * a * c
-        r = math.isqrt(max(disc, 0))
-        if r * r != disc:
-            return ()
-        roots = sorted({q for q, m in (divmod(-b - r, 2 * a),
-                                       divmod(-b + r, 2 * a)) if m == 0})
-    return [u for u in roots if abs(u) <= bound]
+def _linear_roots(b, c, bound):
+    """The integers u with |u| <= bound and b u + c = 0, ascending: one root
+    when b divides c, and every u or none when b = 0."""
+    if b == 0:
+        return range(-bound, bound + 1) if c == 0 else ()
+    u, m = divmod(-c, b)
+    return (u,) if m == 0 and abs(u) <= bound else ()
 
 
 def solve_norm_system(lat, constraints, norm, box):
@@ -397,15 +394,24 @@ def solve_norm_system(lat, constraints, norm, box):
     pin) or n - 2 coordinates form the head.  Each head fixes the scaled
     line s x = base + u d, with s = r_p and d = s e_q - r_q e_p under a pin
     (s = 1 and d = e_q without), on which s^2 ((x, x) - t) is the
-    quadratic (d, d) u^2 + 2 (base, d) u + (base, base) - s^2 t; its
-    integer roots |u| <= box are solved exactly for each norm t.  Every
-    candidate is then checked against every constraint and its norm t.  A
-    rank-n scan visits (2 box + 1)^(n-1) heads, or (2 box + 1)^(n-2) under
-    a constraint.
+    quadratic (d, d) u^2 + b u + c_t, b = 2 (base, d) and c_t = (base,
+    base) - s^2 t.  Its integer roots |u| <= box are solved exactly for
+    each norm t, from the discriminant D_t = b^2 - 4 (d, d) c_t, or from
+    b u + c_t = 0 when (d, d) = 0.  Every candidate is then checked against
+    every constraint and its norm t.
+
+    A rank-n scan visits (2 box + 1)^(n-1) heads, or (2 box + 1)^(n-2)
+    under a constraint, in lines along the last head coordinate.  The Gram
+    products are paid once per line; a step along it moves base by a fixed
+    e, so D_t, quadratic in the step, follows by two integer additions
+    (its second difference is constant).  A head then costs those two
+    additions and one comparison per norm: math.isqrt runs only where
+    D_t >= 0, and b is read off and the roots solved only where D_t is a
+    square.  When (d, d) = 0, b and c_t are closed forms in the step.
     """
     if box < 1:
         raise LatticeError("box must be >= 1")
-    norms = set(norm) if isinstance(norm, tuple) else {norm}
+    norms = sorted(set(norm)) if isinstance(norm, tuple) else [norm]
     n = lat.rank
     gram = lat.gram
     rows = [(lat.pairing_row(v), c) for v, c in constraints]
@@ -417,25 +423,67 @@ def solve_norm_system(lat, constraints, norm, box):
     heads = [i for i in range(n) if i not in (p, q)]
     d = [s * (i == q) - r[q] * (i == p) for i in range(n)]
     dd = lat.norm(d)
-    base = [0] * n
+    # one step of the last head coordinate adds e to base
+    e = [0] * n
+    if heads:
+        e[heads[-1]] = s
+        if pin:
+            e[p] = -r[heads[-1]]
+    ge = mat_vec(gram, e)
+    ee = sum(map(mul, ge, e))
+    de = 2 * sum(map(mul, ge, d))  # the step of b
+    steps = 2 * box + 1 if heads else 1
+    # D_t = b^2 - 4 (d, d) (base, base) + 4 (d, d) s^2 t
+    shifts = [(t, 4 * dd * s * s * t) for t in norms]
+    disc_step2 = 2 * de * de - 8 * dd * ee  # the second difference of D_t
+    two_dd = 2 * dd
     out = []
-    for head in product(range(-box, box + 1), repeat=len(heads)):
+
+    def admit(base, k, u, t):
+        sx = [bi + k * ei + u * di for bi, ei, di in zip(base, e, d)]
+        if any(v % s for v in sx):
+            return
+        x = tuple(v // s for v in sx)
+        if (any(x) and max(map(abs, x)) <= box
+                and all(sum(map(mul, ri, x)) == ci for ri, ci in rows)
+                and lat.norm(x) == t):
+            out.append(x)
+
+    base = [0] * n
+    for outer in product(range(-box, box + 1), repeat=max(len(heads) - 1, 0)):
+        head = outer + (-box,) if heads else ()
         for i, h in zip(heads, head):
             base[i] = s * h
         if pin:
             base[p] = c0 - sum(r[i] * h for i, h in zip(heads, head))
-        gb = [sum(map(mul, row, base)) for row in gram]
-        bd, bb = 2 * sum(map(mul, gb, d)), sum(map(mul, gb, base))
-        for t in norms:
-            for u in _integer_roots(dd, bd, bb - s * s * t, box):
-                sx = [b + u * di for b, di in zip(base, d)]
-                if any(v % s for v in sx):
-                    continue
-                x = tuple(v // s for v in sx)
-                if (any(x) and max(map(abs, x)) <= box
-                        and all(sum(map(mul, ri, x)) == ci for ri, ci in rows)
-                        and lat.norm(x) == t):
-                    out.append(x)
+        gb = mat_vec(gram, base)
+        b = 2 * sum(map(mul, gb, d))
+        bb = sum(map(mul, gb, base))
+        bb_step = 2 * sum(map(mul, gb, e)) + ee  # (base + e)^2 - base^2
+        if not dd:
+            # at step k, b + k de and bb + k bb_step + k (k - 1) (e, e)
+            for k in range(steps):
+                bk = b + k * de
+                ck = bb + k * bb_step + k * (k - 1) * ee
+                for t in norms:
+                    for u in _linear_roots(bk, ck - s * s * t, box):
+                        admit(base, k, u, t)
+            continue
+        disc = b * b - 4 * dd * bb
+        disc_step = 2 * de * b + de * de - 4 * dd * bb_step
+        for k in range(steps):
+            for t, shift in shifts:
+                dt = disc + shift
+                if dt >= 0:
+                    root = math.isqrt(dt)
+                    if root * root == dt:
+                        bk = b + k * de
+                        for num in {-bk - root, -bk + root}:
+                            u, m = divmod(num, two_dd)
+                            if m == 0 and abs(u) <= box:
+                                admit(base, k, u, t)
+            disc += disc_step
+            disc_step += disc_step2
     out.sort()
     return out
 

@@ -285,14 +285,15 @@ def _eigen_ratio(ctx, m, ray):
     return None
 
 
-def _filter(ctx, disc, g):
-    """The filter that rejects g, or None; and g's eigenvalue triple on v1."""
-    lam = _eigen_ratio(ctx, g.matrix, ctx.v1)
+def _filter(ctx, disc, m):
+    """The filter that rejects the isometry matrix m, or None; and m's
+    eigenvalue triple on v1."""
+    lam = _eigen_ratio(ctx, m, ctx.v1)
     if lam is None:
         return "ray-swapping", None
     if zsign(lam[0], lam[1], ctx.d) <= 0:
         return "cone-swapping", lam
-    if discriminant_action(g, disc) == "other":
+    if discriminant_action(m, disc) == "other":
         return "discriminant-other", lam
     return None, lam
 
@@ -315,7 +316,7 @@ def _unit_walk(ctx, disc):
     u, b = ell, 1
     for _ in range(UNIT_WALK_POWERS):
         g = Isometry(ctx.lattice, ((u - ell * b, -b), (b, u + ell * b)))
-        reason, lam = _filter(ctx, disc, g)
+        reason, lam = _filter(ctx, disc, g.matrix)
         # lam = (p + q sqrt(d)) / n > 1 iff (p - n) + q sqrt(d) > 0
         if reason is None and zsign(lam[0] - lam[2], lam[1], ctx.d) > 0:
             return g
@@ -346,12 +347,12 @@ def isometry_search(ctx, entry_bound=300):
     while bound < _max_entry(walked.matrix):
         bound *= 2
     accepted, filtered = [], []
-    for g in _raw_isometries(ctx, bound):
-        reason, lam = _filter(ctx, disc, g)
+    for m in _raw_isometries(ctx, bound):
+        reason, lam = _filter(ctx, disc, m)
         if reason is None:
-            accepted.append((g, _quad(lam, ctx.d)))
+            accepted.append((Isometry(ctx.lattice, m), _quad(lam, ctx.d)))
         else:
-            filtered.append((g.matrix, reason))
+            filtered.append((m, reason))
     positive = [(g, lam) for g, lam in accepted if lam > 1]
     g0, alpha = min(positive, key=lambda p: p[1], default=(None, None))
     if g0 is None or g0.matrix != walked.matrix:
@@ -371,18 +372,24 @@ def isometry_search(ctx, entry_bound=300):
 
 
 def _raw_isometries(ctx, bound):
+    """The matrices M with entries <= bound and M^T G M = G, every entry
+    compared with G: the columns are the Pell columns, whose norms are the
+    diagonal entries (both 4, checked once per column), and a pair is kept
+    when its pairing is the off-diagonal entry 4 l (entries (0, 1) and
+    (1, 0) are one pairing, as G is symmetric).  Matrices, not Isometry
+    objects: the search builds one only for each accepted candidate."""
     lat = ctx.lattice
+    (g00, g01), (_, g11) = lat.gram
     cols = _pell_columns(ctx.ell, bound)
-    out = []
-    for c1 in cols:
-        r = lat.pairing_row(c1)
-        for c2 in cols:
-            # (c1, c2) pairing must reproduce the off-diagonal Gram entry
-            if r[0] * c2[0] + r[1] * c2[1] != 4 * ctx.ell:
-                continue
-            m = ((c1[0], c2[0]), (c1[1], c2[1]))
-            out.append(Isometry(lat, m))
-    return out
+    rows = [lat.pairing_row(c) for c in cols]
+    for c, r in zip(cols, rows):
+        norm = r[0] * c[0] + r[1] * c[1]
+        if norm != g00 or norm != g11:
+            raise PellError("Pell column %s has norm %d, not %d"
+                            % (c, norm, g00))
+    return [((c1[0], c2[0]), (c1[1], c2[1]))
+            for c1, r in zip(cols, rows) for c2 in cols
+            if r[0] * c2[0] + r[1] * c2[1] == g01]
 
 
 def _check_generator(ctx, res):

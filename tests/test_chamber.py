@@ -182,7 +182,46 @@ def test_orbit_counts(pentagon):
     assert orbit_of_anchor(pentagon, 0) == [H]
 
 
+def _literal_orbit(chamber, max_word_len):
+    """Every reduced word extended one wall at a time, through
+    Isometry.apply, in the order of the words."""
+    out = [chamber.anchor]
+    frontier = [((), chamber.anchor)]
+    for _ in range(max_word_len):
+        frontier = [(word + (i,), r.apply(v)) for word, v in frontier
+                    for i, r in enumerate(chamber.reflections)
+                    if not word or word[-1] != i]
+        out += [v for _, v in frontier]
+    return out
+
+
+def test_orbit_against_the_literal_walk(pentagon):
+    for k in range(8):
+        assert orbit_of_anchor(pentagon, k) == _literal_orbit(pentagon, k)
+
+
+def test_orbit_off_rank_3():
+    # the pentagon lattice plus an orthogonal <-2>: the walls, the anchor and
+    # so the orbit keep a last coordinate 0
+    gram = tuple(row + (0,) for row in GRAM) + ((0, 0, 0, -2),)
+    lat4 = IntegerLattice(gram=gram)
+    ch = Chamber(lattice=lat4, anchor=H + (0,),
+                 walls=tuple(w + (0,) for w in (V, VP, W3)))
+    lat3 = IntegerLattice(gram=GRAM)
+    ch3 = Chamber(lattice=lat3, anchor=H, walls=(V, VP, W3))
+    orbit = orbit_of_anchor(ch, 5)
+    assert orbit == _literal_orbit(ch, 5)
+    assert orbit == [v + (0,) for v in orbit_of_anchor(ch3, 5)]
+
+
 def test_orbit_duplicate_detection(lat):
     dup = Chamber(lattice=lat, anchor=H, walls=(V, V))
     with pytest.raises(ChamberError, match="duplicate"):
         orbit_of_anchor(dup, 2)
+    # the same at rank 4
+    lat4 = IntegerLattice(gram=tuple(row + (0,) for row in GRAM)
+                          + ((0, 0, 0, -2),))
+    dup4 = Chamber(lattice=lat4, anchor=H + (0,),
+                   walls=(V + (0,), V + (0,)))
+    with pytest.raises(ChamberError, match="duplicate"):
+        orbit_of_anchor(dup4, 2)

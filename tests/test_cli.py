@@ -3,6 +3,7 @@ import json
 import pytest
 
 from k3cert import cli, quartic
+from k3cert.chamber import orbit_of_anchor
 from k3cert.report import Report
 
 
@@ -53,6 +54,15 @@ def test_reduce_malformed_exit_2():
 def test_orbit(capsys):
     assert run(["orbit", "--len", "3"]) == 0
     assert "22 distinct classes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 7])
+def test_orbit_prints_the_repr_of_the_walk(capsys, length):
+    orbit = orbit_of_anchor(quartic.build_context().chamber, length)
+    assert run(["orbit", "--len", str(length)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "[PASS] orbit %d distinct classes up to word length %d: %r"
+        % (len(orbit), length, orbit))
 
 
 def test_enumerate_q(capsys):
@@ -171,7 +181,7 @@ def test_verify_weierstrass(capsys):
     assert "thm-2.2-inverse" in out
 
 
-def test_out_of_range_bounds_exit_2():
+def test_out_of_range_bounds_exit_2(capsys, monkeypatch):
     # each value fails validation before any lattice work starts
     for argv in (["verify", "pell", "--ell", "6", "--k-bound", "-1"],
                  ["verify", "pell", "--ell", "7", "--k-bound",
@@ -186,6 +196,30 @@ def test_out_of_range_bounds_exit_2():
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
+    capsys.readouterr()
+    # above the entry cap: one stderr line and no report, before any suite
+    # runs (10^1000 never finished before the cap)
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr(cli.pell, "full_section4_certificate", no_suite)
+    monkeypatch.setattr(cli.quartic, "full_section3_certificate", no_suite)
+    for suite, bound in (("pell", cli.MAX_ENTRY_BOUND + 1),
+                         ("pell", 10 ** 1000),
+                         ("all", 2 * cli.MAX_ENTRY_BOUND)):
+        code, out, err = _call(["verify", suite, "--ell", "6",
+                                "--entry-bound", str(bound)], capsys)
+        assert code == 2 and out == "", bound
+        assert err.count("\n") == 1 and "MAX_ENTRY_BOUND" in err
+
+
+def test_verify_pell_at_the_largest_entry_bound(capsys):
+    # at the cap every accepted candidate is within the power check's reach:
+    # ell = 6 has the smallest unit, so the most powers of g0 within a bound
+    code, out, _ = _call(["verify", "pell", "--ell", "6", "--entry-bound",
+                          str(cli.MAX_ENTRY_BOUND)], capsys)
+    assert code == 0, out
+    assert "6 pass, 0 fail" in out
+    assert "(entries <= %d)" % cli.MAX_ENTRY_BOUND in out
 
 
 def _call(argv, capsys):

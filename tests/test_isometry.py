@@ -110,12 +110,19 @@ def _product(lat, word):
     return g
 
 
-def _pell_generators(ell):
+def _pell_isometries(ell):
     """The Pell isometries of [[4, 4 ell], [4 ell, 4]] with entries up to
-    4 ell^2 and the reflections in both basis vectors."""
+    4 ell^2, each through the checked constructor."""
     ctx = pell.build_context(ell)
-    return pell._raw_isometries(ctx, 4 * ell * ell) + [
-        reflection_in(ctx.lattice, w) for w in ((1, 0), (0, 1))]
+    return [Isometry(ctx.lattice, m)
+            for m in pell._raw_isometries(ctx, 4 * ell * ell)]
+
+
+def _pell_generators(ell):
+    """The Pell isometries and the reflections in both basis vectors."""
+    lat = pell.build_context(ell).lattice
+    return _pell_isometries(ell) + [reflection_in(lat, w)
+                                    for w in ((1, 0), (0, 1))]
 
 
 @settings(deadline=None, max_examples=60)
@@ -317,8 +324,7 @@ def _a2_rotations():
     st.integers(-5, 5).map(lambda n: mw_translation(
         IntegerLattice(gram=GRAM_FEV, labels=("f", "e", "v")), n)),
     st.integers(6, 12).flatmap(
-        lambda ell: st.sampled_from(
-            pell._raw_isometries(pell.build_context(ell), 4 * ell * ell)))))
+        lambda ell: st.sampled_from(_pell_isometries(ell)))))
 def test_order_against_sympy(g):
     want = _sympy_order(g.matrix)
     route = "crystallographic" if want == "infinite" else "iterated"

@@ -278,6 +278,70 @@ def test_discriminant_action_on_products_against_the_scan(lat, data):
     assert discriminant_action(g, disc) == _scan_action(g, cosets, e)
 
 
+def _fraction_sum_dual(lat, u):
+    """The definition: every pairing sum_j u_j G_ij, in Fractions, is an
+    integer."""
+    n = lat.rank
+    return all(sum((Fraction(u[j]) * lat.gram[i][j] for j in range(n)),
+                   Fraction(0)).denominator == 1 for i in range(n))
+
+
+@settings(deadline=None)
+@given(even_lattices((1, 4), max_det=None), st.data())
+def test_is_dual_vector_against_the_fraction_sums(lat, data):
+    n = lat.rank
+    # ints, and Fractions from unreduced numerator/denominator pairs with
+    # either sign
+    coords = st.one_of(
+        st.integers(-50, 50),
+        st.builds(Fraction, st.integers(-120, 120),
+                  st.integers(-24, 24).filter(bool)))
+    u = tuple(data.draw(coords) for _ in range(n))
+    assert is_dual_vector(lat, u) == _fraction_sum_dual(lat, u)
+    # a dual vector: G^-1 times an integer vector, plus a lattice vector
+    w = data.draw(st.tuples(*[st.integers(-9, 9)] * n))
+    shift = data.draw(st.tuples(*[st.integers(-9, 9)] * n))
+    dual = tuple(Fraction(c, lat.determinant()) + s
+                 for c, s in zip(mat_vec(adjugate(lat.gram), w), shift))
+    assert is_dual_vector(lat, dual) and _fraction_sum_dual(lat, dual)
+    assert is_dual_vector(lat, tuple(-c for c in dual))
+
+
+def _action_per_call(m, disc):
+    """discriminant_action with each generator's lcm of denominators and
+    scaled vector computed on the call, not read from the group."""
+    scaled = []
+    for u in disc.generators:
+        den = math.lcm(*(c.denominator for c in u))
+        w = tuple(c.numerator * (den // c.denominator) for c in u)
+        scaled.append((mat_vec(m, w), w, den))
+    for kind, sign in (("identity", 1), ("negation", -1)):
+        if all((a - sign * b) % den == 0
+               for gw, w, den in scaled for a, b in zip(gw, w)):
+            return kind
+    return "other"
+
+
+@settings(deadline=None)
+@given(even_lattices(), st.data())
+def test_precomputed_action_against_the_per_call_computation(lat, data):
+    disc = discriminant_group(lat)
+    assert disc.scaled_generators == tuple(
+        tuple(c.numerator * (d // c.denominator) for c in g)
+        for d, g in zip(disc.invariant_factors, disc.generators))
+    assert all(math.lcm(*(c.denominator for c in g)) == d
+               for d, g in zip(disc.invariant_factors, disc.generators))
+    word = data.draw(st.lists(st.sampled_from(_small_isometries(lat)),
+                              min_size=1, max_size=4))
+    g = word[0]
+    for h in word[1:]:
+        g = compose(g, h)
+    want = _action_per_call(g.matrix, disc)
+    # an Isometry and its bare matrix are classified alike
+    assert discriminant_action(g, disc) == want
+    assert discriminant_action(g.matrix, disc) == want
+
+
 @settings(deadline=None)
 @given(even_lattices())
 def test_smith_normal_form_invariants(lat):
@@ -339,29 +403,47 @@ def literal_box_scan(gram, constraints, norm, box):
             and pair(x, x) == norm]
 
 
-def _draw_norm_system(data):
+def _draw_norm_system(data, long_lines=False):
     """A random even lattice of rank 1-4, a box, a point in it, and 0-2
-    constraints, which pass through the point when from_point is drawn."""
-    n = data.draw(st.integers(1, 4), label="rank")
+    constraints, which pass through the point when from_point is drawn.
+
+    With long_lines: rank 1-3 and a box up to 30 (rank <= 2) or 8 (rank 3),
+    so the walk runs long lines, and a kind of line.  "isotropic" zeroes
+    the last diagonal entry and the last entry of every constraint row, so
+    the walked direction d = s e_q has (d, d) = 0 and each line's equation
+    is linear; "wide" pins the first constraint with a row entry of size 2
+    or 3, so the pin's pairing entry s = det(G) r_p has |s| > 1."""
+    n = data.draw(st.integers(1, 3 if long_lines else 4), label="rank")
+    kind = data.draw(st.sampled_from(("any", "isotropic", "wide")
+                                     if long_lines and n >= 2 else ("any",)),
+                     label="kind")
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         # zero diagonal entries make the norm linear or constant on a line
         gram[i][i] = 2 * data.draw(st.integers(-2, 2))
         for j in range(i + 1, n):
             gram[i][j] = gram[j][i] = data.draw(st.integers(-3, 3))
+    if kind == "isotropic":
+        gram[n - 1][n - 1] = 0
     assume(det_int(gram) != 0)
     lat = IntegerLattice(gram=gram)
-    box = data.draw(st.integers(1, 5), label="box")
+    largest = (30 if n <= 2 else 8) if long_lines else 5
+    box = data.draw(st.integers(1, largest), label="box")
     point = data.draw(st.tuples(*[st.integers(-box, box)] * n), label="point")
     from_point = data.draw(st.booleans(), label="from_point")
     constraints = []
-    for _ in range(data.draw(st.integers(0, 2), label="constraints")):
+    for k in range(data.draw(st.integers(int(kind == "wide"), 2),
+                             label="constraints")):
         # v = adj(G) r pairs as (x, v) = det(G) r.x, so the first nonzero
         # entry of r is the coordinate the constraint pins, at any index
-        pin = data.draw(st.integers(0, n - 1))
-        row = [0] * pin + [data.draw(st.integers(-2, 2).filter(bool))] + \
+        pin = data.draw(st.integers(0, n - (2 if kind == "isotropic" else 1)))
+        lead = (st.sampled_from((-3, -2, 2, 3)) if kind == "wide" and k == 0
+                else st.integers(-2, 2).filter(bool))
+        row = [0] * pin + [data.draw(lead)] + \
             data.draw(st.lists(st.integers(-2, 2), min_size=n - pin - 1,
                                max_size=n - pin - 1))
+        if kind == "isotropic":
+            row[n - 1] = 0
         v = tuple(sum(a * r for a, r in zip(arow, row))
                   for arow in adjugate(gram))
         c = lat.inner(point, v) if from_point else data.draw(
@@ -377,6 +459,36 @@ def test_solve_norm_system_against_the_literal_scan(data):
     norm = lat.norm(point) if from_point else 2 * data.draw(st.integers(-4, 4))
     assert solve_norm_system(lat, constraints, norm, box) == \
         literal_box_scan(lat.gram, constraints, norm, box)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_long_lines_against_the_literal_scan(data):
+    # the finite differences of the discriminant run over up to 61 steps,
+    # on isotropic lines (linear equations) and under pins with |s| > 1
+    lat, constraints, box, point, from_point = _draw_norm_system(
+        data, long_lines=True)
+    norm = lat.norm(point) if from_point else 2 * data.draw(st.integers(-4, 4))
+    assert solve_norm_system(lat, constraints, norm, box) == \
+        literal_box_scan(lat.gram, constraints, norm, box)
+
+
+@pytest.mark.parametrize("gram, constraints, norms, box, found", [
+    # the hyperbolic plane: lines along e2 are isotropic, 2 x1 x2 = t
+    (((0, 1), (1, 0)), [], (12, 0, -2), 30, 130),
+    # (x, (0, 3)) = 3 x1 pins x1 with s = 3; d = 3 e2 is isotropic
+    (((0, 1), (1, 0)), [((0, 3), 6)], (8, 0, 2), 30, 2),
+    # (x, H) = 4 x1 + x2 + x3 pins x1 with s = 4; d = (-1, 0, 4), (d, d) = -36
+    (GRAM3, [((1, 0, 0), 1)], (-2, 4), 8, 2),
+    # (x, (0, 0, -2)) = -2 x2 pins x2 with s = -2; d = -2 e3 is isotropic
+    (((2, 1, 0), (1, 0, 1), (0, 1, 0)), [((0, 0, -2), 4)], (0, 2, -6), 8, 12),
+])
+def test_isotropic_lines_and_wide_pins(gram, constraints, norms, box, found):
+    lat = IntegerLattice(gram=gram)
+    got = solve_norm_system(lat, constraints, norms, box)
+    assert got == sorted(x for t in norms for x in literal_box_scan(
+        lat.gram, constraints, t, box))
+    assert len(got) == found
 
 
 @settings(deadline=None, max_examples=100)

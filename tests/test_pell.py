@@ -123,8 +123,7 @@ def test_pell_columns_match_bruteforce():
 
 
 def test_raw_isometries_include_identities(ctx6):
-    raw = pell._raw_isometries(ctx6, 20)
-    mats = {g.matrix for g in raw}
+    mats = set(pell._raw_isometries(ctx6, 20))
     assert ((1, 0), (0, 1)) in mats
     assert ((-1, 0), (0, -1)) in mats
     assert ((0, 1), (1, 0)) in mats  # the ray swap
@@ -172,7 +171,8 @@ def _escalating_search(ctx, entry_bound=300):
     for doublings in range(41):
         bound = entry_bound << doublings
         accepted, filtered = [], []
-        for g in pell._raw_isometries(ctx, bound):
+        for m in pell._raw_isometries(ctx, bound):
+            g = Isometry(ctx.lattice, m)
             lam = _quad_eigen_ratio(ctx, g.matrix, _quad_ray(ctx, ctx.v1))
             if lam is None:
                 filtered.append((g.matrix, "ray-swapping"))
@@ -228,6 +228,47 @@ def test_generator_is_the_fourth_power_of_the_unit(ell):
     g0 = _search(ell).g0.matrix
     assert g0 == _eps4(ell), (
         "news: at l = %d the generator %s is not eps^4" % (ell, g0))
+
+
+def _literal_isometry(gram, m):
+    """Every entry of M^T G M equals G's, each as a triple sum."""
+    return all(sum(m[k][i] * gram[k][l] * m[l][j]
+                   for k in range(2) for l in range(2)) == gram[i][j]
+               for i in range(2) for j in range(2))
+
+
+@pytest.mark.parametrize("ell", ELLS)
+def test_raw_matrices_are_the_checked_isometries(ell):
+    # at the certificate's bound the matrix-first scan admits exactly the
+    # pairs of Pell columns with M^T G M = G, and the checked constructor,
+    # the oracle, accepts every one of them
+    ctx, res = pell.build_context(ell), _search(ell)
+    cols = pell._pell_columns(ell, res.bound_used)
+    raw = pell._raw_isometries(ctx, res.bound_used)
+    assert raw == [m for c1 in cols for c2 in cols
+                   for m in [((c1[0], c2[0]), (c1[1], c2[1]))]
+                   if _literal_isometry(ctx.lattice.gram, m)]
+    assert all(Isometry(ctx.lattice, m).matrix == m for m in raw)
+    # the search files each admitted matrix once, and builds an Isometry
+    # only for the accepted ones
+    filed = ([m for m, _ in res.filtered_out]
+             + [g.matrix for g, _ in res.accepted])
+    assert sorted(filed) == sorted(raw)
+    assert all(isinstance(g, Isometry) for g, _ in res.accepted)
+
+
+@pytest.mark.parametrize("planted", [(7, 0), (1, 1), (0, 0)])
+def test_planted_column_fails_lemma_46_by_name(planted, monkeypatch):
+    # a column of norm != 4 fails the search whether or not it pairs 4 l
+    # with another column ((7, 0) pairs 28 with h1 at l = 7)
+    columns = pell._pell_columns
+    monkeypatch.setattr(pell, "_pell_columns", lambda ell, bound: sorted(
+        columns(ell, bound) + [planted]))
+    report = pell.full_section4_certificate(ell_range=[7], k_bound=1)
+    item = next(it for it in report.items if it.id == "lemma-4.6-ell-7")
+    assert item.status == FAIL and not report.ok
+    assert "PellError" in item.details
+    assert "Pell column %s has norm" % (planted,) in item.details
 
 
 @settings(deadline=None, max_examples=25)
@@ -291,7 +332,8 @@ def test_search_at_a_huge_entry_bound(ctx6, res6):
        st.data())
 def test_eigen_ratio_against_quadext_arithmetic(ell, data):
     ctx = pell.build_context(ell)
-    g = data.draw(st.sampled_from(pell._raw_isometries(ctx, 4 * ell * ell)))
+    g = Isometry(ctx.lattice, data.draw(
+        st.sampled_from(pell._raw_isometries(ctx, 4 * ell * ell))))
     g = g.power(data.draw(st.integers(-3, 3)))
     # scaling a ray by a nonzero s + t sqrt(d) keeps its eigenvalue
     scale = data.draw(st.tuples(st.integers(-50, 50), st.integers(-50, 50))
@@ -329,7 +371,8 @@ def test_pell_discriminant_action_against_the_scan(ell, data):
     # the integer +-id test against the images of every coset of NS*/NS
     ctx = pell.build_context(ell)
     disc = discriminant_group(ctx.lattice)
-    g = data.draw(st.sampled_from(pell._raw_isometries(ctx, 4 * ell * ell)))
+    g = Isometry(ctx.lattice, data.draw(
+        st.sampled_from(pell._raw_isometries(ctx, 4 * ell * ell))))
     g = g.power(data.draw(st.integers(-2, 2)))
     pairs = [(tuple(g.matrix[i][0] * u[0] + g.matrix[i][1] * u[1]
                     for i in (0, 1)), u) for _, u in disc.elements()]
