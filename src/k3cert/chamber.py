@@ -54,6 +54,9 @@ class Chamber:
 
     # derived, cached at construction
     wall_forms: tuple = field(default=None, compare=False)
+    # each wall w oriented with (w, anchor) > 0, and its norm (w, w) < 0
+    wall_vectors: tuple = field(default=None, compare=False)
+    wall_norms: tuple = field(default=None, compare=False)
     face_forms: tuple = field(default=None, compare=False)
     reflections: tuple = field(default=None, compare=False)
 
@@ -61,11 +64,11 @@ class Chamber:
         lat = self.lattice
         if lat.norm(self.anchor) <= 0:
             raise ChamberError("(anchor, anchor) must be positive")
-        forms = []
-        refls = []
+        forms, vectors, norms, refls = [], [], [], []
         for w in self.walls:
             # reduce_to_chamber's step bound needs reflections keeping the cone
-            if lat.norm(w) >= 0:
+            ww = lat.norm(w)
+            if ww >= 0:
                 raise ChamberError("wall %s has (w, w) >= 0" % (w,))
             row = lat.pairing_row(w)
             val = self.face_value(row, self.anchor)
@@ -73,8 +76,14 @@ class Chamber:
                 raise ChamberError("wall %s passes through the anchor" % (w,))
             s = 1 if val > 0 else -1
             forms.append(tuple(s * r for r in row))
+            vectors.append(tuple(s * c for c in w))
+            norms.append(ww)
+            # checks that the reflection is integral on the lattice, so each
+            # step of reduce_to_chamber divides exactly
             refls.append(reflection_in(lat, w))
         object.__setattr__(self, "wall_forms", tuple(forms))
+        object.__setattr__(self, "wall_vectors", tuple(vectors))
+        object.__setattr__(self, "wall_norms", tuple(norms))
         object.__setattr__(self, "reflections", tuple(refls))
         if self.extra_rays is not None:
             object.__setattr__(self, "face_forms",
@@ -148,21 +157,35 @@ def reduce_to_chamber(chamber, x):
     so x stays in the cone while the integer (x, anchor) drops by
     k (w, anchor) >= m = min |(w, anchor)| (10 for the pentagon): at most
     (x, anchor) // m steps.
+
+    Each step reuses the value (x, w) its wall test computed: the oriented
+    wall form is the pairing with the oriented w, so the step is
+    x - k w with k = 2(x, w)/(w, w), no matrix product.  The division is
+    exact on the lattice; a remainder, which only a class with non-integer
+    coordinates can leave, raises ChamberError.
     """
     lat = chamber.lattice
     xx, xa = lat.norm(x), lat.inner(x, chamber.anchor)
     if xx < 0 or xa <= 0:
         raise ChamberError("%s is off the closed positive cone: (x, x) = %s, "
                            "(x, anchor) = %s" % (tuple(x), xx, xa))
+    walls = tuple(enumerate(zip(chamber.wall_forms, chamber.wall_vectors,
+                                chamber.wall_norms), 1))
     word = []
     cur = tuple(x)
     while True:
-        viol = next((i for i, f in enumerate(chamber.wall_forms)
-                     if chamber.face_value(f, cur) < 0), None)
-        if viol is None:
-            return ReductionTrace(word=tuple(w + 1 for w in word), result=cur)
-        cur = chamber.reflections[viol].apply(cur)
-        word.append(viol)
+        for i, (f, w, ww) in walls:
+            v = sum(map(mul, f, cur))
+            if v < 0:
+                break
+        else:
+            return ReductionTrace(word=tuple(word), result=cur)
+        k, r = divmod(2 * v, ww)
+        if r:
+            raise ChamberError("%s is not an integer class: its reflection "
+                               "in wall %d is not integral" % (tuple(x), i))
+        cur = tuple(c - k * wc for c, wc in zip(cur, w))
+        word.append(i)
 
 
 # ---------------------------------------------------------------------------

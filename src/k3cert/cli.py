@@ -35,11 +35,8 @@ MAX_K_BOUND = 50
 # the 4,300-digit limit of int-to-str conversion
 MAX_ELL = 10 ** 1000
 # the lemma-4.6 scan pairs the Pell columns with entries up to the bound,
-# about log(E) / log(2 ell) of them, so its pairs grow like log(E)^2; and its
-# power check reads g0^k for |k| < 64, which holds every accepted candidate
-# only while g0^64 is past the bound (at ell = 6, up to about 10^275: from
-# 10^280 the check fails a true lemma).  At the cap, a cold
-# verify pell --ell 6 takes about 1.0 s
+# about log(E) / log(2 ell) of them, so its pairs grow like log(E)^2.  At the
+# cap, a cold verify pell --ell 6 takes about 1.0 s
 MAX_ENTRY_BOUND = 10 ** 100
 # each ell takes a few ms at small ell (a cold --ell-range 6..200 takes about
 # 1.2 s, 0.3 s of it in the items) and every item is held until the report
@@ -52,8 +49,10 @@ MAX_N_BOUND = 10
 
 @functools.cache
 def build_parser():
-    """The argparse tree, built once per process: parse_args keeps no state
-    between calls, so main reuses it."""
+    """The argparse tree, built once per process: parsing keeps no state
+    between calls, so main reuses it.  ``commands`` maps each subcommand to
+    its own parser, which main calls directly when argv starts with that
+    subcommand."""
     p = argparse.ArgumentParser(
         prog="k3cert",
         description="exact verification suite for the quartic and Pell "
@@ -85,7 +84,26 @@ def build_parser():
     po.set_defaults(run=cmd_orbit)
     po.add_argument("--len", dest="length", type=int, required=True)
     po.add_argument("--json", default=None, metavar="PATH")
+    p.commands = sub.choices
     return p
+
+
+def parse(parser, argv):
+    """parser.parse_args(argv) in one argparse pass.
+
+    The full tree matches the subcommand and hands every later argument to
+    its parser, then reports leftovers as its own "unrecognized arguments"
+    error.  When argv[0] names a subcommand, this does the same with no
+    top-level pass.  Any other argv (empty, -h, --, an unknown command)
+    goes through the full tree."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
 
 
 def _parse_ell_range(text, parser):
@@ -206,7 +224,7 @@ def cmd_orbit(args, parser):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse(parser, sys.argv[1:] if argv is None else list(argv))
     try:
         report = args.run(args, parser)
     except (ChamberError, LatticeError) as exc:

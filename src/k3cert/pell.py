@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 from .lattice import (
     DiscriminantGroup,
@@ -113,6 +113,14 @@ def _zinner(ctx, x, y):
 
 def _pairing_sign(ctx, x, y):
     return zsign(*_zinner(ctx, x, y), ctx.d)
+
+
+def _class_ray_sign(ctx, row, ray):
+    """The sign of (x, ray) for an integer class x given by its pairing row:
+    with ray = p + q sqrt(d) coordinatewise, (x, ray) = row.p + (row.q)
+    sqrt(d), two integer dot products."""
+    return zsign(sum(r * p for r, (p, _) in zip(row, ray)),
+                 sum(r * q for r, (_, q) in zip(row, ray)), ctx.d)
 
 
 def _quad(lam, d):
@@ -415,13 +423,15 @@ def _check_generator(ctx, res):
                             "generator" % (g.matrix,))
 
 
-def _is_power_of(powers, g, cap=64):
-    """Whether g is g0^k for some |k| < cap, read off the power table of g0.
-    Each side stops at the first power with an entry beyond g's largest; a
-    miss fails the search, so the stop never admits a candidate."""
+def _is_power_of(powers, g):
+    """Whether g is g0^k for some k, read off the power table of g0.  Each
+    side stops at the first power with an entry beyond g's largest, which
+    comes: _check_generator has checked trace >= 3, so the entries of g0^k
+    grow without bound in |k|.  A miss fails the search, so the stop never
+    admits a candidate."""
     limit = _max_entry(g.matrix)
     for sign in (1, -1):
-        for k in range(cap):
+        for k in count():
             h = powers[sign * k]
             if h.matrix == g.matrix:
                 return True
@@ -516,9 +526,9 @@ def enumerate_H_orbit(ctx, res, k_bound=5):
         orbit.append(h)
         if lat.norm(h) != 4:
             problems.append("orbit class g0^%d(h1) does not have norm 4" % k)
-        hz = _lift(h)
-        if _pairing_sign(ctx, hz, ctx.v1) <= 0 \
-                or _pairing_sign(ctx, hz, ctx.v2) <= 0:
+        row = lat.pairing_row(h)
+        if _class_ray_sign(ctx, row, ctx.v1) <= 0 \
+                or _class_ray_sign(ctx, row, ctx.v2) <= 0:
             problems.append("orbit class g0^%d(h1) is not strictly inside "
                             "the cone" % k)
     if len(set(orbit)) != 2 * k_bound + 1:

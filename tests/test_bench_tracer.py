@@ -30,7 +30,10 @@ wrapped = isometry.order_of is not original
 try:
     with contextlib.redirect_stdout(io.StringIO()):
         codes = [cli.main(["verify", "quartic"]),
-                 cli.main(["verify", "pell", "--ell", "6", "--k-bound", "1"])]
+                 cli.main(["verify", "pell", "--ell", "6", "--k-bound", "1"]),
+                 cli.main(["reduce", "--class", "13,-14,6"]),
+                 cli.main(["orbit", "--len", "3"]),
+                 cli.main(["enumerate", "sections", "--n-bound", "2"])]
 finally:
     restore()
 print(json.dumps({
@@ -52,13 +55,19 @@ def test_tracer_installs_on_the_cli_and_restores():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["codes"] == [0, 0]
+    assert out["codes"] == [0] * 5
     assert out["wrapped"] and out["restored"]
     calls = out["calls"]
     for name in ("cli.main", "quadfield.QuadExt.arith", "isometry.order_of",
                  "isometry.compose", "lattice.discriminant_group",
-                 "pell.isometry_search", "report.timed_item"):
+                 "pell.isometry_search", "report.timed_item",
+                 "cli.build_parser", "chamber.reduce_to_chamber",
+                 "chamber.orbit_of_anchor", "quartic.enumerate_sections"):
         assert calls.get(name, 0) > 0, name
+    assert calls["cli.build_parser"] == calls["cli.main"] == 5
+    # the reduce hook reads result.word: 13,-14,6 reduces in one step, and
+    # lemma 3.10 of verify quartic reduces more classes
+    assert out["counters"]["chamber.reduce_steps"] > 1
     # the search hook binds isometry_search's entry_bound
     assert out["counters"]["pell.search.raw_isometries"] > 0
     assert out["counters"]["pell.search.bound_used_max"] >= 300

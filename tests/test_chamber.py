@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import product
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from k3cert.chamber import (
     Chamber,
@@ -14,7 +15,6 @@ from k3cert.chamber import (
     pingpong_certify,
     reduce_to_chamber,
 )
-from k3cert.isometry import Isometry
 from k3cert.lattice import IntegerLattice
 from k3cert.quadfield import QuadExt
 
@@ -125,10 +125,96 @@ def test_reduce_step_bound_on_the_cone(pentagon, x):
         assert trace.unreduce(pentagon) == x
         assert lat.inner(trace.result, H) > 0
     else:
-        with patch.object(Isometry, "apply",
-                          side_effect=AssertionError("reflected")), \
+        # every reflection step divides by (w, w)
+        with patch("k3cert.chamber.divmod", create=True,
+                   side_effect=AssertionError("reflected")), \
                 pytest.raises(ChamberError, match="closed positive cone"):
             reduce_to_chamber(pentagon, x)
+
+
+def _literal_reduction(chamber, x):
+    """The lowest-index strictly violated wall, reflected through
+    Isometry.apply, until no wall is violated: (word, result)."""
+    word = []
+    while True:
+        viol = next((i for i in range(len(chamber.walls))
+                     if chamber.wall_value(i, x) < 0), None)
+        if viol is None:
+            return tuple(word), tuple(x)
+        x = chamber.reflections[viol].apply(x)
+        word.append(viol + 1)
+
+
+def _cone_box(lat):
+    """The classes of the closed positive cone in [-8, 8]^3."""
+    return [x for x in product(range(-8, 9), repeat=3)
+            if lat.norm(x) >= 0 and lat.inner(x, H) > 0]
+
+
+def test_reduce_against_the_literal_walk(pentagon):
+    cone = _cone_box(pentagon.lattice)
+    assert len(cone) > 500
+    # the box lies within one reflection of the chamber, so its images under
+    # the 24 reduced words of length 4 are added for longer walks
+    far = []
+    for word in product(range(3), repeat=4):
+        if all(a != b for a, b in zip(word, word[1:])):
+            for y in cone[::25]:
+                for i in word:
+                    y = pentagon.reflections[i].apply(y)
+                far.append(y)
+    steps = []
+    for x in cone + far:
+        trace = reduce_to_chamber(pentagon, x)
+        assert (trace.word, trace.result) == _literal_reduction(pentagon, x)
+        steps.append(len(trace.word))
+    assert max(steps) >= 4
+
+
+def test_reduce_tie_break_against_the_literal_walk(lat):
+    # the pentagon's wall caps are disjoint (ping-pong), so at most one wall
+    # is violated at a time; the caps of L and M, both of norm -2, overlap
+    # at (1, 1, 1), where the lowest index must win
+    ch = Chamber(lattice=lat, anchor=H, walls=((0, 1, 0), (0, 0, 1), V))
+    cone = _cone_box(lat)
+    ties = [x for x in cone
+            if sum(ch.wall_value(i, x) < 0 for i in range(3)) > 1]
+    assert (1, 1, 1) in ties
+    for x in cone:
+        trace = reduce_to_chamber(ch, x)
+        assert (trace.word, trace.result) == _literal_reduction(ch, x)
+    assert reduce_to_chamber(ch, (1, 1, 1)).word[0] == 1
+
+
+@pytest.fixture(scope="module")
+def rank4():
+    # the pentagon lattice plus an orthogonal <-2>
+    lat4 = IntegerLattice(gram=tuple(row + (0,) for row in GRAM)
+                          + ((0, 0, 0, -2),))
+    return Chamber(lattice=lat4, anchor=H + (0,),
+                   walls=tuple(w + (0,) for w in (V, VP, W3)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.tuples(*[st.integers(-30, 30)] * 4),
+       st.lists(st.integers(0, 2), max_size=6))
+def test_reduce_against_the_literal_walk_off_rank_3(rank4, x, word):
+    # a class of the cone moved by a word in the reflections, which keep
+    # the cone
+    lat = rank4.lattice
+    assume(lat.norm(x) >= 0 and lat.inner(x, rank4.anchor) > 0)
+    for i in word:
+        x = rank4.reflections[i].apply(x)
+    trace = reduce_to_chamber(rank4, x)
+    assert (trace.word, trace.result) == _literal_reduction(rank4, x)
+
+
+def test_reduce_rejects_a_non_integral_step(pentagon):
+    # a half-integer class of the cone with 2(x, w)/(w, w) = 1/2 for the
+    # third wall: off the integer contract, so no step is taken
+    x = (Fraction(5, 2), Fraction(-2), Fraction(-1))
+    with pytest.raises(ChamberError, match="not an integer class"):
+        reduce_to_chamber(pentagon, x)
 
 
 def test_reduce_off_the_cone_message(pentagon):
@@ -200,13 +286,9 @@ def test_orbit_against_the_literal_walk(pentagon):
         assert orbit_of_anchor(pentagon, k) == _literal_orbit(pentagon, k)
 
 
-def test_orbit_off_rank_3():
-    # the pentagon lattice plus an orthogonal <-2>: the walls, the anchor and
-    # so the orbit keep a last coordinate 0
-    gram = tuple(row + (0,) for row in GRAM) + ((0, 0, 0, -2),)
-    lat4 = IntegerLattice(gram=gram)
-    ch = Chamber(lattice=lat4, anchor=H + (0,),
-                 walls=tuple(w + (0,) for w in (V, VP, W3)))
+def test_orbit_off_rank_3(rank4):
+    # the walls, the anchor and so the orbit keep a last coordinate 0
+    ch = rank4
     lat3 = IntegerLattice(gram=GRAM)
     ch3 = Chamber(lattice=lat3, anchor=H, walls=(V, VP, W3))
     orbit = orbit_of_anchor(ch, 5)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -277,3 +278,66 @@ def test_main_reuses_one_quartic_context(capsys):
     together = [_call(argv, capsys) for argv in calls]
     assert together == alone
     assert quartic.build_context.cache_info().misses == 1
+
+
+# argv that reach every branch of the one-pass dispatch: no command, help,
+# "--", an unknown command, a subcommand's own usage errors and leftovers
+# for the top-level "unrecognized arguments" error, valid calls in the
+# --class= and --class x,y,z forms, and a command's own range check
+ARGV_CORPUS = [
+    [], ["-h"], ["--help"], ["reduce", "-h"], ["--"], ["--", "reduce"],
+    ["-h", "reduce"], ["frobnicate"], ["frobnicate", "--class=1,0,0"],
+    ["--class=1,0,0", "reduce"],
+    ["reduce", "--class=1,0,0", "--frob"],
+    ["reduce", "--class", "13,-14,6", "extra", "--frob=2"],
+    ["reduce", "--", "--class", "1,0,0"],
+    ["reduce"], ["reduce", "--class"], ["reduce", "--class="],
+    ["reduce", "--class", "1,0,0", "--basis", "xyz"],
+    ["reduce", "--class=2,-1,-1"], ["reduce", "--class", "13,-14,6"],
+    ["reduce", "--class", "4,3,1", "--basis", "fev"],
+    ["reduce", "--cl=13,-14,6", "--bas", "HLM"],
+    ["reduce", "--class", "x,y,z"], ["reduce", "--class=-3,-3,-3"],
+    ["verify", "pell", "--ell", "5"], ["verify", "nothing"],
+    ["verify", "--help"], ["orbit", "--len", "99"], ["orbit", "--len", "2"],
+    ["orbit", "--len", "1", "--len", "2"], ["orbit", "--len", "two"],
+    ["orbit"], ["enumerate", "q", "-h"], ["enumerate", "nothing"],
+    ["enumerate", "sections", "--n-bound", "1", "q"],
+]
+
+
+def _full_tree(parser, argv):
+    return parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS,
+                         ids=lambda argv: " ".join(argv) or "(empty)")
+def test_one_pass_dispatch_matches_the_full_tree(argv, capsys, monkeypatch):
+    # exit code, stdout and stderr of main equal those of main with the
+    # full tree's parse_args, on the same cached parser
+    one_pass = _call(argv, capsys)
+    # where the full tree parses, both give the same namespace
+    parser = cli.build_parser()
+    try:
+        assert cli.parse(parser, argv) == parser.parse_args(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "parse", _full_tree)
+    assert _call(argv, capsys) == one_pass
+
+
+def test_main_reads_sys_argv_in_one_pass(capsys, monkeypatch):
+    # a command's argv, from sys.argv or given as a tuple, never reaches the
+    # full tree, leftovers included
+    want = _call(["reduce", "--class=13,-14,6"], capsys)
+    unknown = _call(["orbit", "--frob"], capsys)
+    assert want[0] == 0 and unknown[0] == 2
+
+    def full_tree(*args, **kwargs):
+        raise AssertionError("the full tree parsed")
+    monkeypatch.setattr(cli.build_parser(), "parse_args", full_tree)
+    monkeypatch.setattr(sys, "argv", ["k3cert", "reduce", "--class=13,-14,6"])
+    assert _call(None, capsys) == want
+    assert _call(("reduce", "--class=13,-14,6"), capsys) == want
+    monkeypatch.setattr(sys, "argv", ["k3cert", "orbit", "--frob"])
+    assert _call(None, capsys) == unknown

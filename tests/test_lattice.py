@@ -307,6 +307,35 @@ def test_is_dual_vector_against_the_fraction_sums(lat, data):
     assert is_dual_vector(lat, tuple(-c for c in dual))
 
 
+def _fraction_coordinates(disc, u):
+    """The coset coordinates as Fraction sums: d_i (r_i . u) mod d_i."""
+    return tuple(int(d * sum(r * c for r, c in zip(row, u))) % d
+                 for d, row in zip(disc.invariant_factors,
+                                   disc.coordinate_rows))
+
+
+@settings(deadline=None)
+@given(even_lattices((1, 4), max_det=None), st.data())
+def test_coordinates_of_against_the_fraction_sums(lat, data):
+    disc = discriminant_group(lat)
+    n = lat.rank
+    # a dual vector: G^-1 times an integer vector, plus a lattice vector
+    w = data.draw(st.tuples(*[st.integers(-30, 30)] * n))
+    shift = data.draw(st.tuples(*[st.integers(-30, 30)] * n))
+    det = lat.determinant()
+    dual = tuple(Fraction(c, det) + s
+                 for c, s in zip(mat_vec(adjugate(lat.gram), w), shift))
+    assert disc.coordinates_of(dual) == _fraction_coordinates(disc, dual)
+    # any vector: None exactly off the dual lattice
+    u = tuple(data.draw(st.builds(Fraction, st.integers(-120, 120),
+                                  st.integers(1, 24))) for _ in range(n))
+    got = disc.coordinates_of(u)
+    if _fraction_sum_dual(lat, u):
+        assert got == _fraction_coordinates(disc, u)
+    else:
+        assert got is None
+
+
 def _action_per_call(m, disc):
     """discriminant_action with each generator's lcm of denominators and
     scaled vector computed on the call, not read from the group."""

@@ -327,6 +327,16 @@ def test_search_at_a_huge_entry_bound(ctx6, res6):
     assert res.g0 == res6.g0 and res.alpha == res6.alpha
 
 
+def test_power_check_past_the_cli_cap(ctx6, res6):
+    # at ell = 6, from about 10^280 the bound holds g0^64: the power check
+    # walks the table until the entries pass the candidate's, not 64 powers
+    res = pell.isometry_search(ctx6, entry_bound=10 ** 285)
+    assert res.g0 == res6.g0 and res.alpha == res6.alpha
+    ks = [k for k in range(-80, 81)
+          if any(g.matrix == res.powers[k].matrix for g, _ in res.accepted)]
+    assert max(map(abs, ks)) >= 64
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.one_of(st.sampled_from([6, 7, 12, 93]), st.integers(6, 300)),
        st.data())
@@ -363,6 +373,21 @@ def test_ray_pairing_against_quadext_arithmetic(ell, data):
         want = _quad_inner(ctx, _quad_ray(ctx, x), _quad_ray(ctx, y))
         assert QuadExt(p, q, ctx.d) == want
         assert pell._pairing_sign(ctx, x, y) == want.sign()
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.one_of(st.sampled_from([6, 7, 93, 10 ** 22]), st.integers(6, 300)),
+       st.data())
+def test_class_ray_sign_against_quadext_arithmetic(ell, data):
+    # enumerate_H_orbit reads the sign of (h, ray) off h's integer pairing row
+    ctx = pell.build_context(ell)
+    coords = st.integers(-10 ** 6, 10 ** 6)
+    h = (data.draw(coords), data.draw(coords))
+    for ray in (ctx.v1, ctx.v2):
+        want = _quad_inner(ctx, _quad_ray(ctx, pell._lift(h)),
+                           _quad_ray(ctx, ray))
+        row = ctx.lattice.pairing_row(h)
+        assert pell._class_ray_sign(ctx, row, ray) == want.sign()
 
 
 @settings(deadline=None, max_examples=20)
