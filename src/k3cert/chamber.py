@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, isqrt, lcm
-from operator import mul
+from math import gcd
+from operator import index, mul
 
-from .lattice import IntegerLattice, LatticeError, form_basis
+from .lattice import IntegerLattice, LatticeError, form_basis, scaled
 from .isometry import reflection_in
-from .quadfield import QuadExt, sign_of, is_square
+from .quadfield import pair_sign
 
 
 class ChamberError(LatticeError):
@@ -31,12 +30,10 @@ def in_positive_cone(lat, anchor, x):
 
 
 def _clear_denominators(v):
-    den = lcm(*(Fraction(c).denominator for c in v))
-    ints = [int(Fraction(c) * den) for c in v]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return tuple(ints)
+    """The primitive integer vector on the ray of a rational vector v."""
+    _, ints = scaled(v)
+    g = gcd(*ints) or 1
+    return tuple(c // g for c in ints)
 
 
 def _cross(u, v):
@@ -50,7 +47,7 @@ class Chamber:
     lattice: IntegerLattice
     anchor: tuple
     walls: tuple               # reflection vectors
-    extra_rays: tuple = None   # extreme rays of the chamber (rational coords)
+    extra_rays: tuple = None   # extreme rays of the chamber (int or rational)
 
     # derived, cached at construction
     wall_forms: tuple = field(default=None, compare=False)
@@ -113,12 +110,12 @@ class Chamber:
         return tuple(facets)
 
     def wall_value(self, i, x):
-        """Oriented wall form i evaluated at x (exact, QuadExt-safe)."""
+        """Oriented wall form i evaluated at x (exact)."""
         return self.face_value(self.wall_forms[i], x)
 
     @staticmethod
     def face_value(f, x):
-        """The linear form f at x (QuadExt-safe via __radd__/__rmul__)."""
+        """The linear form f at x (exact)."""
         return sum(map(mul, f, x))
 
 
@@ -147,8 +144,8 @@ def reduce_to_chamber(chamber, x):
 
     Tie-break: lowest wall index.  Non-reflective faces never generate
     reductions.  Contract: x is an integer class of the closed positive
-    cone, (x, x) >= 0 and (x, anchor) > 0; any other class raises
-    ChamberError before any reflection.
+    cone, (x, x) >= 0 and (x, anchor) > 0; any other class, a coordinate
+    that is not an int included, raises ChamberError before any reflection.
 
     No step cap is needed (Vinberg 1972).  Orient w so that (w, anchor) > 0.
     A strictly violated wall has (x, w) < 0, and (w, w) < 0, so
@@ -161,18 +158,22 @@ def reduce_to_chamber(chamber, x):
     Each step reuses the value (x, w) its wall test computed: the oriented
     wall form is the pairing with the oriented w, so the step is
     x - k w with k = 2(x, w)/(w, w), no matrix product.  The division is
-    exact on the lattice; a remainder, which only a class with non-integer
-    coordinates can leave, raises ChamberError.
+    exact, as the Chamber checked each reflection integral on the basis;
+    a remainder would contradict that and raises ChamberError.
     """
+    try:
+        x = tuple(map(index, x))
+    except TypeError:
+        raise ChamberError("%s is not an integer class" % (tuple(x),)) from None
     lat = chamber.lattice
     xx, xa = lat.norm(x), lat.inner(x, chamber.anchor)
     if xx < 0 or xa <= 0:
         raise ChamberError("%s is off the closed positive cone: (x, x) = %s, "
-                           "(x, anchor) = %s" % (tuple(x), xx, xa))
+                           "(x, anchor) = %s" % (x, xx, xa))
     walls = tuple(enumerate(zip(chamber.wall_forms, chamber.wall_vectors,
                                 chamber.wall_norms), 1))
     word = []
-    cur = tuple(x)
+    cur = x
     while True:
         for i, (f, w, ww) in walls:
             v = sum(map(mul, f, cur))
@@ -182,8 +183,8 @@ def reduce_to_chamber(chamber, x):
             return ReductionTrace(word=tuple(word), result=cur)
         k, r = divmod(2 * v, ww)
         if r:
-            raise ChamberError("%s is not an integer class: its reflection "
-                               "in wall %d is not integral" % (tuple(x), i))
+            raise ChamberError("the reflection in wall %d is not integral "
+                               "at %s" % (i, cur))
         cur = tuple(c - k * wc for c, wc in zip(cur, w))
         word.append(i)
 
@@ -193,58 +194,49 @@ def reduce_to_chamber(chamber, x):
 
 def isotropic_rays_in_wall(lat, wall, anchor):
     """The two isotropic rays of the plane orthogonal to ``wall`` (rank 3),
-    oriented to pair positively with the anchor.  Coordinates are QuadExt
-    when irrational, Fractions otherwise."""
+    oriented to pair positively with the anchor, as (d, rays): each ray
+    coordinate is an integer pair (p, q) meaning p + q sqrt(d).
+
+    With p, q a basis of the plane and d = (p, q)^2 - (p, p)(q, q), the
+    rays are (p, p) x = (-(p, q) +- sqrt(d)) p + (p, p) q; when p is
+    isotropic they are p and -(q, q) p + 2 (p, q) q, with every q = 0.
+    zsign is exact at square d too, so one format serves every plane."""
     _, _, (p, q) = form_basis(lat.pairing_row(wall))
     np_, npq, nq = lat.norm(p), lat.inner(p, q), lat.norm(q)
-    rays = []
-    if np_ == 0 and nq == 0:
-        if npq == 0:
-            raise ChamberError("wall plane is totally isotropic")
-        rays = [tuple(Fraction(c) for c in p), tuple(Fraction(c) for c in q)]
-    elif np_ == 0:
-        rays = [tuple(Fraction(c) for c in p),
-                tuple(Fraction(-nq * pc + 2 * npq * qc) for pc, qc in zip(p, q))]
+    d = npq * npq - np_ * nq
+    if d <= 0:
+        # (w, w) < 0 makes the plane hyperbolic, d > 0
+        raise ChamberError("wall plane meets the light cone in no pair of "
+                           "rays (d = %d)" % d)
+    if np_ == 0:
+        rays = [tuple((c, 0) for c in p),
+                tuple((2 * npq * qc - nq * pc, 0) for pc, qc in zip(p, q))]
     else:
-        disc = npq * npq - np_ * nq
-        if disc < 0:
-            raise ChamberError("wall plane misses the light cone")
-        if is_square(disc):
-            r = isqrt(disc)
-            for s in (r, -r):
-                lam = Fraction(-npq + s, np_)
-                rays.append(tuple(lam * pc + qc for pc, qc in zip(p, q)))
-        else:
-            for s in (1, -1):
-                lam = QuadExt(Fraction(-npq, np_), Fraction(s, np_), disc)
-                rays.append(tuple(lam * pc + qc for pc, qc in zip(p, q)))
-    out = []
+        rays = [tuple((np_ * qc - npq * pc, s * pc) for pc, qc in zip(p, q))
+                for s in (1, -1)]
     anchor_row = lat.pairing_row(anchor)
+    out = []
     for ray in rays:
-        s = sign_of(Chamber.face_value(anchor_row, ray))
+        s = pair_sign(anchor_row, ray, d)
         if s == 0:
             raise ChamberError("isotropic ray orthogonal to the anchor")
-        out.append(tuple(s * c for c in ray) if s < 0 else ray)
-    return out
+        out.append(ray if s > 0 else tuple((-a, -b) for a, b in ray))
+    return d, out
 
 
 @dataclass(frozen=True)
 class PingPongCertificate:
-    containments: tuple  # entries {"pair": (i, j), "signs": [...], "pass": bool}
+    # entries in JSON form: containments {"pair": [i, j], "d": d,
+    # "rays": [[[p, q], ...], ...], "signs": [[form, sign], ...],
+    # "pass": bool}, anchor conditions {"wall": i, "pass": bool}
+    containments: tuple
     anchor_conditions: tuple
     passed: bool
 
     def to_json(self):
-        return {
-            "containments": [
-                {"pair": list(c["pair"]), "rays": c["rays"],
-                 "signs": c["signs"], "pass": c["pass"]}
-                for c in self.containments],
-            "anchor_conditions": [
-                {"wall": a["wall"], "pass": a["pass"]}
-                for a in self.anchor_conditions],
-            "pass": self.passed,
-        }
+        return {"containments": list(self.containments),
+                "anchor_conditions": list(self.anchor_conditions),
+                "pass": self.passed}
 
 
 def pingpong_certify(chamber):
@@ -259,41 +251,35 @@ def pingpong_certify(chamber):
     endpoints in the convex region {l_j >= 0}, so it misses the open cap,
     and l_i keeps one sign there -- positive, by continuity at the strict
     ray.  Also certifies that each wall reflection throws the anchor into
-    its own half-space S_i (so every S_i is nonempty).
+    its own half-space S_i (so every S_i is nonempty).  Every sign is
+    pair_sign of a wall form at a ray of integer pairs.
     """
     lat = chamber.lattice
-    k = len(chamber.walls)
-    plane_rays = [isotropic_rays_in_wall(lat, w, chamber.anchor)
-                  for w in chamber.walls]
+    forms = chamber.wall_forms
+    planes = [isotropic_rays_in_wall(lat, w, chamber.anchor)
+              for w in chamber.walls]
     containments = []
     all_ok = True
-    for i in range(k):
-        for j in range(k):
+    for i, (di, rays_i) in enumerate(planes):
+        for j, (dj, rays_j) in enumerate(planes):
             if i == j:
                 continue
-            signs = []
-            side_ij = []
-            side_ji = []
-            for u in plane_rays[j]:
-                s = sign_of(chamber.wall_value(i, u))
-                signs.append(("l%d" % (i + 1), s))
-                side_ij.append(s)
-            for p in plane_rays[i]:
-                s = sign_of(chamber.wall_value(j, p))
-                signs.append(("l%d" % (j + 1), s))
-                side_ji.append(s)
-            ok = all(s >= 0 for s in side_ij + side_ji) \
-                and any(s > 0 for s in side_ij) and any(s > 0 for s in side_ji)
+            side_ij = [pair_sign(forms[i], u, dj) for u in rays_j]
+            side_ji = [pair_sign(forms[j], u, di) for u in rays_i]
+            ok = min(side_ij + side_ji) >= 0 \
+                and max(side_ij) > 0 and max(side_ji) > 0
             all_ok = all_ok and ok
             containments.append({
-                "pair": (i + 1, j + 1),
-                "rays": [[str(c) for c in u] for u in plane_rays[j]],
-                "signs": signs,
+                "pair": [i + 1, j + 1],
+                "d": dj,
+                "rays": [[list(c) for c in u] for u in rays_j],
+                "signs": [["l%d" % (i + 1), s] for s in side_ij]
+                + [["l%d" % (j + 1), s] for s in side_ji],
                 "pass": ok,
             })
     anchor_conditions = []
-    for i in range(k):
-        img = chamber.reflections[i].apply(chamber.anchor)
+    for i, refl in enumerate(chamber.reflections):
+        img = refl.apply(chamber.anchor)
         ok = (in_positive_cone(lat, chamber.anchor, img)
               and chamber.wall_value(i, img) < 0)
         all_ok = all_ok and ok

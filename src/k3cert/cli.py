@@ -28,7 +28,9 @@ USAGE_ERROR = 2
 # level k of the orbit holds 3 * 2^(k-1) classes, so its size doubles per level
 MAX_ORBIT_LEN = 12
 # lemmas 4.7 and 4.8 build the 2k + 1 powers g0^k, whose entries have about
-# 4 k log10(2 ell) digits; k = 50 takes ~0.1 s at ell = 7 and at ell = 100000
+# 4 k log10(2 ell) digits, so the cost grows with the digits of ell: a cold
+# verify pell --k-bound 50 took 0.6 s at ell = 7, 0.9 s at 10^100, 1.9 s at
+# 10^300 and 19 s at 10^1000 (on a shared 2-core VM)
 MAX_K_BOUND = 50
 # the lemma-4.6 details print g0 = eps^4 and the scan's entry bound, about
 # 4 log10(2 ell) digits each: at ell = 10^1000 that is 4,001 digits, inside

@@ -256,11 +256,11 @@ def is_dual_vector(lat, u):
     """True if u (int or Fraction coordinates) pairs integrally with the
     lattice: with D the lcm of u's denominators and w = D u integral, that
     is G w = 0 mod D, in integers."""
-    den, w = _scaled(u)
+    den, w = scaled(u)
     return all(sum(map(mul, row, w)) % den == 0 for row in lat.gram)
 
 
-def _scaled(u):
+def scaled(u):
     """D, the lcm of the denominators of u, and the integer vector D u."""
     den = math.lcm(*(c.denominator for c in u))
     return den, [c.numerator * (den // c.denominator) for c in u]
@@ -309,7 +309,7 @@ class DiscriminantGroup:
         # in integers: with w = den u (den the lcm of u's denominators),
         # coordinate i is d_i (r_i . w) / den, an exact division since
         # d_i (V^-1 u)_i is an integer for a dual vector
-        den, w = _scaled(u)
+        den, w = scaled(u)
         return tuple(d * sum(map(mul, row, w)) // den % d
                      for d, row in zip(self.invariant_factors, self.coordinate_rows))
 

@@ -43,10 +43,11 @@ from .lattice import (
     discriminant_group,
     is_zero_polynomial,
     lattice_points,
+    scaled,
     solve_norm_system,
 )
 from .isometry import Isometry, PowerTable, discriminant_action
-from .quadfield import QuadExt, zsign
+from .quadfield import QuadExt, pair_sign, zsign
 from .report import FAIL, PASS, SKIPPED, Report, run_suite, verdict
 
 
@@ -115,14 +116,6 @@ def _pairing_sign(ctx, x, y):
     return zsign(*_zinner(ctx, x, y), ctx.d)
 
 
-def _class_ray_sign(ctx, row, ray):
-    """The sign of (x, ray) for an integer class x given by its pairing row:
-    with ray = p + q sqrt(d) coordinatewise, (x, ray) = row.p + (row.q)
-    sqrt(d), two integer dot products."""
-    return zsign(sum(r * p for r, (p, _) in zip(row, ray)),
-                 sum(r * q for r, (_, q) in zip(row, ray)), ctx.d)
-
-
 def _quad(lam, d):
     """The QuadExt of an eigenvalue triple (p, q, n)."""
     p, q, n = lam
@@ -140,9 +133,8 @@ def _zpow(x, k, d):
 def _as_triple(x):
     """A QuadExt as the triple (p, q, n) with n > 0 the lcm of its
     denominators."""
-    n = math.lcm(x.a.denominator, x.b.denominator)
-    return (x.a.numerator * (n // x.a.denominator),
-            x.b.numerator * (n // x.b.denominator), n)
+    n, (p, q) = scaled((x.a, x.b))
+    return p, q, n
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +519,8 @@ def enumerate_H_orbit(ctx, res, k_bound=5):
         if lat.norm(h) != 4:
             problems.append("orbit class g0^%d(h1) does not have norm 4" % k)
         row = lat.pairing_row(h)
-        if _class_ray_sign(ctx, row, ctx.v1) <= 0 \
-                or _class_ray_sign(ctx, row, ctx.v2) <= 0:
+        if pair_sign(row, ctx.v1, ctx.d) <= 0 \
+                or pair_sign(row, ctx.v2, ctx.d) <= 0:
             problems.append("orbit class g0^%d(h1) is not strictly inside "
                             "the cone" % k)
     if len(set(orbit)) != 2 * k_bound + 1:

@@ -2,8 +2,8 @@
 
 A QuadExt value is a + b*sqrt(d) with rational a, b and a fixed positive
 non-square integer d.  Signs are decided by one exact integer rule,
-zsign, never by floating point; the Pell layer calls it directly on
-integer pairs p + q*sqrt(d).
+zsign, never by floating point; the chamber and the Pell layer call it
+directly on integer pairs p + q*sqrt(d), through pair_sign.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ class QuadExt:
 
 
 def zsign(p, q, d):
-    """Exact sign of p + q*sqrt(d) for integers p, q and d > 0.
+    """Exact sign of p + q*sqrt(d) for integers p, q and d > 0, square d
+    included.
 
     When p and q have opposite signs, the one with the larger square
     (p^2 against d q^2) decides; equal squares mean zero.
@@ -157,11 +158,12 @@ def zsign(p, q, d):
     return sp if diff > 0 else (sq if diff < 0 else 0)
 
 
-def sign_of(x):
-    if isinstance(x, QuadExt):
-        return x.sign()
-    x = Fraction(x)
-    return 0 if x == 0 else (1 if x > 0 else -1)
+def pair_sign(row, ray, d):
+    """Exact sign of the integer linear form row at a ray whose coordinates
+    are integer pairs (p, q) meaning p + q*sqrt(d): the value is
+    row.p + (row.q)*sqrt(d), two integer dot products and one zsign."""
+    return zsign(sum(r * p for r, (p, _) in zip(row, ray)),
+                 sum(r * q for r, (_, q) in zip(row, ray)), d)
 
 
 def serialize(x):

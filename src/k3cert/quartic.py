@@ -38,6 +38,7 @@ from .isometry import (
 )
 from .chamber import (
     Chamber,
+    _clear_denominators,
     in_chamber,
     in_positive_cone,
     orbit_of_anchor,
@@ -62,14 +63,8 @@ W3 = (4, -3, -3)        # reflection vector of the third involution
 
 IOTA3_FEV = ((1, 10, -20), (0, 1, 0), (0, 1, -1))
 
-# pentagon rays of the fundamental chamber (halves cleared where needed)
-CHAMBER_RAYS = (
-    (Fraction(1), Fraction(1, 2), Fraction(1, 2)),
-    (Fraction(1), Fraction(-1), Fraction(1, 2)),
-    (Fraction(1), Fraction(1, 2), Fraction(-1)),
-    (Fraction(1), Fraction(-1), Fraction(0)),
-    (Fraction(1), Fraction(0), Fraction(-1)),
-)
+# pentagon rays of the fundamental chamber, as primitive integer vectors
+CHAMBER_RAYS = ((2, 1, 1), (2, -2, 1), (2, 1, -2), (1, -1, 0), (1, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -379,7 +374,6 @@ def check_lemma38(ctx):
                       % (None if ch.face_forms is None else len(ch.face_forms)))
     problems = []
     faces = set(ch.face_forms)
-    from .chamber import _clear_denominators
     # the three reflective walls must appear among the facets
     for i in range(len(ch.walls)):
         if _clear_denominators(ch.wall_forms[i]) not in faces:
@@ -494,7 +488,6 @@ def check_lemma310(ctx, rounds=100, seed=2024):
     rng = random.Random(seed)
     ch = ctx.chamber
     refls = ch.reflections
-    int_rays = ((2, 1, 1), (2, -2, 1), (2, 1, -2), (1, -1, 0), (1, 0, -1))
     problems = []
     # images of H under random reduced words come back to H
     for _ in range(20):
@@ -509,8 +502,8 @@ def check_lemma310(ctx, rounds=100, seed=2024):
             problems.append("trace does not reproduce its input")
     # interior round trips with uniqueness
     for _ in range(rounds):
-        coeffs = [rng.randint(1, 5) for _ in int_rays]
-        p = tuple(sum(c * r[i] for c, r in zip(coeffs, int_rays))
+        coeffs = [rng.randint(1, 5) for _ in CHAMBER_RAYS]
+        p = tuple(sum(c * r[i] for c, r in zip(coeffs, CHAMBER_RAYS))
                   for i in range(3))
         if not all(ch.face_value(f, p) > 0 for f in ch.face_forms):
             continue  # boundary point; uniqueness is only claimed inside

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from unittest.mock import patch
 
 import pytest
@@ -15,8 +16,8 @@ from k3cert.chamber import (
     pingpong_certify,
     reduce_to_chamber,
 )
-from k3cert.lattice import IntegerLattice
-from k3cert.quadfield import QuadExt
+from k3cert.lattice import IntegerLattice, det_int, form_basis
+from k3cert.quadfield import QuadExt, is_square, pair_sign
 
 GRAM = ((4, 1, 1), (1, -2, 0), (1, 0, -2))
 H = (1, 0, 0)
@@ -196,13 +197,17 @@ def rank4():
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.tuples(*[st.integers(-30, 30)] * 4),
+@given(st.tuples(*[st.integers(-30, 30)] * 3), st.data(),
        st.lists(st.integers(0, 2), max_size=6))
-def test_reduce_against_the_literal_walk_off_rank_3(rank4, x, word):
-    # a class of the cone moved by a word in the reflections, which keep
-    # the cone
+def test_reduce_against_the_literal_walk_off_rank_3(rank4, tail, data, word):
+    # a class of the cone in [-30, 30]^4 moved by a word in the reflections,
+    # which keep the cone; its first coordinate is drawn among those that
+    # put it in the cone, as a filter on the whole box discards most draws
     lat = rank4.lattice
-    assume(lat.norm(x) >= 0 and lat.inner(x, rank4.anchor) > 0)
+    heads = [h for h in range(-30, 31) if lat.norm((h,) + tail) >= 0
+             and lat.inner((h,) + tail, rank4.anchor) > 0]
+    assume(heads)
+    x = (data.draw(st.sampled_from(heads)),) + tail
     for i in word:
         x = rank4.reflections[i].apply(x)
     trace = reduce_to_chamber(rank4, x)
@@ -217,6 +222,18 @@ def test_reduce_rejects_a_non_integral_step(pentagon):
         reduce_to_chamber(pentagon, x)
 
 
+def test_reduce_rejects_non_int_coordinates_before_any_step(pentagon):
+    # (13/2, -7, 3) once reduced to the rational class (1/2, 0, 0) and
+    # (1.0, 0, 0) to a float trace; (5/2, -2, -1) is a half-integer class
+    # whose first step is not integral.  Each is refused up front.
+    for x in ((Fraction(13, 2), -7, 3), (1.0, 0, 0),
+              (Fraction(5, 2), Fraction(-2), Fraction(-1))):
+        with patch("k3cert.chamber.divmod", create=True,
+                   side_effect=AssertionError("reflected")), \
+                pytest.raises(ChamberError, match="is not an integer class"):
+            reduce_to_chamber(pentagon, x)
+
+
 def test_reduce_off_the_cone_message(pentagon):
     # (-3, -3, -3) lies in the negative cone, where the reduction once ran
     # 1,000 steps; M = (0, 0, 1) has negative norm: one short line each
@@ -228,18 +245,146 @@ def test_reduce_off_the_cone_message(pentagon):
         assert len(msg) < 100
 
 
+def _sign(x):
+    return x.sign() if isinstance(x, QuadExt) else (x > 0) - (x < 0)
+
+
+def _quadext_rays(lat, wall, anchor):
+    """The isotropic rays of the plane orthogonal to wall as the chamber
+    once built them, as the oracle for the integer pairs: Fraction
+    coordinates where the discriminant is a square or p is isotropic,
+    QuadExt coordinates otherwise, each ray oriented toward the anchor."""
+    _, _, (p, q) = form_basis(lat.pairing_row(wall))
+    np_, npq, nq = lat.norm(p), lat.inner(p, q), lat.norm(q)
+    disc = npq * npq - np_ * nq
+    if np_ == 0:
+        rays = [tuple(Fraction(c) for c in p),
+                tuple(Fraction(-nq * pc + 2 * npq * qc) for pc, qc in zip(p, q))]
+    elif is_square(disc):
+        r = isqrt(disc)
+        lams = [Fraction(-npq + s, np_) for s in (r, -r)]
+        rays = [tuple(lam * pc + qc for pc, qc in zip(p, q)) for lam in lams]
+    else:
+        lams = [QuadExt(Fraction(-npq, np_), Fraction(s, np_), disc)
+                for s in (1, -1)]
+        rays = [tuple(lam * pc + qc for pc, qc in zip(p, q)) for lam in lams]
+    out = []
+    for ray in rays:
+        s = _sign(Chamber.face_value(lat.pairing_row(anchor), ray))
+        if s == 0:
+            raise ChamberError("isotropic ray orthogonal to the anchor")
+        out.append(ray if s > 0 else tuple(-c for c in ray))
+    return out
+
+
+def _pair_value(pair, d):
+    """p + q sqrt(d) as a Fraction at square d, a QuadExt otherwise."""
+    p, q = pair
+    return Fraction(p + q * isqrt(d)) if is_square(d) else QuadExt(p, q, d)
+
+
+def _pair_norm(lat, ray, d):
+    """(ray, ray) for integer-pair coordinates, as an integer pair."""
+    p = q = 0
+    for (a, b), row in zip(ray, lat.gram):
+        for (c, e), g in zip(ray, row):
+            p += g * (a * c + d * b * e)
+            q += g * (a * e + b * c)
+    return p, q
+
+
 def test_isotropic_rays(lat):
-    rays = isotropic_rays_in_wall(lat, V, H)
-    # the plane orthogonal to v is spanned by f, e; light cone meets it in
-    # the rays through (1,-1,0) and (1,-1,1), both rational here
-    as_sets = {tuple(r) for r in rays}
-    assert len(as_sets) == 2
-    for r in rays:
-        acc = 0
-        row = lat.pairing_row(H)
-        for c, rc in zip(row, r):
-            acc = acc + c * rc
-        assert acc > 0  # oriented toward the anchor
+    # the plane orthogonal to v is spanned by f, e: p = (-1, 1, 0) is
+    # isotropic, so the rays are rational, through (1,-1,0) and (1,-1,1)
+    d, rays = isotropic_rays_in_wall(lat, V, H)
+    assert all(q == 0 for ray in rays for _, q in ray)
+    assert {tuple(p // ray[0][0] for p, _ in ray) for ray in rays} \
+        == {(1, -1, 0), (1, -1, 1)}
+    # the plane orthogonal to L has d = 40, not a square: irrational rays
+    dl, rays_l = isotropic_rays_in_wall(lat, (0, 1, 0), H)
+    assert dl == 40 and all(any(q for _, q in ray) for ray in rays_l)
+    row = lat.pairing_row(H)
+    for dd, rr in ((d, rays), (dl, rays_l)):
+        assert len(rr) == 2
+        for ray in rr:
+            assert _pair_norm(lat, ray, dd) == (0, 0)
+            assert pair_sign(row, ray, dd) > 0  # oriented toward the anchor
+
+
+# walls of each kind of discriminant: p isotropic (V), a square d with p
+# anisotropic (V' and the negative control's third wall) and a non-square
+# d (L, M)
+KNOWN_WALLS = [(GRAM, H, w) for w in (V, VP, W3, (-114, -47, 123),
+                                      (0, 1, 0), (0, 0, 1))]
+
+
+@st.composite
+def _wall_planes(draw):
+    """(gram, anchor, wall): a known wall, or an even lattice of signature
+    (1, 2) with a positive anchor and a wall of negative norm.  The lattice
+    has e1 of norm 2a > 0 and a negative definite span of e2, e3, so it has
+    signature (1, 2) once it is nondegenerate; anchor and wall are drawn
+    from the classes of a box with the right sign of norm, not filtered."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(KNOWN_WALLS))
+    a, b, c = (draw(st.integers(1, 4)) for _ in range(3))
+    x, y = (draw(st.integers(-4, 4)) for _ in range(2))
+    z = draw(st.integers(-1, 1))
+    gram = ((2 * a, x, y), (x, -2 * b, z), (y, z, -2 * c))
+    assume(det_int(gram) != 0)
+    lat = IntegerLattice(gram=gram)
+    anchor = draw(st.sampled_from(
+        [v for v in product(range(-2, 3), repeat=3) if lat.norm(v) > 0]))
+    wall = draw(st.sampled_from(
+        [v for v in product(range(-4, 5), repeat=3) if lat.norm(v) < 0]))
+    return gram, anchor, wall
+
+
+def test_known_walls_cover_every_kind_of_discriminant(lat):
+    kinds = set()
+    for _, _, wall in KNOWN_WALLS:
+        _, _, (p, q) = form_basis(lat.pairing_row(wall))
+        d, _ = isotropic_rays_in_wall(lat, wall, H)
+        kinds.add("p-isotropic" if lat.norm(p) == 0
+                  else "square" if is_square(d) else "non-square")
+    assert kinds == {"p-isotropic", "square", "non-square"}
+
+
+@settings(deadline=None, max_examples=200)
+@given(_wall_planes(), st.lists(st.tuples(*[st.integers(-20, 20)] * 3),
+                                min_size=3, max_size=3))
+def test_integer_pair_rays_against_the_quadext_rays(plane, forms):
+    gram, anchor, wall = plane
+    lat = IntegerLattice(gram=gram)
+    try:
+        want = _quadext_rays(lat, wall, anchor)
+    except ChamberError:
+        with pytest.raises(ChamberError):
+            isotropic_rays_in_wall(lat, wall, anchor)
+        return
+    d, rays = isotropic_rays_in_wall(lat, wall, anchor)
+    assert len(rays) == len(want) == 2
+    forms = forms + [lat.pairing_row(anchor), lat.pairing_row(wall)]
+    for ray, ref in zip(rays, want):
+        got = [_pair_value(c, d) for c in ray]
+        # the same ray: proportional coordinates, oriented the same way
+        assert all(got[i] * ref[j] == got[j] * ref[i]
+                   for i in range(3) for j in range(3))
+        assert _pair_norm(lat, ray, d) == (0, 0)
+        for f in forms:
+            assert pair_sign(f, ray, d) == _sign(Chamber.face_value(f, ref))
+
+
+def _quadext_signs(chamber):
+    """pingpong_certify's sign lists, from the oracle rays."""
+    planes = [_quadext_rays(chamber.lattice, w, chamber.anchor)
+              for w in chamber.walls]
+    return [[["l%d" % (i + 1), _sign(chamber.wall_value(i, u))]
+             for u in planes[j]]
+            + [["l%d" % (j + 1), _sign(chamber.wall_value(j, u))]
+               for u in planes[i]]
+            for i in range(len(planes)) for j in range(len(planes))
+            if i != j]
 
 
 def test_pingpong_passes(pentagon):
@@ -259,6 +404,17 @@ def test_pingpong_negative_control(lat):
     cert = pingpong_certify(bad)
     assert not cert.passed
     assert any(not c["pass"] for c in cert.to_json()["containments"])
+    assert [c["signs"] for c in cert.containments] == _quadext_signs(bad)
+
+
+def test_pingpong_signs_against_the_quadext_rays(lat, pentagon):
+    # the walls L and M have the non-square d = 40, so this chamber's
+    # certificate signs irrational rays
+    lm = Chamber(lattice=lat, anchor=H, walls=((0, 1, 0), (0, 0, 1), V))
+    for ch in (pentagon, lm):
+        cert = pingpong_certify(ch)
+        assert [c["signs"] for c in cert.containments] == _quadext_signs(ch)
+        assert cert.to_json()["containments"] == list(cert.containments)
 
 
 def test_orbit_counts(pentagon):

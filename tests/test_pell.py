@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from k3cert import cli, isometry, pell
 from k3cert.isometry import Isometry, discriminant_action
 from k3cert.lattice import discriminant_group, lattice_points
-from k3cert.quadfield import QuadExt, zsign
+from k3cert.quadfield import QuadExt, pair_sign, zsign
 from k3cert.report import FAIL, PASS, SKIPPED, run_suite
 
 
@@ -379,7 +379,8 @@ def test_ray_pairing_against_quadext_arithmetic(ell, data):
 @given(st.one_of(st.sampled_from([6, 7, 93, 10 ** 22]), st.integers(6, 300)),
        st.data())
 def test_class_ray_sign_against_quadext_arithmetic(ell, data):
-    # enumerate_H_orbit reads the sign of (h, ray) off h's integer pairing row
+    # enumerate_H_orbit reads the sign of (h, ray) off h's integer pairing
+    # row, with the pair_sign that also signs the chamber's rays
     ctx = pell.build_context(ell)
     coords = st.integers(-10 ** 6, 10 ** 6)
     h = (data.draw(coords), data.draw(coords))
@@ -387,7 +388,7 @@ def test_class_ray_sign_against_quadext_arithmetic(ell, data):
         want = _quad_inner(ctx, _quad_ray(ctx, pell._lift(h)),
                            _quad_ray(ctx, ray))
         row = ctx.lattice.pairing_row(h)
-        assert pell._class_ray_sign(ctx, row, ray) == want.sign()
+        assert pair_sign(row, ray, ctx.d) == want.sign()
 
 
 @settings(deadline=None, max_examples=20)

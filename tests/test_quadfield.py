@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from k3cert.quadfield import (
-    QuadExt, is_square, serialize, sign_of, zsign)
+    QuadExt, is_square, serialize, zsign)
 
 
 def test_is_square():
@@ -136,9 +136,8 @@ def test_comparisons():
     assert 1 < r < 2
     assert r <= r
     assert not (r > r)
-    assert sign_of(r - 1) == 1
-    assert sign_of(Fraction(-1, 3)) == -1
-    assert sign_of(0) == 0
+    assert (r - 1).sign() == 1
+    assert (r - 2).sign() == -1
 
 
 def test_serialize():
