@@ -10,7 +10,9 @@ Subcommands:
     orbit --len K          (K <= MAX_ORBIT_LEN)
 
 ``--json PATH`` writes the report; the exit code is 0 iff no item has
-status "fail" (a "discrepancy" does not fail the build), 2 on usage errors.
+status "fail" (a "discrepancy" does not fail the build), 2 on usage errors,
+among them a PATH that cannot be opened for writing (checked before any
+item runs).
 """
 
 from __future__ import annotations
@@ -227,6 +229,17 @@ def cmd_orbit(args, parser):
 def main(argv=None):
     parser = build_parser()
     args = parse(parser, sys.argv[1:] if argv is None else list(argv))
+    if args.json:
+        # opened before any check runs, so a path that cannot be written is a
+        # usage error up front, not a crash after all the work; append mode
+        # creates a missing file and leaves an existing report as it was
+        # when a usage error follows
+        try:
+            open(args.json, "a").close()
+        except OSError as exc:
+            print("error: cannot write --json %s: %s"
+                  % (args.json, exc.strerror or exc), file=sys.stderr)
+            return USAGE_ERROR
     try:
         report = args.run(args, parser)
     except (ChamberError, LatticeError) as exc:

@@ -2,20 +2,22 @@
 
 The chord-tangent addition is the independent oracle.  It works on the
 integer numerators and denominators of its summands and reduces the slope
-and each coordinate of the sum once, by one gcd each.  A SumTable holds the
-sums of one curve, each computed once and keyed by those integers; the
-sample multiples, the restriction check and the group-law oracle read it.
+and each coordinate of the sum once, by one gcd each.  Each CurvePoint
+carries those integers as its key; a SumTable holds the sums of one curve,
+each computed once and kept under the keys of its summands, and the sample
+multiples, the restriction check and the group-law oracle read it.
 The translation-by-(a, b) formulas
     s' = ((t - b)/(s - a))^2 - s - a,
     t' = ((t - b)/(s - a)) (s' - a) + b
-are written once, in translate, and evaluated over Fractions at points and
-over sympy's sparse rational-function field K = Q(s, t, a, b), where
-equality is exact, for identities.  K is built as the fraction field of
-Z[s, t, a, b] (the same field), so its gcds run over the integers; Fraction
-translation points still coerce into it.  Elimination shows the inverse is
-the same formula; the involution identity is proved in K, generically in
-(a, b) and for each concrete translation point.  Finite automorphisms are
-checked on their exponents in mu_12, so sympy serves only K.
+are written once, in translate, and evaluated over Fractions at points and,
+for identities, over Quotients: unreduced quotients of sympy's sparse
+polynomial ring K = Z[s, t, a, b].  Equality of quotients is
+cross-multiplication, so it is exact and no polynomial gcd is ever taken;
+Fraction translation points coerce into them.  Elimination shows the
+inverse is the same formula; the involution identity is proved on
+quotients, generically in (a, b) and for each concrete translation point.
+Finite automorphisms are checked on their exponents in mu_12, so sympy
+serves only K.
 
 Note the second displayed formula has no final negation, so on the curve
 the map may realize P + (a, b) or -(P + (a, b)); restriction_agreement
@@ -26,16 +28,91 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from sympy import ZZ
-from sympy.polys.fields import field
+from sympy.polys.rings import ring
 
 from .report import run_suite, verdict
 
-# the rational-function field Q(s, t, a, b) of the identity checks, as the
-# fraction field of Z[s, t, a, b]
-K, S, T, A, B = field("s,t,a,b", ZZ)
+# the polynomial ring Z[s, t, a, b] of the identity checks; its quotients
+# stay unreduced, so no polynomial gcd is ever taken
+K, *_GENS = ring("s,t,a,b", ZZ)
+
+
+class Quotient:
+    """num/den with num and den ints or elements of K and den nonzero, never
+    reduced.  Two quotients are equal exactly when their cross-products are,
+    and an unreduced degree bounds the degree of the reduced quotient, so
+    the identity and degree checks need no gcd.  Ints and Fractions coerce;
+    a zero divisor raises ZeroDivisionError."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=1):
+        if not den:
+            raise ZeroDivisionError("quotient with a zero denominator")
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        o = _quotient(other)
+        # a shared or unit denominator spares the cross-products
+        if self.den == o.den:
+            return Quotient(self.num + o.num, self.den)
+        if o.den == 1:
+            return Quotient(self.num + o.num * self.den, self.den)
+        if self.den == 1:
+            return Quotient(self.num * o.den + o.num, o.den)
+        return Quotient(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Quotient(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -_quotient(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = _quotient(other)
+        return Quotient(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _quotient(other)
+        return Quotient(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        return _quotient(other) / self
+
+    def __pow__(self, n):
+        if n < 0:
+            return (1 / self) ** -n
+        return Quotient(self.num ** n, self.den ** n) if n else Quotient(1)
+
+    def __eq__(self, other):
+        o = _quotient(other)
+        return self.num * o.den == o.num * self.den
+
+    def __repr__(self):
+        return "(%s)/(%s)" % (self.num, self.den)
+
+
+def _quotient(x):
+    """x as a Quotient: x is one, a Fraction, an int or an element of K."""
+    if isinstance(x, Quotient):
+        return x
+    if isinstance(x, Fraction):
+        return Quotient(x.numerator, x.denominator)
+    return Quotient(x)
+
+
+S, T, A, B = map(Quotient, _GENS)
 
 
 class CurveError(ValueError):
@@ -55,6 +132,16 @@ class CurvePoint:
     @staticmethod
     def affine(x, y):
         return CurvePoint(x=Fraction(x), y=Fraction(y))
+
+    @cached_property
+    def key(self):
+        """The integers (a, b, c, e) of an affine point (a/b, c/e), None at
+        O: comparing or hashing these skips the Fraction machinery (hashing
+        a Fraction takes a modular inverse)."""
+        if self.at_infinity:
+            return None
+        return (self.x.numerator, self.x.denominator,
+                self.y.numerator, self.y.denominator)
 
     def __repr__(self):
         if self.at_infinity:
@@ -77,17 +164,21 @@ class WeierstrassCurve:
             raise CurveError("curve y^2 = x^3 + px + q is singular")
 
     def contains(self, pt):
-        """y^2 = x^3 + p x + q with every denominator cleared, so no gcd is
-        taken: for x = a/b, y = c/e, p = P/Q and q = R/S it reads
+        """y^2 = x^3 + p x + q with no gcd taken, for x = a/b, y = c/e,
+        p = P/Q and q = R/S in lowest terms.  With p and q integers both
+        sides are in lowest terms, as gcd(a^3 + P a b^2 + R b^3, b) =
+        gcd(a^3, b) = 1, so it reads c^2 = a^3 + P a b^2 + R b^3 and
+        e^2 = b^3; otherwise, with every denominator cleared, it reads
         c^2 b^3 Q S = e^2 (a^3 Q S + P a b^2 S + R b^3 Q)."""
         if pt.at_infinity:
             return True
-        a, b = pt.x.numerator, pt.x.denominator
-        c, e = pt.y.numerator, pt.y.denominator
+        a, b, c, e = pt.key
         P, Q = self.p.numerator, self.p.denominator
         R, S = self.q.numerator, self.q.denominator
         b2 = b * b
         b3 = b2 * b
+        if Q == S == 1:
+            return e * e == b3 and c * c == a * a * a + P * a * b2 + R * b3
         return c * c * b3 * Q * S == e * e * (a * a * a * Q * S
                                               + P * a * b2 * S + R * b3 * Q)
 
@@ -95,11 +186,6 @@ class WeierstrassCurve:
         if pt.at_infinity:
             return pt
         return CurvePoint.affine(pt.x, -pt.y)
-
-
-def _parts(pt):
-    """The integers a, b, c, e of an affine point (a/b, c/e)."""
-    return pt.x.numerator, pt.x.denominator, pt.y.numerator, pt.y.denominator
 
 
 def chord_tangent_add(curve, p1, p2):
@@ -117,8 +203,8 @@ def chord_tangent_add(curve, p1, p2):
         return p2
     if p2.at_infinity:
         return p1
-    a1, b1, c1, e1 = _parts(p1)
-    a2, b2, c2, e2 = _parts(p2)
+    a1, b1, c1, e1 = p1.key
+    a2, b2, c2, e2 = p2.key
     if a1 == a2 and b1 == b2:
         if c1 == -c2:  # on the curve y2 = +-y1, so e1 = e2
             return O
@@ -142,22 +228,17 @@ def chord_tangent_add(curve, p1, p2):
     return CurvePoint(x3, y3)
 
 
-def _key(pt):
-    """A point as integers: hashing a Fraction takes a modular inverse."""
-    return None if pt.at_infinity else _parts(pt)
-
-
 class SumTable:
     """The sums p + q on one curve, each computed once by chord_tangent_add
-    and kept under the integer numerators and denominators of (p, q).  The
-    key is ordered, so p + q and q + p are computed separately."""
+    and kept under the pair of keys (p.key, q.key).  The pair is ordered,
+    so p + q and q + p are computed separately."""
 
     def __init__(self, curve):
         self.curve = curve
         self._sums = {}
 
     def add(self, p, q):
-        k = _key(p), _key(q)
+        k = p.key, q.key
         total = self._sums.get(k)
         if total is None:
             total = self._sums[k] = chord_tangent_add(self.curve, p, q)
@@ -203,7 +284,7 @@ class RationalMap:
         return RationalMap(lambda s, t: self.formula(*other.formula(s, t)))
 
     def components(self):
-        """The two components as elements of K, in lowest terms."""
+        """The two components as unreduced quotients over K."""
         return self.formula(S, T)
 
 
@@ -272,7 +353,9 @@ def finite_automorphism(d, p, q):
 def restriction_agreement(sums, ab, samples):
     """Measure whether the plane map restricted to the curve of the sums
     table is P + (a, b) or -(P + (a, b)), uniformly over the samples; each
-    P + (a, b) is read from the table.
+    P + (a, b) is read from the table.  The image and fits of each distinct
+    sample are computed once; a repeated sample (the multiples on a torsion
+    curve) reads them back and still counts as checked.
 
     Returns (convention, checked) where convention is "plain-addition" or
     "addition-then-negation".  Raises on a mixed or unexplained verdict.
@@ -282,24 +365,27 @@ def restriction_agreement(sums, ab, samples):
         raise CurveError("translation point %s is not on the curve" % (ab,))
     phi = translation_map(ab.x, ab.y)
     possible = {"plain-addition", "addition-then-negation"}
+    seen = {}  # sample key -> its fits
     checked = 0
     for pt in samples:
         if pt.at_infinity or pt.x == ab.x:
             continue  # map undefined along s = a
-        expected = sums.add(pt, ab)
-        if expected.at_infinity:
-            continue
-        img = phi.apply(pt)
-        if not curve.contains(img):
-            raise CurveError("image %s of %s left the curve" % (img, pt))
-        fits = set()
-        if img == expected:
-            fits.add("plain-addition")
-        if img == curve.neg(expected):  # 2-torsion results fit both
-            fits.add("addition-then-negation")
-        if not fits:
-            raise CurveError("image %s of %s matches neither P+(a,b) nor "
-                             "its negative" % (img, pt))
+        fits = seen.get(pt.key)
+        if fits is None:
+            expected = sums.add(pt, ab)
+            if expected.at_infinity:
+                continue
+            img = phi.apply(pt)
+            if not curve.contains(img):
+                raise CurveError("image %s of %s left the curve" % (img, pt))
+            fits = seen[pt.key] = set()
+            if img.key == expected.key:
+                fits.add("plain-addition")
+            if img.key == curve.neg(expected).key:  # 2-torsion fits both
+                fits.add("addition-then-negation")
+            if not fits:
+                raise CurveError("image %s of %s matches neither P+(a,b) "
+                                 "nor its negative" % (img, pt))
         possible &= fits
         if not possible:
             raise CurveError("convention flipped at %s" % (pt,))
@@ -348,12 +434,11 @@ def check_group_law_oracle():
     triples = 0
     for a in pts:
         for b in pts:
-            if add(a, b) != add(b, a):
+            ab = add(a, b)
+            if ab.key != add(b, a).key:
                 problems.append("commutativity failed at (%s, %s)" % (a, b))
             for c in pts:
-                lhs = add(add(a, b), c)
-                rhs = add(a, add(b, c))
-                if lhs != rhs:
+                if add(ab, c).key != add(a, add(b, c)).key:
                     problems.append("associativity failed at (%s, %s, %s)"
                                     % (a, b, c))
                 triples += 1
@@ -375,9 +460,10 @@ def check_forward_map():
     img2 = phi2.apply(CurvePoint.affine(0, -1))
     if not e.contains(img2):
         problems.append("image of (0,-1) under the (2,3)-map left the curve")
+    # the unreduced degrees bound those of the reduced components
     for c in phi.components():
-        for poly in (c.numer, c.denom):
-            for i, var in enumerate((S, T)):
+        for poly in (K(c.num), K(c.den)):
+            for i, var in enumerate("st"):
                 if poly.degree(i) > 3:
                     problems.append("component degree in %s exceeds 3" % var)
     return verdict(problems, "displayed formulas reproduce the worked example "

@@ -341,3 +341,48 @@ def test_main_reads_sys_argv_in_one_pass(capsys, monkeypatch):
     assert _call(("reduce", "--class=13,-14,6"), capsys) == want
     monkeypatch.setattr(sys, "argv", ["k3cert", "orbit", "--frob"])
     assert _call(None, capsys) == unknown
+
+
+@pytest.mark.parametrize("argv", [["verify", "pell", "--ell", "6"],
+                                  ["reduce", "--class", "2,-1,-1"]])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_json_path_exit_2_before_any_check(argv, where, tmp_path,
+                                                      capsys, monkeypatch):
+    # the path is opened before any suite runs: one stderr line, no report
+    path = tmp_path / "missing" / "x.json" if where != "directory" else tmp_path
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(cli.pell, "full_section4_certificate", no_check)
+    monkeypatch.setattr(cli, "reduce_to_chamber", no_check)
+    monkeypatch.setattr(cli, "run_suite", no_check)
+    code, out, err = _call(argv + ["--json", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: cannot write --json %s: " % path)
+
+
+def test_json_path_is_created_before_the_items_run(tmp_path, capsys,
+                                                   monkeypatch):
+    path = tmp_path / "report.json"
+
+    def check_the_file(ells, **kwargs):
+        assert path.exists()
+        return Report()
+    monkeypatch.setattr(cli.pell, "full_section4_certificate", check_the_file)
+    code, _, err = _call(["verify", "pell", "--ell", "6", "--json",
+                          str(path)], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(path.read_text())["items"] == []
+
+
+def test_usage_error_leaves_an_existing_report(tmp_path, capsys):
+    # the early writability check does not truncate: a class off the cone
+    # and an out-of-range option both exit 2 with the old report in place
+    path = tmp_path / "report.json"
+    path.write_text("old report\n")
+    for argv in (["reduce", "--class=-3,-3,-3"],
+                 ["verify", "pell", "--ell", "3"]):
+        code, out, _ = _call(argv + ["--json", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert path.read_text() == "old report\n"

@@ -1,9 +1,12 @@
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.fields import field
+from sympy.polys.rings import PolyElement, PolyRing
 
 from k3cert import weierstrass as w
 from k3cert.report import FAIL, PASS
@@ -196,6 +199,23 @@ def test_contains_against_fraction_arithmetic(p, x, y, shift):
     assert e.contains(w.CurvePoint.affine(x, y))
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20),
+       st.integers(2, 9), fractions, fractions)
+def test_contains_on_integral_curves(p, u, c, k, x, y):
+    # integer p and q take the lowest-terms comparison: (u, c) is on the
+    # curve through it, (u, c/k) and (u/k^2, c/k^3) need not be, nor need a
+    # random point
+    q = c * c - u ** 3 - p * u
+    assume(4 * p ** 3 + 27 * q ** 2 != 0)
+    e = curve(p, q)
+    assert e.contains(w.CurvePoint.affine(u, c))
+    for pt in (w.CurvePoint.affine(u, Fraction(c, k)),
+               w.CurvePoint.affine(Fraction(u, k * k), Fraction(c, k ** 3)),
+               w.CurvePoint.affine(x, y)):
+        assert e.contains(pt) == _contains_by_fractions(e, pt)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(w._TEST_CURVES), st.integers(1, 42), fractions)
 def test_contains_at_large_heights(test_curve, k, shift):
@@ -285,7 +305,7 @@ def _count_sums(monkeypatch):
     add = w.chord_tangent_add
 
     def counting(e, p1, p2):
-        calls.append((e.p, e.q, w._key(p1), w._key(p2)))
+        calls.append((e.p, e.q, p1.key, p2.key))
         return add(e, p1, p2)
     monkeypatch.setattr(w, "chord_tangent_add", counting)
     return calls
@@ -319,15 +339,99 @@ def test_sum_table_keeps_the_order_of_the_summands(monkeypatch):
 
 
 def test_field_over_the_integers():
-    # K is the fraction field of Z[s, t, a, b]; Fraction translation points
-    # coerce into it, phi o phi = id holds there, and a wrong composition
-    # is still told apart
-    assert w.K.domain == sympy.ZZ
+    # K is the ring Z[s, t, a, b] and the identities run on its unreduced
+    # quotients; Fraction translation points coerce into them, phi o phi =
+    # id holds there, and a wrong composition is still told apart
+    assert isinstance(w.K, PolyRing) and w.K.domain == sympy.ZZ
+    assert w.K.symbols == sympy.symbols("s t a b")
     a, b = Fraction(1, 2), Fraction(-3, 7)
     phi = w.invert_translation_map(a, b)
-    assert phi.compose(phi).components() == (w.S, w.T)
+    components = phi.compose(phi).components()
+    assert components == (w.S, w.T)
+    for c in components:
+        assert w.K(c.num).ring is w.K and w.K(c.den).ring is w.K
     other = w.translation_map(a, b + Fraction(1, 3))
     assert phi.compose(other).components() != (w.S, w.T)
+
+
+# sympy's rational-function field over the same variables: the oracle for
+# the unreduced quotients
+F, *F_GENS = field("s,t,a,b", sympy.ZZ)
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+       "/": operator.truediv}
+constants = st.one_of(st.integers(-9, 9),
+                      st.builds(Fraction, st.integers(-9, 9),
+                                st.integers(1, 9)))
+leaves = st.one_of(st.integers(0, 3).map(lambda i: ("var", i)),
+                   constants.map(lambda c: ("const", c)))
+binary = st.sampled_from("+-*/")
+# a power's base is a leaf or one operation on two leaves, so nested powers
+# cannot blow the degrees up; sympy refuses 0**0, so the exponent is never 0
+powers = st.tuples(st.just("**"),
+                   leaves | st.tuples(binary, leaves, leaves),
+                   st.sampled_from([-2, -1, 1, 2, 3]))
+expressions = st.recursive(leaves | powers,
+                           lambda sub: st.tuples(binary, sub, sub),
+                           max_leaves=8)
+
+
+def _evaluate(tree, gens, const, power=operator.pow):
+    """The tree's value, or None where it divides by zero."""
+    kind = tree[0]
+    if kind == "var":
+        return gens[tree[1]]
+    if kind == "const":
+        return const(tree[1])
+    x = _evaluate(tree[1], gens, const, power)
+    y = tree[2] if kind == "**" else _evaluate(tree[2], gens, const, power)
+    if x is None or y is None:
+        return None
+    if isinstance(x, int) and (kind == "**" or isinstance(y, int)):
+        x = Fraction(x)  # int / int and int ** -n would give floats
+    try:
+        return power(x, y) if kind == "**" else OPS[kind](x, y)
+    except ZeroDivisionError:
+        return None
+
+
+def _quotient_of(tree):
+    # constants stay ints and Fractions, so their coercion is exercised
+    value = _evaluate(tree, (w.S, w.T, w.A, w.B), lambda c: c)
+    return None if value is None else w.Quotient(1) * value
+
+
+def _field_of(tree):
+    # sympy's field leaves the sign of x ** -n unnormalized (F(-1) ** -1 is
+    # 1/-1, which its == tells apart from -1), so the oracle divides instead
+    return _evaluate(tree, F_GENS, lambda c: F(c.numerator) / c.denominator,
+                     lambda x, n: x ** n if n > 0 else 1 / x ** -n)
+
+
+@settings(deadline=None, max_examples=200)
+@given(expressions, expressions, expressions)
+def test_quotients_against_the_field(e1, e2, d):
+    q1, q2, qd = map(_quotient_of, (e1, e2, d))
+    f1, f2, fd = map(_field_of, (e1, e2, d))
+    # a division by zero happens on both sides or on neither
+    assert (q1 is None, q2 is None, qd is None) == (
+        f1 is None, f2 is None, fd is None)
+    assume(q1 is not None and q2 is not None)
+    # num/den read back into the field is the field's own value
+    for q, f in ((q1, f1), (q2, f2)):
+        assert F(q.num) / F(q.den) == f
+    assert (q1 == q2) == (f1 == f2)
+    assert (q1 != q2) == (f1 != f2)
+    assert q1 == q1 + 0 and not q1 != 1 * q1
+    if qd is not None and fd != 0:
+        # an equal rewrite is equal, a perturbed expression is not
+        assert q1 == q1 * qd / qd and q1 == q1 + qd - qd
+        assert q1 != q1 + qd and not q1 == q1 + qd
+    # dividing by the zero polynomial raises
+    for zero in (w.S - w.S, w.A * w.B - w.B * w.A, w.Quotient(0)):
+        with pytest.raises(ZeroDivisionError):
+            q1 / zero
+        with pytest.raises(ZeroDivisionError):
+            zero ** -1
 
 
 def test_inverse_check_rejects_a_wrong_formula(monkeypatch):
@@ -344,3 +448,55 @@ def test_inverse_check_rejects_a_wrong_formula(monkeypatch):
     inverse = next(it for it in w.full_weierstrass_certificate().items
                    if it.id == "thm-2.2-inverse")
     assert inverse.status == FAIL and "residual" in inverse.details
+
+
+def test_certificate_takes_no_polynomial_gcd(monkeypatch):
+    # the identities are cross-multiplications, so a gcd or a cancellation
+    # in the ring is never needed
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial gcd was taken")
+    for name in ("gcd", "cofactors", "cancel"):
+        monkeypatch.setattr(PolyElement, name, refuse)
+    report = w.full_weierstrass_certificate()
+    assert [it.status for it in report.items] == [PASS] * 5, report.items
+
+
+def test_forward_map_check_sees_a_degree_4_term(monkeypatch):
+    # the unreduced degrees bound the reduced ones, and a real s^4 in s'
+    # survives the reduction: the degree check must name it
+    translate = w.translate
+
+    def planted(a, b, s, t):
+        s2, t2 = translate(a, b, s, t)
+        return s2 + s ** 4, t2
+    monkeypatch.setattr(w, "translate", planted)
+    item = next(it for it in w.full_weierstrass_certificate().items
+                if it.id == "thm-2.2-map")
+    assert item.status == FAIL
+    assert "component degree in s exceeds 3" in item.details
+    assert "degree in t" not in item.details
+
+
+@pytest.mark.parametrize("test_curve", w._TEST_CURVES)
+def test_restriction_applies_the_map_once_per_distinct_sample(test_curve,
+                                                              monkeypatch):
+    # on the torsion curves (0, 1) and (-2, 1) the multiples repeat: each
+    # distinct sample is mapped once, and every sample is still counted
+    p, q, base, ab = test_curve
+    sums = w.SumTable(curve(p, q))
+    samples = w._sample_points(sums, w.CurvePoint.affine(*base))
+    ab = w.CurvePoint.affine(*ab)
+    usable = [pt for pt in samples
+              if pt.x != ab.x and not sums.add(pt, ab).at_infinity]
+    applied = []
+    apply = w.RationalMap.apply
+
+    def counting(self, pt):
+        applied.append(pt.key)
+        return apply(self, pt)
+    monkeypatch.setattr(w.RationalMap, "apply", counting)
+    _, checked = w.restriction_agreement(sums, ab, samples)
+    assert checked == len(usable) >= 20
+    assert len(applied) == len(set(applied)) == len({pt.key for pt in usable})
+    if (p, q) != (0, 17):
+        assert len(applied) < checked
