@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import pell, quartic, weierstrass
@@ -229,12 +230,14 @@ def cmd_orbit(args, parser):
 def main(argv=None):
     parser = build_parser()
     args = parse(parser, sys.argv[1:] if argv is None else list(argv))
+    created = False
     if args.json:
         # opened before any check runs, so a path that cannot be written is a
         # usage error up front, not a crash after all the work; append mode
         # creates a missing file and leaves an existing report as it was
         # when a usage error follows
         try:
+            created = not os.path.exists(args.json)
             open(args.json, "a").close()
         except OSError as exc:
             print("error: cannot write --json %s: %s"
@@ -242,7 +245,13 @@ def main(argv=None):
             return USAGE_ERROR
     try:
         report = args.run(args, parser)
-    except (ChamberError, LatticeError) as exc:
+    except (ChamberError, LatticeError, SystemExit) as exc:
+        # a usage error found by the command (parser.error raises
+        # SystemExit) leaves no file that main created
+        if created:
+            os.remove(args.json)
+        if isinstance(exc, SystemExit):
+            raise
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     print(report.render_text())

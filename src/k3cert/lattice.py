@@ -327,6 +327,10 @@ def discriminant_group(lat):
     Generators come out of the unimodular transforms: with U*G*V = D the
     i-th generator is column i of V divided by d_i, so its denominator is
     exactly its invariant factor, and row i of V^-1 reads its coordinate.
+    The checks run on the integer scaled generators w = column i of V
+    reduced mod d_i: w / d_i is dual iff G w = 0 mod d_i, and has order d_i
+    iff gcd(d_i, w) = 1.  Fractions are built only for the generators
+    returned.
     """
     u, d, v = smith_normal_form(lat.gram)
     det_v = det_int(v)
@@ -335,21 +339,21 @@ def discriminant_group(lat):
     n = lat.rank
     nontrivial = [i for i in range(n) if d[i][i] > 1]
     factors = tuple(d[i][i] for i in nontrivial)
-    gens = tuple(reduce_mod_lattice(tuple(Fraction(v[r][i], d[i][i])
-                                          for r in range(n)))
-                 for i in nontrivial)
+    scaled = tuple(tuple(v[r][i] % d[i][i] for r in range(n))
+                   for i in nontrivial)
+    for di, w in zip(factors, scaled):
+        if any(sum(map(mul, row, w)) % di for row in lat.gram):
+            raise LatticeError("discriminant generator is not a dual vector")
+        if math.gcd(di, *w) != 1:
+            raise LatticeError("discriminant generator has wrong order")
     # V^-1 = adj(V) / det V = det V adj(V)
     adj_v = adjugate(v)
     rows = tuple(tuple(det_v * c for c in adj_v[i]) for i in nontrivial)
-    # exact once every denominator divides its factor, checked below
-    scaled = tuple(tuple(c.numerator * (di // c.denominator) for c in g)
-                   for di, g in zip(factors, gens))
+    gens = tuple(tuple(Fraction(c, di) for c in w)
+                 for di, w in zip(factors, scaled))
     grp = DiscriminantGroup(lattice=lat, invariant_factors=factors,
                             generators=gens, coordinate_rows=rows,
                             scaled_generators=scaled)
-    for di, g in zip(factors, gens):
-        if grp.element_order(g) != di:
-            raise LatticeError("discriminant generator has wrong order")
     if grp.order != abs(lat.determinant()):
         raise LatticeError("invariant factors do not multiply to |det|")
     return grp
@@ -508,42 +512,41 @@ def form_basis(row):
 
 
 def lattice_points(lat, anchor, pairings, min_norm):
-    """Every nonzero x with (x, anchor) in pairings and (x, x) >= min_norm.
+    """Every nonzero x with (x, anchor) in pairings and (x, x) >= min_norm,
+    for integer pairings and min_norm.
 
     Requires (anchor, anchor) > 0 in a lattice of signature (1, rank-1):
     the form is then negative definite on the orthogonal complement of the
     anchor, so each set is finite.  With x = (p/g) x1 + K t (K a kernel
-    basis of the pairing with the anchor), the condition is an ellipsoid in
-    t, walked coordinate by coordinate (Fincke-Pohst, Math. Comp. 44,
-    1985).  Sorted output; no box is involved.
+    basis of the pairing with the anchor) and N = -K^T G K, (x, x) is
+    p^2 / (anchor, anchor) - (t - c)^T N (t - c) for the center
+    c = (p/g) N^-1 K^T G x1, so the condition is an ellipsoid in t, walked
+    coordinate by coordinate (Fincke-Pohst, Math. Comp. 44, 1985).  The
+    walk runs in integers: the fraction-free (Bareiss) rows of N clear the
+    pivots, det N clears the center, and each coordinate's range is an
+    exact isqrt bound (see _ellipsoid_points).  Sorted output; no box is
+    involved.  tests/test_lattice.py keeps the Fraction walk this replaced
+    as an oracle.
     """
     anchor_norm = lat.norm(anchor)
     if anchor_norm <= 0:
         raise LatticeError("anchor must have positive norm")
     g, x1, kernel = form_basis(lat.pairing_row(anchor))
     k = len(kernel)
-    # -K^T G K = R^T D R with R unit upper triangular; each pivot D_i is a
-    # Schur complement of -K^T G K, positive iff that form is definite
     neg = [[-lat.inner(a, b) for b in kernel] for a in kernel]
-    diag, r = [], [[0] * k for _ in range(k)]
-    for i in range(k):
-        diag.append(Fraction(neg[i][i]) - sum(diag[m] * r[m][i] ** 2
-                                              for m in range(i)))
-        if diag[i] <= 0:
-            raise LatticeError("orthogonal complement is not negative definite")
-        for j in range(i + 1, k):
-            r[i][j] = (neg[i][j] - sum(diag[m] * r[m][i] * r[m][j]
-                                       for m in range(i))) / diag[i]
-    # the norm is maximal, p^2 / (anchor, anchor), at the t-center
-    center1 = solve_int_linear(neg, [lat.inner(b, x1) for b in kernel])
+    rows = _bareiss_rows(neg)
+    det = rows[-1][-1] if k else 1
+    # det N times the center for p = g: adj(N) K^T G x1
+    center1 = mat_vec(adjugate(neg), [lat.inner(b, x1) for b in kernel])
     out = []
     for p in pairings:
         if p % g:
             continue
         s = p // g
         center = [s * c for c in center1]
-        bound = Fraction(p * p, anchor_norm) - min_norm
-        for t in _ellipsoid_points(diag, r, center, bound):
+        # a (det t - det c)^T N (det t - det c) <= det^2 (p^2 - a min_norm)
+        bound = det * det * (p * p - anchor_norm * min_norm)
+        for t in _ellipsoid_points(rows, det, center, anchor_norm, bound):
             x = tuple(s * x1[i] + sum(t[j] * kernel[j][i] for j in range(k))
                       for i in range(lat.rank))
             if any(x):
@@ -552,27 +555,57 @@ def lattice_points(lat, anchor, pairings, min_norm):
     return out
 
 
-def _ellipsoid_points(diag, r, center, bound):
-    """Integer t with sum_i D_i (u_i + sum_{j>i} R_ij u_j)^2 <= bound, where
-    u = t - center, choosing t from the last coordinate down."""
-    k = len(diag)
-    t = [0] * k
+def _bareiss_rows(m):
+    """The fraction-free elimination of a symmetric integer matrix: row i
+    holds, in columns j >= i, the minor of rows 0..i and columns 0..i-1, j,
+    so its diagonal entry is the leading principal minor of order i + 1.
+    Raises unless m is positive definite, i.e. every one of those minors
+    is positive."""
+    a = [list(row) for row in m]
+    prev = 1
+    for i in range(len(a)):
+        piv = a[i][i]
+        if piv <= 0:
+            raise LatticeError("orthogonal complement is not negative definite")
+        for r in range(i + 1, len(a)):
+            for c in range(i + 1, len(a)):
+                a[r][c] = (a[r][c] * piv - a[r][i] * a[i][c]) // prev
+        prev = piv
+    return a
 
-    def walk(i, rest):
+
+def _ellipsoid_points(rows, det, center, a, bound):
+    """Integer t with a u^T N u <= bound for u = det t - center, N positive
+    definite with the Bareiss rows `rows` and det = det N, choosing t from
+    the last coordinate down.
+
+    With m_i the leading principal minor of order i (m_0 = 1), fixing
+    u_{i+1..} leaves left = m_{i+1} bound - a q(u_{i+1..}), where q is the
+    least value of u^T N u over real u_0..u_i, scaled by m_{i+1}.  Then u_i
+    is admissible iff a (m_{i+1} u_i + beta)^2 <= m_i left, for beta the
+    row-i entries times u_{i+1..}, and left for the next coordinate is
+    (m_i left - a (m_{i+1} u_i + beta)^2) / m_{i+1}, an exact division."""
+    k = len(rows)
+    t, u = [0] * k, [0] * k
+
+    def walk(i, left):
         if i < 0:
             yield tuple(t)
             return
-        z = center[i] - sum(r[i][j] * (t[j] - center[j]) for j in range(i + 1, k))
-        # every admissible t_i has |t_i - z| <= sqrt(rest / D_i) < s + 1
-        s = math.isqrt(math.floor(rest / diag[i]))
-        for ti in range(math.floor(z) - s, math.ceil(z) + s + 1):
-            left = rest - diag[i] * (ti - z) ** 2
-            if left >= 0:
-                t[i] = ti
-                yield from walk(i - 1, left)
+        row, piv = rows[i], rows[i][i]
+        minor = rows[i - 1][i - 1] if i else 1
+        beta = sum(row[j] * u[j] for j in range(i + 1, k))
+        # |piv (det t_i - center_i) + beta| <= r, with r = isqrt(.) exact
+        room = minor * left
+        r = math.isqrt(room // a)
+        h, step = piv * center[i] - beta, piv * det
+        for ti in range(-((r - h) // step), (h + r) // step + 1):
+            t[i], u[i] = ti, det * ti - center[i]
+            y = piv * u[i] + beta
+            yield from walk(i - 1, (room - a * y * y) // piv)
 
     if bound >= 0:
-        yield from walk(k - 1, bound)
+        yield from walk(k - 1, det * bound)
 
 
 def solve_pairing_norm(lat, anchor, pairing, norm):

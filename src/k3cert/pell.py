@@ -309,17 +309,19 @@ def _max_entry(m):
 UNIT_WALK_POWERS = 64
 
 
-def _unit_walk(ctx, disc):
+def _unit_walk(ctx, disc, verdicts):
     """The isometry of the first power eps^k, 1 <= k <= UNIT_WALK_POWERS,
-    that passes the filters with eigenvalue > 1, or None."""
+    that passes the filters with eigenvalue > 1, or None.  Each power is
+    filtered as a bare matrix and its verdict stored in verdicts, which the
+    scan reads back; only the power returned is built as an Isometry."""
     ell = ctx.ell
     u, b = ell, 1
     for _ in range(UNIT_WALK_POWERS):
-        g = Isometry(ctx.lattice, ((u - ell * b, -b), (b, u + ell * b)))
-        reason, lam = _filter(ctx, disc, g.matrix)
+        m = ((u - ell * b, -b), (b, u + ell * b))
+        reason, lam = verdicts[m] = _filter(ctx, disc, m)
         # lam = (p + q sqrt(d)) / n > 1 iff (p - n) + q sqrt(d) > 0
         if reason is None and zsign(lam[0] - lam[2], lam[1], ctx.d) > 0:
-            return g
+            return Isometry(ctx.lattice, m)
         u, b = ell * u + ctx.d * b, u + ell * b
     return None
 
@@ -339,7 +341,8 @@ def isometry_search(ctx, entry_bound=300):
     if entry_bound < 1:
         raise PellError("entry_bound must be >= 1")
     disc = ctx.disc
-    walked = _unit_walk(ctx, disc)
+    verdicts = {}  # matrix -> _filter's verdict, each matrix filtered once
+    walked = _unit_walk(ctx, disc, verdicts)
     if walked is None:
         raise PellError("the unit walk found no accepted generator with "
                         "alpha > 1 among eps^1 .. eps^%d" % UNIT_WALK_POWERS)
@@ -348,9 +351,10 @@ def isometry_search(ctx, entry_bound=300):
         bound *= 2
     accepted, filtered = [], []
     for m in _raw_isometries(ctx, bound):
-        reason, lam = _filter(ctx, disc, m)
+        reason, lam = verdicts.get(m) or _filter(ctx, disc, m)
         if reason is None:
-            accepted.append((Isometry(ctx.lattice, m), _quad(lam, ctx.d)))
+            g = walked if m == walked.matrix else Isometry(ctx.lattice, m)
+            accepted.append((g, _quad(lam, ctx.d)))
         else:
             filtered.append((m, reason))
     positive = [(g, lam) for g, lam in accepted if lam > 1]
@@ -378,10 +382,10 @@ def _raw_isometries(ctx, bound):
     when its pairing is the off-diagonal entry 4 l (entries (0, 1) and
     (1, 0) are one pairing, as G is symmetric).  Matrices, not Isometry
     objects: the search builds one only for each accepted candidate."""
-    lat = ctx.lattice
-    (g00, g01), (_, g11) = lat.gram
+    (g00, g01), (_, g11) = ctx.lattice.gram
     cols = _pell_columns(ctx.ell, bound)
-    rows = [lat.pairing_row(c) for c in cols]
+    # the pairing row G c of each column, read off the 2x2 Gram
+    rows = [(g00 * a + g01 * b, g01 * a + g11 * b) for a, b in cols]
     for c, r in zip(cols, rows):
         norm = r[0] * c[0] + r[1] * c[1]
         if norm != g00 or norm != g11:
@@ -508,17 +512,20 @@ def check_alpha_homomorphism(run, n_bound=5):
 
 def enumerate_H_orbit(ctx, res, k_bound=5):
     """Classes g0^k(h1) for |k| <= k_bound, with exact nef-cone membership.
-    A problem names its class as g0^k(h1): the coordinates have about
-    4 |k| log10(2 l) digits."""
-    lat = ctx.lattice
+    Each class, its norm and its pairing row are read off the power matrix
+    and the 2x2 Gram in integers.  A problem names its class as g0^k(h1):
+    the coordinates have about 4 |k| log10(2 l) digits."""
+    (g00, g01), (_, g11) = ctx.lattice.gram
+    a0, a1 = ctx.anchor
     orbit = []
     problems = []
     for k in range(-k_bound, k_bound + 1):
-        h = res.powers[k].apply(ctx.anchor)
+        (m00, m01), (m10, m11) = res.powers[k].matrix
+        x, y = h = (m00 * a0 + m01 * a1, m10 * a0 + m11 * a1)
         orbit.append(h)
-        if lat.norm(h) != 4:
+        row = (g00 * x + g01 * y, g01 * x + g11 * y)
+        if row[0] * x + row[1] * y != 4:
             problems.append("orbit class g0^%d(h1) does not have norm 4" % k)
-        row = lat.pairing_row(h)
         if pair_sign(row, ctx.v1, ctx.d) <= 0 \
                 or pair_sign(row, ctx.v2, ctx.d) <= 0:
             problems.append("orbit class g0^%d(h1) is not strictly inside "

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -386,3 +388,27 @@ def test_usage_error_leaves_an_existing_report(tmp_path, capsys):
         code, out, _ = _call(argv + ["--json", str(path)], capsys)
         assert code == 2 and out == ""
         assert path.read_text() == "old report\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "pell", "--ell", "3"],
+                                  ["orbit", "--len", "99"],
+                                  ["reduce", "--class=-3,-3,-3"]])
+def test_usage_error_leaves_no_new_report(argv, tmp_path, capsys):
+    # main creates the file up front and removes it when the command then
+    # finds a usage error: an option out of range or a class off the cone
+    path = tmp_path / "new.json"
+    code, out, _ = _call(argv + ["--json", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert not path.exists()
+
+
+def test_python_m_k3cert_matches_main(capsys):
+    # python -m k3cert runs main and exits with its code
+    argv = ["reduce", "--class", "13,-14,6"]
+    code, out, _ = _call(argv, capsys)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "k3cert"] + argv, env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (code, out)

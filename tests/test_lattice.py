@@ -18,6 +18,7 @@ from k3cert.lattice import (
     change_basis,
     det_int,
     discriminant_group,
+    form_basis,
     is_dual_vector,
     is_zero_polynomial,
     lattice_points,
@@ -624,6 +625,145 @@ def test_solve_pairing_norm_rank4():
                                 (0, 0, 1, 0)))
     with pytest.raises(LatticeError, match="negative definite"):
         solve_pairing_norm(hyp2, (1, 1, 0, 0), 1, -2)
+
+
+def _fraction_lattice_points(lat, anchor, pairings, min_norm):
+    """The oracle for lattice_points: the same Fincke-Pohst walk over
+    Fractions, with the LDL^T pivots and the center as rationals."""
+    anchor_norm = lat.norm(anchor)
+    if anchor_norm <= 0:
+        raise LatticeError("anchor must have positive norm")
+    g, x1, kernel = form_basis(lat.pairing_row(anchor))
+    k = len(kernel)
+    # -K^T G K = R^T D R with R unit upper triangular; each pivot D_i is a
+    # Schur complement of -K^T G K, positive iff that form is definite
+    neg = [[-lat.inner(a, b) for b in kernel] for a in kernel]
+    diag, r = [], [[0] * k for _ in range(k)]
+    for i in range(k):
+        diag.append(Fraction(neg[i][i]) - sum(diag[m] * r[m][i] ** 2
+                                              for m in range(i)))
+        if diag[i] <= 0:
+            raise LatticeError("orthogonal complement is not negative definite")
+        for j in range(i + 1, k):
+            r[i][j] = (neg[i][j] - sum(diag[m] * r[m][i] * r[m][j]
+                                       for m in range(i))) / diag[i]
+    # the norm is maximal, p^2 / (anchor, anchor), at the t-center
+    center1 = solve_int_linear(neg, [lat.inner(b, x1) for b in kernel])
+    out = []
+    for p in pairings:
+        if p % g:
+            continue
+        s = p // g
+        center = [s * c for c in center1]
+        bound = Fraction(p * p, anchor_norm) - min_norm
+        for t in _fraction_ellipsoid_points(diag, r, center, bound):
+            x = tuple(s * x1[i] + sum(t[j] * kernel[j][i] for j in range(k))
+                      for i in range(lat.rank))
+            if any(x):
+                out.append(x)
+    out.sort()
+    return out
+
+
+def _fraction_ellipsoid_points(diag, r, center, bound):
+    """Integer t with sum_i D_i (u_i + sum_{j>i} R_ij u_j)^2 <= bound, where
+    u = t - center, choosing t from the last coordinate down."""
+    k = len(diag)
+    t = [0] * k
+
+    def walk(i, rest):
+        if i < 0:
+            yield tuple(t)
+            return
+        z = center[i] - sum(r[i][j] * (t[j] - center[j])
+                            for j in range(i + 1, k))
+        # every admissible t_i has |t_i - z| <= sqrt(rest / D_i) < s + 1
+        s = math.isqrt(math.floor(rest / diag[i]))
+        for ti in range(math.floor(z) - s, math.ceil(z) + s + 1):
+            left = rest - diag[i] * (ti - z) ** 2
+            if left >= 0:
+                t[i] = ti
+                yield from walk(i - 1, left)
+
+    if bound >= 0:
+        yield from walk(k - 1, bound)
+
+
+def _outcome(f, *args):
+    """f's value, or the type and message of the LatticeError it raises."""
+    try:
+        return f(*args)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _even_lattices(draw, positive=None):
+    """An even lattice of rank 1..3 with Gram U^T diag(2 e_i) U for a
+    nonsingular integer U: of signature (1, n - 1) when positive is 1, and
+    of any signature when positive is None."""
+    n = draw(st.integers(1, 3))
+    if positive is None:
+        positive = draw(st.integers(0, n))
+    diag = [2 * draw(st.integers(1, 2)) * (1 if i < positive else -1)
+            for i in range(n)]
+    u = draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                      min_size=n, max_size=n).filter(det_int))
+    gram = tuple(tuple(sum(u[m][i] * diag[m] * u[m][j] for m in range(n))
+                       for j in range(n)) for i in range(n))
+    return IntegerLattice(gram=gram)
+
+
+def _pairings(data, lat, anchor):
+    """A few multiples of the gcd of the anchor's pairing row, which are
+    the pairings that occur, and one arbitrary integer."""
+    g = math.gcd(*lat.pairing_row(anchor))
+    return ([g * j for j in data.draw(st.lists(st.integers(-5, 5),
+                                                min_size=1, max_size=3))]
+            + data.draw(st.lists(st.integers(-12, 12), max_size=1)))
+
+
+_MIN_NORMS = st.integers(-20, 6)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_lattice_points_against_the_fraction_walk(data):
+    # signature (1, n - 1), a positive anchor: the same complete point set
+    lat = data.draw(_even_lattices(positive=1))
+    anchor = data.draw(st.tuples(*[st.integers(-3, 3)] * lat.rank).filter(
+        lambda a: lat.norm(a) > 0))
+    pairings = _pairings(data, lat, anchor)
+    min_norm = data.draw(_MIN_NORMS)
+    got = lattice_points(lat, anchor, pairings, min_norm)
+    assert got == _fraction_lattice_points(lat, anchor, pairings, min_norm)
+    assert all(lat.inner(x, anchor) in pairings and lat.norm(x) >= min_norm
+               and any(x) for x in got)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_lattice_points_errors_against_the_fraction_walk(data):
+    # any signature and any anchor: the same points or the same error
+    lat = data.draw(_even_lattices())
+    anchor = data.draw(st.tuples(*[st.integers(-3, 3)] * lat.rank))
+    args = lat, anchor, _pairings(data, lat, anchor), data.draw(_MIN_NORMS)
+    assert _outcome(lattice_points, *args) == \
+        _outcome(_fraction_lattice_points, *args)
+
+
+@pytest.mark.parametrize("gram, anchor, message", [
+    (((2, 0), (0, -2)), (0, 1), "anchor must have positive norm"),
+    (((-2,),), (1,), "anchor must have positive norm"),
+    (((2, 0, 0), (0, 2, 0), (0, 0, -2)), (1, 0, 0), "not negative definite"),
+    (((0, 1), (1, 0)), (0, 0), "anchor must have positive norm"),
+    (((2, 0), (0, 4)), (1, 1), "not negative definite"),
+])
+def test_lattice_points_errors(gram, anchor, message):
+    lat = IntegerLattice(gram=gram)
+    for enumerate_points in (lattice_points, _fraction_lattice_points):
+        with pytest.raises(LatticeError, match=message):
+            enumerate_points(lat, anchor, (1, 2), 0)
 
 
 def test_zero_polynomial_on_the_grid():

@@ -257,6 +257,36 @@ def test_raw_matrices_are_the_checked_isometries(ell):
     assert all(isinstance(g, Isometry) for g, _ in res.accepted)
 
 
+@pytest.mark.parametrize("ell", [6, 93])
+def test_each_raw_matrix_is_filtered_once(ell, monkeypatch):
+    # the walk files its verdicts for the scan, so every matrix of the
+    # scan is filtered once, the walk's powers included; and the walk
+    # builds an Isometry only for the power it returns
+    filtered, built, walk_built = [], [], []
+    filter_, walk, isometry_ = pell._filter, pell._unit_walk, pell.Isometry
+
+    def counted_filter(ctx, disc, m):
+        filtered.append(m)
+        return filter_(ctx, disc, m)
+
+    def counted_isometry(lat, m):
+        built.append(m)
+        return isometry_(lat, m)
+
+    def counted_walk(*args):
+        before = len(built)
+        g = walk(*args)
+        walk_built.append(len(built) - before)
+        return g
+    monkeypatch.setattr(pell, "_filter", counted_filter)
+    monkeypatch.setattr(pell, "Isometry", counted_isometry)
+    monkeypatch.setattr(pell, "_unit_walk", counted_walk)
+    ctx = pell.build_context(ell)
+    res = pell.isometry_search(ctx)
+    assert sorted(filtered) == sorted(pell._raw_isometries(ctx, res.bound_used))
+    assert walk_built == [1]
+
+
 @pytest.mark.parametrize("planted", [(7, 0), (1, 1), (0, 0)])
 def test_planted_column_fails_lemma_46_by_name(planted, monkeypatch):
     # a column of norm != 4 fails the search whether or not it pairs 4 l
@@ -316,7 +346,7 @@ def test_search_gives_up_after_its_unit_powers(ctx6, monkeypatch):
 def test_scan_rejects_a_wrong_walk(ctx6, res6, monkeypatch):
     # the walk proposes g0^2; the scan at its bound finds the smaller g0
     monkeypatch.setattr(pell, "_unit_walk",
-                        lambda ctx, disc: res6.g0.power(2))
+                        lambda ctx, disc, verdicts: res6.g0.power(2))
     with pytest.raises(pell.PellError, match="the unit walk"):
         pell.isometry_search(ctx6)
 

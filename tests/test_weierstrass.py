@@ -500,3 +500,28 @@ def test_restriction_applies_the_map_once_per_distinct_sample(test_curve,
     assert len(applied) == len(set(applied)) == len({pt.key for pt in usable})
     if (p, q) != (0, 17):
         assert len(applied) < checked
+
+
+def test_two_torsion_round_trip_once_per_distinct_point(monkeypatch):
+    # the 2-torsion check draws 6 samples on y^2 = x^3 - 2x + 1 that are 3
+    # points; it skips x = 1 and maps each other distinct point through phi
+    # and back once
+    samples = w._sample_points(w.SumTable(curve(-2, 1)),
+                               w.CurvePoint.affine(0, 1), 8)
+    distinct = {pt.key for pt in samples if pt.x != 1}
+    assert len(samples) == 6 and len(distinct) == 2
+    applied = []
+    apply = w.RationalMap.apply
+
+    def counting(self, pt):
+        applied.append(pt.key)
+        return apply(self, pt)
+    # the agreement runs no apply here, so every call is the round trip's
+    monkeypatch.setattr(w, "restriction_agreement",
+                        lambda sums, ab, samples: ("plain-addition", 20))
+    monkeypatch.setattr(w.RationalMap, "apply", counting)
+    assert w.check_restriction() == (
+        PASS, "uniform convention 'plain-addition' across all curves "
+              "against the chord-tangent oracle")
+    assert len(applied) == 2 * len(distinct)
+    assert set(applied[::2]) == distinct
