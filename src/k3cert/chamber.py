@@ -56,6 +56,9 @@ class Chamber:
     wall_norms: tuple = field(default=None, compare=False)
     face_forms: tuple = field(default=None, compare=False)
     reflections: tuple = field(default=None, compare=False)
+    # (i, *form, *vector, norm) per oriented wall, i 1-based: the rows that
+    # reduce_to_chamber's rank-3 walk unpacks into scalars
+    wall_table: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
         lat = self.lattice
@@ -82,6 +85,9 @@ class Chamber:
         object.__setattr__(self, "wall_vectors", tuple(vectors))
         object.__setattr__(self, "wall_norms", tuple(norms))
         object.__setattr__(self, "reflections", tuple(refls))
+        object.__setattr__(self, "wall_table", tuple(
+            (i, *f, *w, ww)
+            for i, (f, w, ww) in enumerate(zip(forms, vectors, norms), 1)))
         if self.extra_rays is not None:
             object.__setattr__(self, "face_forms",
                                self._facets_from_rays(self.extra_rays))
@@ -139,6 +145,10 @@ class ReductionTrace:
         return x
 
 
+_OFF_CONE = "%s is off the closed positive cone: (x, x) = %s, (x, anchor) = %s"
+_NOT_INTEGRAL = "the reflection in wall %d is not integral at %s"
+
+
 def reduce_to_chamber(chamber, x):
     """Reflect x across strictly violated walls until none is violated.
 
@@ -160,16 +170,56 @@ def reduce_to_chamber(chamber, x):
     x - k w with k = 2(x, w)/(w, w), no matrix product.  The division is
     exact, as the Chamber checked each reflection integral on the basis;
     a remainder would contradict that and raises ChamberError.
+
+    At rank 3 (the quartic lattice) the walk runs on scalars, as
+    ``orbit_of_anchor`` does: the class, the Gram rows and the anchor are
+    unpacked once, each oriented wall (form, vector, norm) is one flat row
+    of the chamber's ``wall_table``, each wall test is an unrolled dot
+    product and each step three updates x_i -= k w_i.  Other ranks take
+    the generic walk, ``_reduce_generic``, which gives the same trace.
     """
     try:
         x = tuple(map(index, x))
     except TypeError:
         raise ChamberError("%s is not an integer class" % (tuple(x),)) from None
+    if len(x) != 3 or chamber.lattice.rank != 3:
+        return _reduce_generic(chamber, x)
+    x0, x1, x2 = x
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = chamber.lattice.gram
+    a0, a1, a2 = chamber.anchor
+    xx = (g00 * x0 * x0 + g11 * x1 * x1 + g22 * x2 * x2
+          + 2 * (g01 * x0 * x1 + g02 * x0 * x2 + g12 * x1 * x2))
+    xa = (x0 * (g00 * a0 + g01 * a1 + g02 * a2)
+          + x1 * (g01 * a0 + g11 * a1 + g12 * a2)
+          + x2 * (g02 * a0 + g12 * a1 + g22 * a2))
+    if xx < 0 or xa <= 0:
+        raise ChamberError(_OFF_CONE % (x, xx, xa))
+    walls = chamber.wall_table
+    word = []
+    while True:
+        for i, f0, f1, f2, w0, w1, w2, ww in walls:
+            v = f0 * x0 + f1 * x1 + f2 * x2
+            if v < 0:
+                break
+        else:
+            return ReductionTrace(word=tuple(word), result=(x0, x1, x2))
+        k, r = divmod(2 * v, ww)
+        if r:
+            raise ChamberError(_NOT_INTEGRAL % (i, (x0, x1, x2)))
+        x0 -= k * w0
+        x1 -= k * w1
+        x2 -= k * w2
+        word.append(i)
+
+
+def _reduce_generic(chamber, x):
+    """reduce_to_chamber's walk at any rank, on a tuple of ints x: the
+    lattice's pairing for the cone test, one dot product per wall test and
+    a new tuple per step."""
     lat = chamber.lattice
     xx, xa = lat.norm(x), lat.inner(x, chamber.anchor)
     if xx < 0 or xa <= 0:
-        raise ChamberError("%s is off the closed positive cone: (x, x) = %s, "
-                           "(x, anchor) = %s" % (x, xx, xa))
+        raise ChamberError(_OFF_CONE % (x, xx, xa))
     walls = tuple(enumerate(zip(chamber.wall_forms, chamber.wall_vectors,
                                 chamber.wall_norms), 1))
     word = []
@@ -183,8 +233,7 @@ def reduce_to_chamber(chamber, x):
             return ReductionTrace(word=tuple(word), result=cur)
         k, r = divmod(2 * v, ww)
         if r:
-            raise ChamberError("the reflection in wall %d is not integral "
-                               "at %s" % (i, cur))
+            raise ChamberError(_NOT_INTEGRAL % (i, cur))
         cur = tuple(c - k * wc for c, wc in zip(cur, w))
         word.append(i)
 

@@ -67,16 +67,16 @@ def build_parser():
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.set_defaults(run=cmd_verify)
     pv.add_argument("suite", choices=["all", "quartic", "pell", "weierstrass"])
-    pv.add_argument("--ell", type=int, default=None)
+    pv.add_argument("--ell", type=_int_option, default=None)
     pv.add_argument("--ell-range", default=None, metavar="A..B")
-    pv.add_argument("--entry-bound", type=int, default=300)
-    pv.add_argument("--k-bound", type=int, default=5)
+    pv.add_argument("--entry-bound", type=_int_option, default=300)
+    pv.add_argument("--k-bound", type=_int_option, default=5)
     pv.add_argument("--json", default=None, metavar="PATH")
 
     pe = sub.add_parser("enumerate", help="enumeration utilities")
     pe.set_defaults(run=cmd_enumerate)
     pe.add_argument("what", choices=["sections", "q"])
-    pe.add_argument("--n-bound", type=int, default=3)
+    pe.add_argument("--n-bound", type=_int_option, default=3)
     pe.add_argument("--json", default=None, metavar="PATH")
 
     pr = sub.add_parser("reduce", help="reduce a class into the chamber")
@@ -87,7 +87,7 @@ def build_parser():
 
     po = sub.add_parser("orbit", help="orbit of the anchor class")
     po.set_defaults(run=cmd_orbit)
-    po.add_argument("--len", dest="length", type=int, required=True)
+    po.add_argument("--len", dest="length", type=_int_option, required=True)
     po.add_argument("--json", default=None, metavar="PATH")
     p.commands = sub.choices
     return p
@@ -111,22 +111,52 @@ def parse(parser, argv):
     return args
 
 
-def _parse_ell_range(text, parser):
+def _digit_limit(parts):
+    """"N digits exceed ..." for the first of the strings past Python's
+    limit on str-to-int conversion (4300 digits unless changed), or None.
+    int() refuses such a value whatever the caps here allow, and echoing
+    it would print thousands of digits."""
+    limit = sys.get_int_max_str_digits()
+    for part in parts:
+        digits = sum(map(str.isdecimal, part))
+        if limit and digits > limit:
+            return ("%d digits exceed Python's %d-digit limit on int "
+                    "conversion" % (digits, limit))
+    return None
+
+
+def _int_option(text):
+    """The type of every integer option: int(text), with a short message
+    for a value past the digit limit."""
     try:
-        a, b = text.split("..")
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            _digit_limit([text]) or "invalid int value: %r" % text) from None
+
+
+def _parse_ell_range(text, parser):
+    parts = text.split("..")
+    try:
+        a, b = parts
         lo, hi = int(a), int(b)
     except ValueError:
-        parser.error("--ell-range expects A..B with integers")
+        too_long = _digit_limit(parts)
+        parser.error("--ell-range: " + too_long if too_long
+                     else "--ell-range expects A..B with integers")
     if lo > hi:
         parser.error("--ell-range bounds out of order")
     return range(lo, hi + 1)
 
 
 def _parse_class(text, parser):
+    parts = text.split(",")
     try:
-        coords = tuple(int(c.strip()) for c in text.split(","))
+        coords = tuple(int(c.strip()) for c in parts)
     except ValueError:
-        parser.error('--class expects integers like "x,y,z"')
+        too_long = _digit_limit(parts)
+        parser.error("--class: " + too_long if too_long
+                     else '--class expects integers like "x,y,z"')
     if len(coords) != 3:
         parser.error("--class expects exactly 3 coordinates")
     return coords

@@ -26,9 +26,9 @@ measures which convention holds and reports it rather than assuming one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from sympy import ZZ
@@ -156,6 +156,10 @@ O = CurvePoint.infinity()
 class WeierstrassCurve:
     p: Fraction
     q: Fraction
+    # the keys of the affine points contains has found on the curve, so
+    # each (curve, point) equation is evaluated once
+    _on_curve: set = field(default_factory=set, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p", Fraction(self.p))
@@ -169,23 +173,39 @@ class WeierstrassCurve:
         sides are in lowest terms, as gcd(a^3 + P a b^2 + R b^3, b) =
         gcd(a^3, b) = 1, so it reads c^2 = a^3 + P a b^2 + R b^3 and
         e^2 = b^3; otherwise, with every denominator cleared, it reads
-        c^2 b^3 Q S = e^2 (a^3 Q S + P a b^2 S + R b^3 Q)."""
+        c^2 b^3 Q S = e^2 (a^3 Q S + P a b^2 S + R b^3 Q).  A point found
+        on the curve is recorded under its key and not checked again; a
+        point off it is checked at every call."""
         if pt.at_infinity:
             return True
-        a, b, c, e = pt.key
+        key = pt.key
+        if key in self._on_curve:
+            return True
+        a, b, c, e = key
         P, Q = self.p.numerator, self.p.denominator
         R, S = self.q.numerator, self.q.denominator
         b2 = b * b
         b3 = b2 * b
         if Q == S == 1:
-            return e * e == b3 and c * c == a * a * a + P * a * b2 + R * b3
-        return c * c * b3 * Q * S == e * e * (a * a * a * Q * S
-                                              + P * a * b2 * S + R * b3 * Q)
+            on = e * e == b3 and c * c == a * a * a + P * a * b2 + R * b3
+        else:
+            on = c * c * b3 * Q * S == e * e * (a * a * a * Q * S
+                                                + P * a * b2 * S + R * b3 * Q)
+        if on:
+            self._on_curve.add(key)
+        return on
 
     def neg(self, pt):
         if pt.at_infinity:
             return pt
         return CurvePoint.affine(pt.x, -pt.y)
+
+
+@cache
+def _curve(p, q):
+    """The one WeierstrassCurve y^2 = x^3 + p x + q of the certificate's
+    checks, so they share its record of the points found on it."""
+    return WeierstrassCurve(p, q)
 
 
 def chord_tangent_add(curve, p1, p2):
@@ -417,7 +437,7 @@ def _sample_points(sums, base, count=42):
 
 def check_group_law_oracle():
     problems = []
-    e = WeierstrassCurve(0, 1)
+    e = _curve(0, 1)
     got = chord_tangent_add(e, CurvePoint.affine(2, 3), CurvePoint.affine(0, 1))
     if got != CurvePoint.affine(-1, 0):
         problems.append("(2,3) + (0,1) = %s, expected (-1, 0)" % (got,))
@@ -428,7 +448,7 @@ def check_group_law_oracle():
         problems.append("P + (-P) != O")
     # associativity and commutativity on triples from a cyclic subgroup;
     # each sum is computed once, in the table
-    sums = SumTable(WeierstrassCurve(0, 17))
+    sums = SumTable(_curve(0, 17))
     add = sums.add
     pts = [O] + multiples(sums, CurvePoint.affine(2, 5), 6)
     triples = 0
@@ -455,7 +475,7 @@ def check_forward_map():
     img = phi.apply(CurvePoint.affine(2, 3))
     if img != CurvePoint.affine(-1, 0):
         problems.append("map(2,3) = %s, expected (-1, 0)" % (img,))
-    e = WeierstrassCurve(0, 1)
+    e = _curve(0, 1)
     phi2 = translation_map(2, 3)
     img2 = phi2.apply(CurvePoint.affine(0, -1))
     if not e.contains(img2):
@@ -510,7 +530,7 @@ def check_restriction():
     verdicts = []
     tables = {}  # one sums table per curve
     for p, q, base, ab in _TEST_CURVES:
-        sums = tables[p, q] = SumTable(WeierstrassCurve(p, q))
+        sums = tables[p, q] = SumTable(_curve(p, q))
         samples = _sample_points(sums, CurvePoint.affine(*base))
         try:
             convention, n = restriction_agreement(

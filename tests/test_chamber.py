@@ -9,14 +9,17 @@ from hypothesis import assume, given, settings, strategies as st
 from k3cert.chamber import (
     Chamber,
     ChamberError,
+    ReductionTrace,
     in_chamber,
     in_positive_cone,
     isotropic_rays_in_wall,
     orbit_of_anchor,
     pingpong_certify,
     reduce_to_chamber,
+    _reduce_generic,
 )
-from k3cert.lattice import IntegerLattice, det_int, form_basis
+from k3cert.lattice import (DimensionMismatch, IntegerLattice, det_int,
+                            form_basis)
 from k3cert.quadfield import QuadExt, is_square, pair_sign
 
 GRAM = ((4, 1, 1), (1, -2, 0), (1, 0, -2))
@@ -172,11 +175,15 @@ def test_reduce_against_the_literal_walk(pentagon):
     assert max(steps) >= 4
 
 
+def _tie_chamber(lat):
+    """The pentagon's wall caps are disjoint (ping-pong), so at most one
+    wall is violated at a time; the caps of L and M, both of norm -2,
+    overlap at (1, 1, 1), where the lowest index must win."""
+    return Chamber(lattice=lat, anchor=H, walls=((0, 1, 0), (0, 0, 1), V))
+
+
 def test_reduce_tie_break_against_the_literal_walk(lat):
-    # the pentagon's wall caps are disjoint (ping-pong), so at most one wall
-    # is violated at a time; the caps of L and M, both of norm -2, overlap
-    # at (1, 1, 1), where the lowest index must win
-    ch = Chamber(lattice=lat, anchor=H, walls=((0, 1, 0), (0, 0, 1), V))
+    ch = _tie_chamber(lat)
     cone = _cone_box(lat)
     ties = [x for x in cone
             if sum(ch.wall_value(i, x) < 0 for i in range(3)) > 1]
@@ -212,6 +219,81 @@ def test_reduce_against_the_literal_walk_off_rank_3(rank4, tail, data, word):
         x = rank4.reflections[i].apply(x)
     trace = reduce_to_chamber(rank4, x)
     assert (trace.word, trace.result) == _literal_reduction(rank4, x)
+
+
+def _walk_outcome(walk, chamber, x):
+    """The trace of one walk, or the text of the ChamberError it raised."""
+    try:
+        return walk(chamber, x)
+    except ChamberError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.booleans(), st.booleans(),
+       st.tuples(st.integers(-30, 30), st.integers(-30, 30)), st.data(),
+       st.integers(0, 2), st.integers(0, 30),
+       st.lists(st.integers(1, 2), min_size=30, max_size=30))
+def test_scalar_walk_against_the_generic_walk(lat, pentagon, tie, on_cone,
+                                              tail, data, first, length,
+                                              steps):
+    # a class of [-30, 30]^3, on the closed positive cone or off it, pushed
+    # by a reduced word of length up to 30 (each wall differs from the one
+    # before): the reflections keep the cone, the negative cone and the
+    # classes of negative norm, so either way the coordinates grow far
+    # beyond the box.  The first coordinate is drawn among those that put
+    # the class on the chosen side.
+    ch = _tie_chamber(lat) if tie else pentagon
+    heads = [h for h in range(-30, 31)
+             if (lat.norm((h,) + tail) >= 0
+                 and lat.inner((h,) + tail, H) > 0) == on_cone]
+    assume(heads)
+    x = (data.draw(st.sampled_from(heads)),) + tail
+    i = first
+    for d in steps[:length]:
+        x = ch.reflections[i].apply(x)
+        i = (i + d) % 3
+    got = _walk_outcome(reduce_to_chamber, ch, x)
+    assert got == _walk_outcome(_reduce_generic, ch, x)
+    assert isinstance(got, ReductionTrace) == on_cone
+    if on_cone:
+        assert got.unreduce(ch) == x
+
+
+def test_rank_3_takes_the_scalar_walk(pentagon):
+    # at rank 3 neither the generic walk nor the lattice's pairing runs
+    x = pentagon.reflections[0].apply(pentagon.reflections[2].apply(H))
+    with patch("k3cert.chamber._reduce_generic",
+               side_effect=AssertionError("generic walk")), \
+            patch.object(IntegerLattice, "inner",
+                         side_effect=AssertionError("lattice pairing")):
+        trace = reduce_to_chamber(pentagon, x)
+    assert trace == _reduce_generic(pentagon, x)
+    assert trace.word == (1, 3) and trace.result == H
+    # a class of the wrong length still meets the lattice's own check
+    with pytest.raises(DimensionMismatch):
+        reduce_to_chamber(pentagon, (1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 57, 100, 999, 1000])
+def test_cusp_powers_reduce_in_2n_steps(pentagon, n):
+    # walls 1 and 3 meet at the isotropic class f = H - L, walls 2 and 3 at
+    # f' = H - M, so P = r1 r3 and P' = r2 r3 are parabolic: P^n(H) grows
+    # quadratically in n and the walk undoes it one reflection at a time,
+    # in exactly 2n steps, the word of P^n read backwards
+    r1, r2, r3 = pentagon.reflections
+    for first, last in ((r1, 1), (r2, 2)):
+        x = H
+        for _ in range(n):
+            x = first.apply(r3.apply(x))
+        trace = reduce_to_chamber(pentagon, x)
+        assert trace.word == (last, 3) * n
+        assert trace.result == H
+        assert trace.unreduce(pentagon) == x
+        if n == 1000 and last == 1:
+            assert x == (29998001, -30001000, 9000)
+        if n == 1000 and last == 2:
+            assert x == (29998001, 9000, -30001000)
 
 
 def test_reduce_rejects_a_non_integral_step(pentagon):

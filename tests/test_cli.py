@@ -178,6 +178,48 @@ def test_verify_pell_bad_range_exit_2():
         run(["verify", "pell", "--ell-range", "abc"])
 
 
+_OVERSIZED = "1" * 4401   # past Python's 4,300-digit limit on int()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["reduce", "--class=%s,0,0" % _OVERSIZED], "--class"),
+    (["reduce", "--class", "1,0,-%s" % _OVERSIZED], "--class"),
+    (["verify", "pell", "--ell", _OVERSIZED], "argument --ell"),
+    (["verify", "pell", "--ell-range", "6..%s" % _OVERSIZED], "--ell-range"),
+    (["verify", "pell", "--entry-bound", _OVERSIZED], "argument --entry-bound"),
+    (["verify", "pell", "--k-bound", _OVERSIZED], "argument --k-bound"),
+    (["enumerate", "sections", "--n-bound", _OVERSIZED], "argument --n-bound"),
+    (["orbit", "--len", _OVERSIZED], "argument --len"),
+])
+def test_oversized_integer_exit_2_naming_the_digit_limit(argv, name, capsys):
+    # the error line names Python's limit on int conversion and echoes no
+    # digits (it said '--class expects integers like "x,y,z"', and argparse
+    # echoed all 4,401 digits of --ell)
+    code, out, err = _call(argv, capsys)
+    assert code == 2 and out == ""
+    line = err.splitlines()[-1]
+    assert line.endswith("error: %s: 4401 digits exceed Python's 4300-digit "
+                         "limit on int conversion" % name)
+    assert len(err) < 500
+
+
+def test_malformed_integer_messages_are_kept(capsys):
+    # a value that is not an integer keeps its message; a long one within
+    # the digit limit is not mistaken for an oversized integer
+    for argv, line in (
+            (["verify", "pell", "--ell", "abc"],
+             "error: argument --ell: invalid int value: 'abc'"),
+            (["reduce", "--class", "x,y"],
+             'error: --class expects integers like "x,y,z"'),
+            (["reduce", "--class", "%s,%s,x" % ("1" * 3000, "1" * 3000)],
+             'error: --class expects integers like "x,y,z"'),
+            (["verify", "pell", "--ell-range", "abc"],
+             "error: --ell-range expects A..B with integers")):
+        code, out, err = _call(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].endswith(line), argv
+
+
 def test_verify_weierstrass(capsys):
     assert run(["verify", "weierstrass"]) == 0
     out = capsys.readouterr().out

@@ -525,3 +525,41 @@ def test_two_torsion_round_trip_once_per_distinct_point(monkeypatch):
               "against the chord-tangent oracle")
     assert len(applied) == 2 * len(distinct)
     assert set(applied[::2]) == distinct
+
+
+def test_each_curve_point_is_checked_once(monkeypatch):
+    # a certificate round evaluates one membership equation per distinct
+    # affine (curve, point): 91, with O on each of the 3 curves for 94
+    # pairs (436 equations at the parent, one per summand of each of the
+    # 193 sums and per image or translation point)
+    w._curve.cache_clear()
+    evaluated, pairs = [], set()
+    contains = w.WeierstrassCurve.contains
+
+    def counting(self, pt):
+        pairs.add((self.p, self.q, pt.key))
+        if not pt.at_infinity and pt.key not in self._on_curve:
+            evaluated.append((self.p, self.q, pt.key))
+        return contains(self, pt)
+    monkeypatch.setattr(w.WeierstrassCurve, "contains", counting)
+    sums = _count_sums(monkeypatch)
+    report = w.full_weierstrass_certificate()
+    assert [item.status for item in report.items] == [PASS] * 5
+    assert len(sums) == 193
+    assert len(evaluated) == len(set(evaluated)) == 91
+    assert len(pairs) == 94
+
+
+def test_an_off_curve_point_is_refused_at_every_call():
+    # only points found on the curve are recorded; one off it is checked
+    # and refused again each time, in either summand
+    e = curve(0, 1)
+    on, off = w.CurvePoint.affine(2, 3), w.CurvePoint.affine(1, 1)
+    for _ in range(2):
+        assert e.contains(on) and not e.contains(off)
+        for p1, p2 in ((off, on), (on, off)):
+            with pytest.raises(w.CurveError, match="not on the curve"):
+                w.chord_tangent_add(e, p1, p2)
+    assert e._on_curve == {on.key}
+    # the record belongs to its curve: (2, 3) is not on y^2 = x^3 + 17
+    assert not curve(0, 17).contains(on)
