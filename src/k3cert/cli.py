@@ -13,6 +13,14 @@ Subcommands:
 status "fail" (a "discrepancy" does not fail the build), 2 on usage errors,
 among them a PATH that cannot be opened for writing (checked before any
 item runs).
+
+``COMMANDS`` declares each subcommand once.  ``build_parser`` builds the
+argparse tree from it, and with it the tables of the direct parse: an argv
+that names a subcommand and then gives only its long options spelled out in
+full, each once with a value its type accepts, and its positional, gets its
+Namespace without argparse.  A value after a space is taken only when it
+does not start with "-"; a negative number there is left to argparse, as is
+every other argv, so argparse writes all help and every usage error.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ MAX_K_BOUND = 50
 # the 4,300-digit limit of int-to-str conversion
 MAX_ELL = 10 ** 1000
 # the lemma-4.6 scan pairs the Pell columns with entries up to the bound,
-# about log(E) / log(2 ell) of them, so its pairs grow like log(E)^2.  At the
+# about log(E) / log(2 ell) of them, each with at most two others.  At the
 # cap, a cold verify pell --ell 6 takes about 1.0 s
 MAX_ENTRY_BOUND = 10 ** 100
 # each ell takes a few ms at small ell (a cold --ell-range 6..200 takes about
@@ -54,53 +62,112 @@ MAX_N_BOUND = 10
 
 @functools.cache
 def build_parser():
-    """The argparse tree, built once per process: parsing keeps no state
-    between calls, so main reuses it.  ``commands`` maps each subcommand to
-    its own parser, which main calls directly when argv starts with that
-    subcommand."""
+    """The argparse tree, built once per process from ``COMMANDS``: parsing
+    keeps no state between calls, so main reuses it.  ``commands`` maps each
+    subcommand to its own parser, which parse calls directly when argv
+    starts with that subcommand, and ``direct`` holds each subcommand's
+    table for the direct parse."""
     p = argparse.ArgumentParser(
         prog="k3cert",
         description="exact verification suite for the quartic and Pell "
                     "lattice computations")
     sub = p.add_subparsers(dest="command", required=True)
-
-    pv = sub.add_parser("verify", help="run a verification suite")
-    pv.set_defaults(run=cmd_verify)
-    pv.add_argument("suite", choices=["all", "quartic", "pell", "weierstrass"])
-    pv.add_argument("--ell", type=_int_option, default=None)
-    pv.add_argument("--ell-range", default=None, metavar="A..B")
-    pv.add_argument("--entry-bound", type=_int_option, default=300)
-    pv.add_argument("--k-bound", type=_int_option, default=5)
-    pv.add_argument("--json", default=None, metavar="PATH")
-
-    pe = sub.add_parser("enumerate", help="enumeration utilities")
-    pe.set_defaults(run=cmd_enumerate)
-    pe.add_argument("what", choices=["sections", "q"])
-    pe.add_argument("--n-bound", type=_int_option, default=3)
-    pe.add_argument("--json", default=None, metavar="PATH")
-
-    pr = sub.add_parser("reduce", help="reduce a class into the chamber")
-    pr.set_defaults(run=cmd_reduce)
-    pr.add_argument("--class", dest="cls", required=True, metavar='"x,y,z"')
-    pr.add_argument("--basis", choices=["HLM", "fev"], default="HLM")
-    pr.add_argument("--json", default=None, metavar="PATH")
-
-    po = sub.add_parser("orbit", help="orbit of the anchor class")
-    po.set_defaults(run=cmd_orbit)
-    po.add_argument("--len", dest="length", type=_int_option, required=True)
-    po.add_argument("--json", default=None, metavar="PATH")
+    p.direct = {}
+    for name, (summary, run, positional, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(run=run)
+        if positional is not None:
+            dest, choices = positional
+            sp.add_argument(dest, choices=choices)
+        # flag -> (dest, type, choices), and the defaults and the required
+        # dests, as argparse derives them for a long option
+        table, defaults, required = {}, {"run": run}, set()
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+            dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+            table[flag] = (dest, kwargs.get("type"), kwargs.get("choices"))
+            defaults[dest] = kwargs.get("default")
+            if kwargs.get("required"):
+                required.add(dest)
+        if positional is not None:
+            required.add(positional[0])
+        p.direct[name] = (table, positional, defaults, required)
     p.commands = sub.choices
     return p
 
 
-def parse(parser, argv):
-    """parser.parse_args(argv) in one argparse pass.
+def _direct_parse(parser, argv):
+    """The Namespace of a canonical argv, built without argparse, or None.
 
-    The full tree matches the subcommand and hands every later argument to
-    its parser, then reports leftovers as its own "unrecognized arguments"
-    error.  When argv[0] names a subcommand, this does the same with no
-    top-level pass.  Any other argv (empty, -h, --, an unknown command)
-    goes through the full tree."""
+    argv is canonical when argv[0] names a subcommand and every later token
+    is either one of the subcommand's long options spelled out in full
+    (``--opt=value``, or ``--opt value`` with a value that does not start
+    with "-": a negative number or an option-like token after a space is
+    left to argparse), each given at most once, whose value its type
+    converts and its choices hold, or the subcommand's positional within
+    its choices; and no required argument is missing.  On such an argv the Namespace is
+    the one argparse builds: the subparser's defaults, run and command, and
+    each value converted by the option's own type.  Any other argv gives
+    None, so argparse handles it: every help request, abbreviation, repeat,
+    "--" and usage error."""
+    entry = parser.direct.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    table, positional, defaults, required = entry
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            flag, eq, value = token.partition("=")
+            option = table.get(flag)
+            if option is None:
+                return None
+            if not eq:
+                # the space form is taken only with a value that does not
+                # start with "-": negative numbers and option-like tokens
+                # are left to argparse; a missing value reads as "-"
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+            elif value == "--":
+                # argparse (Python 3.11) drops a "--" given after "="
+                return None
+            dest, convert, choices = option
+            if dest in values:
+                return None
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+        else:
+            if positional is None:
+                return None
+            (dest, choices), value = positional, token
+            if dest in values:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= values.keys():
+        return None
+    args = argparse.Namespace(command=argv[0])
+    vars(args).update(defaults, **values)
+    return args
+
+
+def parse(parser, argv):
+    """parser.parse_args(argv), with argparse's machinery only where needed.
+
+    A canonical argv (see ``_direct_parse``) gets its Namespace directly.
+    Any other argv takes one argparse pass.  When argv[0] names a
+    subcommand, that subcommand's parser parses argv[1:], and leftovers get
+    the top-level "unrecognized arguments" error, as the full tree reports
+    them.  Any other argv (empty, -h, --, an unknown command) goes through
+    the full tree."""
+    args = _direct_parse(parser, argv)
+    if args is not None:
+        return args
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
@@ -255,6 +322,36 @@ def cmd_orbit(args, parser):
         parser.error("--len must be between 0 and %d" % MAX_ORBIT_LEN)
     return run_suite([("orbit", "Lemma 3.13", list_orbit)],
                      quartic.build_context(), args.length)
+
+
+# The subcommands, one declaration for both parsers: build_parser builds the
+# argparse tree from it, and the direct parse reads the tables build_parser
+# derives from it.  Each entry is (help, run, positional, options): the
+# positional as (dest, choices) or None, each option as (long flag,
+# add_argument's keyword arguments).
+_JSON = ("--json", dict(default=None, metavar="PATH"))
+COMMANDS = {
+    "verify": ("run a verification suite", cmd_verify,
+               ("suite", ["all", "quartic", "pell", "weierstrass"]),
+               (("--ell", dict(type=_int_option, default=None)),
+                ("--ell-range", dict(default=None, metavar="A..B")),
+                ("--entry-bound", dict(type=_int_option, default=300)),
+                ("--k-bound", dict(type=_int_option, default=5)),
+                _JSON)),
+    "enumerate": ("enumeration utilities", cmd_enumerate,
+                  ("what", ["sections", "q"]),
+                  (("--n-bound", dict(type=_int_option, default=3)),
+                   _JSON)),
+    "reduce": ("reduce a class into the chamber", cmd_reduce, None,
+               (("--class", dict(dest="cls", required=True,
+                                 metavar='"x,y,z"')),
+                ("--basis", dict(choices=["HLM", "fev"], default="HLM")),
+                _JSON)),
+    "orbit": ("orbit of the anchor class", cmd_orbit, None,
+              (("--len", dict(dest="length", type=_int_option,
+                              required=True)),
+               _JSON)),
+}
 
 
 def main(argv=None):

@@ -381,19 +381,32 @@ def _raw_isometries(ctx, bound):
     diagonal entries (both 4, checked once per column), and a pair is kept
     when its pairing is the off-diagonal entry 4 l (entries (0, 1) and
     (1, 0) are one pairing, as G is symmetric).  Matrices, not Isometry
-    objects: the search builds one only for each accepted candidate."""
+    objects: the search builds one only for each accepted candidate.
+
+    Only two columns can pair with a column c: a column (a, b) is the unit
+    e_c = u + b sqrt(d), u = a + l b, and (c, c') = 4 (u u' - d b b'), so
+    (c, c') = 4 l means that z = e_c conj(e_c') has trace 2 l and norm 1,
+    i.e. z = eps^(+-1), and c' is c eps = (-b, a + 2 l b) or
+    c eps^-1 = (2 l a + b, -a).  So each column is paired with those two
+    where they lie within the bound, in the order of the columns, which
+    gives the pairs in the order of a scan of all pairs of columns."""
+    ell = ctx.ell
     (g00, g01), (_, g11) = ctx.lattice.gram
-    cols = _pell_columns(ctx.ell, bound)
-    # the pairing row G c of each column, read off the 2x2 Gram
-    rows = [(g00 * a + g01 * b, g01 * a + g11 * b) for a, b in cols]
-    for c, r in zip(cols, rows):
-        norm = r[0] * c[0] + r[1] * c[1]
+    cols = _pell_columns(ell, bound)
+    within = set(cols)
+    out = []
+    for a, b in cols:
+        # the pairing row G c of the column, read off the 2x2 Gram
+        r0, r1 = g00 * a + g01 * b, g01 * a + g11 * b
+        norm = r0 * a + r1 * b
         if norm != g00 or norm != g11:
             raise PellError("Pell column %s has norm %d, not %d"
-                            % (c, norm, g00))
-    return [((c1[0], c2[0]), (c1[1], c2[1]))
-            for c1, r in zip(cols, rows) for c2 in cols
-            if r[0] * c2[0] + r[1] * c2[1] == g01]
+                            % ((a, b), norm, g00))
+        up, down = (-b, a + 2 * ell * b), (2 * ell * a + b, -a)
+        for c in (up, down) if up < down else (down, up):
+            if c in within and r0 * c[0] + r1 * c[1] == g01:
+                out.append(((a, c[0]), (b, c[1])))
+    return out
 
 
 def _check_generator(ctx, res):

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import runpy
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3cert import cli, quartic
 from k3cert.chamber import orbit_of_anchor
-from k3cert.report import Report
+from k3cert.report import PASS, Report, ReportItem
 
 
 def run(argv):
@@ -454,3 +461,137 @@ def test_python_m_k3cert_matches_main(capsys):
     proc = subprocess.run([sys.executable, "-m", "k3cert"] + argv, env=env,
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+# the direct parse: a token alphabet of every option name and its prefixes,
+# both option forms, values with and without a leading "-", choices inside
+# and outside the allowed sets, an integer past the digit limit, "--" and -h
+_FLAGS = sorted({flag for _, _, _, options in cli.COMMANDS.values()
+                 for flag, _ in options})
+_PREFIXES = sorted({flag[:k] for flag in _FLAGS for k in range(3, len(flag))}
+                   - set(_FLAGS))
+_CHOICES = sorted({c for _, _, positional, options in cli.COMMANDS.values()
+                   for c in ((positional[1] if positional else [])
+                             + [c for _, kw in options
+                                for c in kw.get("choices", [])])})
+_VALUES = ["0", "2", "7", "12", "-0", "-5", "+3", "1_0", "0x2", "abc", "",
+           "1" * 4401, "13,-14,6", "-3,-3,-3", "2,-1,-1", "x,y", "6..8",
+           "9..6", "-", "--", "-h", "out.json", "HLM,", "nothing"]
+_NAMES = list(cli.COMMANDS) + ["frobnicate", "-h", "--help", "--", ""]
+_tokens = st.one_of(
+    st.sampled_from(_FLAGS + _PREFIXES + ["-h", "--help", "--", "-x"]),
+    st.builds("{}={}".format, st.sampled_from(_FLAGS + _PREFIXES),
+              st.sampled_from(_VALUES + _CHOICES)),
+    st.sampled_from(_VALUES + _CHOICES))
+
+
+@st.composite
+def _canonical(draw):
+    """An argv of one subcommand's own options and positional, each form
+    and value drawn so that most are canonical and some are not."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, positional, options = cli.COMMANDS[name]
+    tokens = []
+    if positional is not None and draw(st.integers(0, 9)):
+        tokens.append([draw(st.sampled_from(positional[1] + ["nothing"]))])
+    for flag, kwargs in options:
+        if not kwargs.get("required") and draw(st.booleans()):
+            continue
+        value = draw(st.sampled_from(kwargs.get("choices", _VALUES)))
+        tokens.append(["%s=%s" % (flag, value)] if draw(st.booleans())
+                      else [flag, value])
+    order = draw(st.permutations(tokens))
+    return [name] + [t for group in order for t in group]
+
+
+_argv = st.one_of(
+    _canonical(),
+    st.builds(lambda head, rest: [head] + rest, st.sampled_from(_NAMES),
+              st.lists(_tokens, max_size=6)))
+
+
+def _echo(name):
+    """A stand-in for a suite: its arguments in one passing item, so that
+    main's output shows what the parse handed on, at no cost."""
+    def run(*args, **kwargs):
+        return Report([ReportItem(name, PASS, repr((args, kwargs)))])
+    return run
+
+
+# the suites, the orbit walk and the sections scan, replaced by stand-ins
+# that echo their arguments
+_STAND_INS = (
+    (cli.pell, "full_section4_certificate",
+     _echo("full_section4_certificate")),
+    (cli.quartic, "full_section3_certificate",
+     _echo("full_section3_certificate")),
+    (cli.weierstrass, "full_weierstrass_certificate",
+     _echo("full_weierstrass_certificate")),
+    (cli, "orbit_of_anchor", lambda chamber, length: [(length, 0, 0)]),
+    (cli.quartic, "enumerate_sections",
+     lambda ctx, n_bound: ([n_bound], (0, 0, 0), False)))
+
+
+def _captured(argv):
+    """Exit code, stdout and stderr of one main(argv) call; a crash is
+    compared by its exception.  argparse (Python 3.11) reads --class=-- as
+    an empty list, and both parses hand that on to the command, which
+    crashes on it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except (AttributeError, TypeError) as exc:
+            code = repr(exc)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argv)
+def test_direct_parse_against_argparse(argv):
+    # an argv the direct parse accepts gets parse_args' Namespace; for any
+    # argv, main gives what main with the full tree gives, with the
+    # stand-ins in place and --json files in a directory of their own
+    parser = cli.build_parser()
+    direct = cli._direct_parse(parser, argv)
+    if direct is not None:
+        assert direct == parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        stack.callback(os.chdir, cwd)
+        for owner, name, stand_in in _STAND_INS:
+            stack.enter_context(patch.object(owner, name, stand_in))
+        got = _captured(argv)
+        with patch.object(cli, "parse", _full_tree):
+            assert _captured(argv) == got
+
+
+def _assert_direct(argv):
+    parser = cli.build_parser()
+    direct = cli._direct_parse(parser, argv)
+    assert direct is not None, argv
+    assert direct == parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--class=13,-14,6"], ["reduce", "--class=-1,1,0"],
+    ["orbit", "--len", "7"], ["enumerate", "sections", "--n-bound", "3"],
+    ["enumerate", "q"], ["verify", "all", "--json", "/tmp/x/report.json"],
+    ["verify", "pell", "--ell", "93"]])
+def test_direct_parse_takes_the_workload_argv(argv):
+    # each argv shape of the benchmark's workloads takes the direct parse,
+    # with parse_args' Namespace
+    _assert_direct(argv)
+
+
+def test_direct_parse_takes_every_workload_argv():
+    # so does every argv of the workloads' seed-1 rounds, as generated
+    workloads = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+    for name in workloads["WORKLOADS"]:
+        for query in workloads["generate"](name, 1,
+                                           json_path="/tmp/x/report.json"):
+            _assert_direct(query.argv)

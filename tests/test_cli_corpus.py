@@ -1,0 +1,40 @@
+"""Replay the CLI output corpus (tests/reference/cli-corpus.json).
+
+The corpus holds, for a fixed list of argv, the exit code, stdout, stderr
+and --json report of ``cli.main``, recorded by ``tools/cli_corpus.py``,
+which this test also uses to run each argv the same way.  A change that
+alters an output on purpose re-records the corpus with that script.
+argparse's usage wrapping, its wording and its "--" handling differ between
+Python versions, so the replay runs only on the version (major, minor) the
+corpus was recorded on, and skips on any other.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "cli_corpus", ROOT / "tools" / "cli_corpus.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_cli_corpus_replays():
+    tool = _tool()
+    corpus = tool.load()
+    if tuple(corpus["python"]) != sys.version_info[:2]:
+        pytest.skip("corpus recorded on Python %d.%d"
+                    % tuple(corpus["python"]))
+    stored = corpus["entries"]
+    # the script's list is the corpus: an argv added there is recorded too
+    assert [e["argv"] for e in stored] == tool.ARGV
+    changed = [(" ".join(e["argv"]), got) for e in stored
+               for got in [tool.record(e["argv"])] if got != e]
+    assert changed == []

@@ -94,6 +94,34 @@ def test_discriminant(ctx6):
     assert status == PASS, details
 
 
+@pytest.mark.parametrize("ell, box", [(6, 100), (93, 50)])
+def test_lemma44(ell, box):
+    # the report item: the representation scan (box 100 at l = 6, else 50)
+    # and NS*/NS, both details joined
+    ctx = pell.build_context(ell)
+    d = ell * ell - 1
+    assert pell.check_lemma44(pell.PellRun(ctx)) == (PASS, (
+        "no vector of norm 0, 2 or -2 in box %d; factorization "
+        "4((x+%dy)^2 - %d y^2) and irrationality close the gap; "
+        "NS*/NS = Z_4 + Z_%d with the stated generators"
+        % (box, ell, d, 4 * d)))
+
+
+def test_lemma44_falsifiers(ctx6):
+    # NS*/NS of the l = 7 lattice under the l = 6 context: wrong invariant
+    # factors; an anchor of norm 4 + 8 l + 4: the representation half fails
+    wrong_disc = replace(ctx6, disc=pell.build_context(7).disc)
+    assert pell.check_lemma44(pell.PellRun(wrong_disc)) == (FAIL, (
+        "no vector of norm 0, 2 or -2 in box 100; factorization "
+        "4((x+6y)^2 - 35 y^2) and irrationality close the gap; "
+        "invariant factors (4, 192) != (4, 140)"))
+    status, details = pell.check_lemma44(
+        pell.PellRun(replace(ctx6, anchor=(1, 1))))
+    assert status == FAIL
+    assert details == ("(h1^2) != 4; NS*/NS = Z_4 + Z_140 with the stated "
+                       "generators")
+
+
 def test_discriminant_large_ell():
     ctx = pell.build_context(93)
     status, details = pell.check_discriminant(ctx)
