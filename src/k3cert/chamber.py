@@ -1,9 +1,10 @@
-"""Positive-cone geometry in signature (1, rank-1).
+"""Positive-cone geometry of a rank-3 lattice of signature (1, 2).
 
 A Chamber is cut out by reflective walls (each an integral reflection
 vector) plus optional non-reflective boundary faces derived from an
 explicit list of extreme rays.  Wall inequalities are oriented so the
-ample anchor is strictly inside.
+ample anchor is strictly inside.  A Chamber takes rank 3 only: the
+quartic lattice NS of the paper's Section 3 is the one lattice walked.
 """
 
 from __future__ import annotations
@@ -51,21 +52,21 @@ class Chamber:
 
     # derived, cached at construction
     wall_forms: tuple = field(default=None, compare=False)
-    # each wall w oriented with (w, anchor) > 0, and its norm (w, w) < 0
-    wall_vectors: tuple = field(default=None, compare=False)
-    wall_norms: tuple = field(default=None, compare=False)
     face_forms: tuple = field(default=None, compare=False)
     reflections: tuple = field(default=None, compare=False)
-    # (i, *form, *vector, norm) per oriented wall, i 1-based: the rows that
-    # reduce_to_chamber's rank-3 walk unpacks into scalars
+    # (i, *form, *vector, norm) per wall w oriented with (w, anchor) > 0,
+    # i 1-based: the rows that reduce_to_chamber unpacks into scalars
     wall_table: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
         lat = self.lattice
+        if lat.rank != 3:
+            raise ChamberError("a chamber needs a rank-3 lattice, not rank %d"
+                               % lat.rank)
         if lat.norm(self.anchor) <= 0:
             raise ChamberError("(anchor, anchor) must be positive")
-        forms, vectors, norms, refls = [], [], [], []
-        for w in self.walls:
+        forms, table, refls = [], [], []
+        for i, w in enumerate(self.walls, 1):
             # reduce_to_chamber's step bound needs reflections keeping the cone
             ww = lat.norm(w)
             if ww >= 0:
@@ -75,27 +76,21 @@ class Chamber:
             if val == 0:
                 raise ChamberError("wall %s passes through the anchor" % (w,))
             s = 1 if val > 0 else -1
-            forms.append(tuple(s * r for r in row))
-            vectors.append(tuple(s * c for c in w))
-            norms.append(ww)
+            form = tuple(s * r for r in row)
+            forms.append(form)
+            table.append((i, *form, *(s * c for c in w), ww))
             # checks that the reflection is integral on the lattice, so each
             # step of reduce_to_chamber divides exactly
             refls.append(reflection_in(lat, w))
         object.__setattr__(self, "wall_forms", tuple(forms))
-        object.__setattr__(self, "wall_vectors", tuple(vectors))
-        object.__setattr__(self, "wall_norms", tuple(norms))
         object.__setattr__(self, "reflections", tuple(refls))
-        object.__setattr__(self, "wall_table", tuple(
-            (i, *f, *w, ww)
-            for i, (f, w, ww) in enumerate(zip(forms, vectors, norms), 1)))
+        object.__setattr__(self, "wall_table", tuple(table))
         if self.extra_rays is not None:
             object.__setattr__(self, "face_forms",
                                self._facets_from_rays(self.extra_rays))
 
     def _facets_from_rays(self, rays):
-        """Facet inequalities of the cone over the given rays (rank 3)."""
-        if self.lattice.rank != 3:
-            raise ChamberError("ray-derived faces implemented for rank 3")
+        """Facet inequalities of the cone over the given rays."""
         rs = [_clear_denominators(r) for r in rays]
         facets = []
         for i in range(len(rs)):
@@ -171,19 +166,17 @@ def reduce_to_chamber(chamber, x):
     exact, as the Chamber checked each reflection integral on the basis;
     a remainder would contradict that and raises ChamberError.
 
-    At rank 3 (the quartic lattice) the walk runs on scalars, as
-    ``orbit_of_anchor`` does: the class, the Gram rows and the anchor are
-    unpacked once, each oriented wall (form, vector, norm) is one flat row
-    of the chamber's ``wall_table``, each wall test is an unrolled dot
-    product and each step three updates x_i -= k w_i.  Other ranks take
-    the generic walk, ``_reduce_generic``, which gives the same trace.
+    The walk runs on scalars, as ``orbit_of_anchor`` does: the class, the
+    Gram rows and the anchor are unpacked once, each oriented wall (form,
+    vector, norm) is one flat row of the chamber's ``wall_table``, each
+    wall test is an unrolled dot product and each step three updates
+    x_i -= k w_i.  A class of another length raises DimensionMismatch.
     """
     try:
         x = tuple(map(index, x))
     except TypeError:
         raise ChamberError("%s is not an integer class" % (tuple(x),)) from None
-    if len(x) != 3 or chamber.lattice.rank != 3:
-        return _reduce_generic(chamber, x)
+    chamber.lattice.check_vector(x)
     x0, x1, x2 = x
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = chamber.lattice.gram
     a0, a1, a2 = chamber.anchor
@@ -209,32 +202,6 @@ def reduce_to_chamber(chamber, x):
         x0 -= k * w0
         x1 -= k * w1
         x2 -= k * w2
-        word.append(i)
-
-
-def _reduce_generic(chamber, x):
-    """reduce_to_chamber's walk at any rank, on a tuple of ints x: the
-    lattice's pairing for the cone test, one dot product per wall test and
-    a new tuple per step."""
-    lat = chamber.lattice
-    xx, xa = lat.norm(x), lat.inner(x, chamber.anchor)
-    if xx < 0 or xa <= 0:
-        raise ChamberError(_OFF_CONE % (x, xx, xa))
-    walls = tuple(enumerate(zip(chamber.wall_forms, chamber.wall_vectors,
-                                chamber.wall_norms), 1))
-    word = []
-    cur = x
-    while True:
-        for i, (f, w, ww) in walls:
-            v = sum(map(mul, f, cur))
-            if v < 0:
-                break
-        else:
-            return ReductionTrace(word=tuple(word), result=cur)
-        k, r = divmod(2 * v, ww)
-        if r:
-            raise ChamberError(_NOT_INTEGRAL % (i, cur))
-        cur = tuple(c - k * wc for c, wc in zip(cur, w))
         word.append(i)
 
 
@@ -344,27 +311,21 @@ def orbit_of_anchor(chamber, max_word_len):
     order of the words.  Raises on duplicates, which would contradict a
     ping-pong certificate.
 
-    Each level is one comprehension over the previous one.  At rank 3 (the
-    quartic lattice) the reflection matrices are unrolled, nine integer
-    products a class with no call, so a walk's cost is close to that of
-    printing it; other ranks go through ``Isometry.apply``."""
-    refls = chamber.reflections
-    mats = [r.matrix for r in refls]
+    Each level is one comprehension over the previous one, with the
+    reflection matrices unrolled: nine integer products a class with no
+    call, so a walk's cost is close to that of printing it."""
+    mats = [r.matrix for r in chamber.reflections]
     anchor = tuple(chamber.anchor)
     out = [anchor]
     seen = {anchor}
     level = [(None, anchor)]    # (last wall, class)
     for length in range(1, max_word_len + 1):
-        if chamber.lattice.rank == 3:
-            level = [(i, (a0 * x + a1 * y + a2 * z,
-                          b0 * x + b1 * y + b2 * z,
-                          c0 * x + c1 * y + c2 * z))
-                     for last, (x, y, z) in level
-                     for i, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2))
-                     in enumerate(mats) if i != last]
-        else:
-            level = [(i, r.apply(v)) for last, v in level
-                     for i, r in enumerate(refls) if i != last]
+        level = [(i, (a0 * x + a1 * y + a2 * z,
+                      b0 * x + b1 * y + b2 * z,
+                      c0 * x + c1 * y + c2 * z))
+                 for last, (x, y, z) in level
+                 for i, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2))
+                 in enumerate(mats) if i != last]
         images = [v for _, v in level]
         seen.update(images)
         out += images

@@ -20,7 +20,8 @@ that names a subcommand and then gives only its long options spelled out in
 full, each once with a value its type accepts, and its positional, gets its
 Namespace without argparse.  A value after a space is taken only when it
 does not start with "-"; a negative number there is left to argparse, as is
-every other argv, so argparse writes all help and every usage error.
+every other argv: one ``parse_args`` on the full tree, so argparse writes
+all help and every usage error.
 """
 
 from __future__ import annotations
@@ -63,10 +64,8 @@ MAX_N_BOUND = 10
 @functools.cache
 def build_parser():
     """The argparse tree, built once per process from ``COMMANDS``: parsing
-    keeps no state between calls, so main reuses it.  ``commands`` maps each
-    subcommand to its own parser, which parse calls directly when argv
-    starts with that subcommand, and ``direct`` holds each subcommand's
-    table for the direct parse."""
+    keeps no state between calls, so main reuses it.  ``direct`` holds each
+    subcommand's table for the direct parse."""
     p = argparse.ArgumentParser(
         prog="k3cert",
         description="exact verification suite for the quartic and Pell "
@@ -92,7 +91,6 @@ def build_parser():
         if positional is not None:
             required.add(positional[0])
         p.direct[name] = (table, positional, defaults, required)
-    p.commands = sub.choices
     return p
 
 
@@ -157,24 +155,18 @@ def _direct_parse(parser, argv):
 
 
 def parse(parser, argv):
-    """parser.parse_args(argv), with argparse's machinery only where needed.
+    """The Namespace of argv: a canonical argv (see ``_direct_parse``) gets
+    it directly, any other argv from parser.parse_args(argv).
 
-    A canonical argv (see ``_direct_parse``) gets its Namespace directly.
-    Any other argv takes one argparse pass.  When argv[0] names a
-    subcommand, that subcommand's parser parses argv[1:], and leftovers get
-    the top-level "unrecognized arguments" error, as the full tree reports
-    them.  Any other argv (empty, -h, --, an unknown command) goes through
-    the full tree."""
+    argparse (Python 3.11) reads a "--" given after "=" (``--class=--``)
+    as an empty list, which no command takes, so after parse_args such a
+    value is a usage error naming the option."""
     args = _direct_parse(parser, argv)
-    if args is not None:
-        return args
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    if args is None:
+        args = parser.parse_args(argv)
+        for flag, (dest, _, _) in parser.direct[args.command][0].items():
+            if isinstance(getattr(args, dest), list):
+                parser.error("argument %s: expected one argument" % flag)
     return args
 
 

@@ -375,15 +375,21 @@ def check_lemma38(ctx):
     problems = []
     faces = set(ch.face_forms)
     # the three reflective walls must appear among the facets
-    for i in range(len(ch.walls)):
-        if _clear_denominators(ch.wall_forms[i]) not in faces:
+    named = [_clear_denominators(f) for f in ch.wall_forms]
+    for i, f in enumerate(named):
+        if f not in faces:
             problems.append("wall %d form %s is not a facet"
                             % (i + 1, ch.wall_forms[i]))
     # the two contraction faces are the degree forms against L and M
     for curve, name in ((L, "L"), (M, "M")):
         row = _clear_denominators(lat.pairing_row(curve))
+        named.append(row)
         if row not in faces:
             problems.append("contraction face (x, %s) >= 0 missing" % name)
+    # five distinct named forms among five facets: they are all the facets
+    if len(set(named)) != 5:
+        problems.append("the walls and contraction faces are %d distinct "
+                        "forms, expected 5" % len(set(named)))
     # each wall vanishes on exactly two pentagon rays
     for i in range(3):
         z = sum(1 for r in CHAMBER_RAYS if ch.wall_value(i, r) == 0)

@@ -9,14 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 from k3cert.chamber import (
     Chamber,
     ChamberError,
-    ReductionTrace,
     in_chamber,
     in_positive_cone,
     isotropic_rays_in_wall,
     orbit_of_anchor,
     pingpong_certify,
     reduce_to_chamber,
-    _reduce_generic,
 )
 from k3cert.lattice import (DimensionMismatch, IntegerLattice, det_int,
                             form_basis)
@@ -66,6 +64,18 @@ def test_chamber_construction(lat, pentagon):
     for wall in (H, (1, -1, 0)):
         with pytest.raises(ChamberError, match=r"\(w, w\) >= 0"):
             Chamber(lattice=lat, anchor=H, walls=(V, wall))
+
+
+@pytest.mark.parametrize("gram, anchor, walls", [
+    (((2, 1), (1, -2)), (1, 0), ((0, 1),)),
+    # the pentagon lattice plus an orthogonal <-2>
+    (tuple(row + (0,) for row in GRAM) + ((0, 0, 0, -2),), H + (0,),
+     tuple(w + (0,) for w in (V, VP, W3)))], ids=["rank 2", "rank 4"])
+def test_chamber_refuses_rank_other_than_3(gram, anchor, walls):
+    lat = IntegerLattice(gram=gram)
+    with pytest.raises(ChamberError,
+                       match="needs a rank-3 lattice, not rank %d" % len(gram)):
+        Chamber(lattice=lat, anchor=anchor, walls=walls)
 
 
 def test_membership(pentagon):
@@ -194,47 +204,12 @@ def test_reduce_tie_break_against_the_literal_walk(lat):
     assert reduce_to_chamber(ch, (1, 1, 1)).word[0] == 1
 
 
-@pytest.fixture(scope="module")
-def rank4():
-    # the pentagon lattice plus an orthogonal <-2>
-    lat4 = IntegerLattice(gram=tuple(row + (0,) for row in GRAM)
-                          + ((0, 0, 0, -2),))
-    return Chamber(lattice=lat4, anchor=H + (0,),
-                   walls=tuple(w + (0,) for w in (V, VP, W3)))
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.tuples(*[st.integers(-30, 30)] * 3), st.data(),
-       st.lists(st.integers(0, 2), max_size=6))
-def test_reduce_against_the_literal_walk_off_rank_3(rank4, tail, data, word):
-    # a class of the cone in [-30, 30]^4 moved by a word in the reflections,
-    # which keep the cone; its first coordinate is drawn among those that
-    # put it in the cone, as a filter on the whole box discards most draws
-    lat = rank4.lattice
-    heads = [h for h in range(-30, 31) if lat.norm((h,) + tail) >= 0
-             and lat.inner((h,) + tail, rank4.anchor) > 0]
-    assume(heads)
-    x = (data.draw(st.sampled_from(heads)),) + tail
-    for i in word:
-        x = rank4.reflections[i].apply(x)
-    trace = reduce_to_chamber(rank4, x)
-    assert (trace.word, trace.result) == _literal_reduction(rank4, x)
-
-
-def _walk_outcome(walk, chamber, x):
-    """The trace of one walk, or the text of the ChamberError it raised."""
-    try:
-        return walk(chamber, x)
-    except ChamberError as exc:
-        return str(exc)
-
-
 @settings(deadline=None, max_examples=300)
 @given(st.booleans(), st.booleans(),
        st.tuples(st.integers(-30, 30), st.integers(-30, 30)), st.data(),
        st.integers(0, 2), st.integers(0, 30),
        st.lists(st.integers(1, 2), min_size=30, max_size=30))
-def test_scalar_walk_against_the_generic_walk(lat, pentagon, tie, on_cone,
+def test_scalar_walk_against_the_literal_walk(lat, pentagon, tie, on_cone,
                                               tail, data, first, length,
                                               steps):
     # a class of [-30, 30]^3, on the closed positive cone or off it, pushed
@@ -253,22 +228,26 @@ def test_scalar_walk_against_the_generic_walk(lat, pentagon, tie, on_cone,
     for d in steps[:length]:
         x = ch.reflections[i].apply(x)
         i = (i + d) % 3
-    got = _walk_outcome(reduce_to_chamber, ch, x)
-    assert got == _walk_outcome(_reduce_generic, ch, x)
-    assert isinstance(got, ReductionTrace) == on_cone
     if on_cone:
-        assert got.unreduce(ch) == x
+        trace = reduce_to_chamber(ch, x)
+        assert (trace.word, trace.result) == _literal_reduction(ch, x)
+        assert trace.unreduce(ch) == x
+    else:
+        # the error text, with the pairings from the lattice's own inner
+        with pytest.raises(ChamberError) as exc:
+            reduce_to_chamber(ch, x)
+        assert str(exc.value) == (
+            "%s is off the closed positive cone: (x, x) = %s, "
+            "(x, anchor) = %s" % (x, lat.norm(x), lat.inner(x, H)))
 
 
 def test_rank_3_takes_the_scalar_walk(pentagon):
-    # at rank 3 neither the generic walk nor the lattice's pairing runs
+    # the walk never calls the lattice's pairing
     x = pentagon.reflections[0].apply(pentagon.reflections[2].apply(H))
-    with patch("k3cert.chamber._reduce_generic",
-               side_effect=AssertionError("generic walk")), \
-            patch.object(IntegerLattice, "inner",
-                         side_effect=AssertionError("lattice pairing")):
+    with patch.object(IntegerLattice, "inner",
+                      side_effect=AssertionError("lattice pairing")):
         trace = reduce_to_chamber(pentagon, x)
-    assert trace == _reduce_generic(pentagon, x)
+    assert (trace.word, trace.result) == _literal_reduction(pentagon, x)
     assert trace.word == (1, 3) and trace.result == H
     # a class of the wrong length still meets the lattice's own check
     with pytest.raises(DimensionMismatch):
@@ -524,24 +503,7 @@ def test_orbit_against_the_literal_walk(pentagon):
         assert orbit_of_anchor(pentagon, k) == _literal_orbit(pentagon, k)
 
 
-def test_orbit_off_rank_3(rank4):
-    # the walls, the anchor and so the orbit keep a last coordinate 0
-    ch = rank4
-    lat3 = IntegerLattice(gram=GRAM)
-    ch3 = Chamber(lattice=lat3, anchor=H, walls=(V, VP, W3))
-    orbit = orbit_of_anchor(ch, 5)
-    assert orbit == _literal_orbit(ch, 5)
-    assert orbit == [v + (0,) for v in orbit_of_anchor(ch3, 5)]
-
-
 def test_orbit_duplicate_detection(lat):
     dup = Chamber(lattice=lat, anchor=H, walls=(V, V))
     with pytest.raises(ChamberError, match="duplicate"):
         orbit_of_anchor(dup, 2)
-    # the same at rank 4
-    lat4 = IntegerLattice(gram=tuple(row + (0,) for row in GRAM)
-                          + ((0, 0, 0, -2),))
-    dup4 = Chamber(lattice=lat4, anchor=H + (0,),
-                   walls=(V + (0,), V + (0,)))
-    with pytest.raises(ChamberError, match="duplicate"):
-        orbit_of_anchor(dup4, 2)

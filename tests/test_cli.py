@@ -331,10 +331,11 @@ def test_main_reuses_one_quartic_context(capsys):
     assert quartic.build_context.cache_info().misses == 1
 
 
-# argv that reach every branch of the one-pass dispatch: no command, help,
-# "--", an unknown command, a subcommand's own usage errors and leftovers
-# for the top-level "unrecognized arguments" error, valid calls in the
-# --class= and --class x,y,z forms, and a command's own range check
+# argv for both paths of the parse, the direct parse and parse_args on the
+# full tree: no command, help, "--", an unknown command, a subcommand's own
+# usage errors and leftovers for the top-level "unrecognized arguments"
+# error, valid calls in the --class= and --class x,y,z forms, and a
+# command's own range check
 ARGV_CORPUS = [
     [], ["-h"], ["--help"], ["reduce", "-h"], ["--"], ["--", "reduce"],
     ["-h", "reduce"], ["frobnicate"], ["frobnicate", "--class=1,0,0"],
@@ -363,8 +364,9 @@ def _full_tree(parser, argv):
 @pytest.mark.parametrize("argv", ARGV_CORPUS,
                          ids=lambda argv: " ".join(argv) or "(empty)")
 def test_one_pass_dispatch_matches_the_full_tree(argv, capsys, monkeypatch):
-    # exit code, stdout and stderr of main equal those of main with the
-    # full tree's parse_args, on the same cached parser
+    # the two-path parse: exit code, stdout and stderr of main equal those
+    # of main with the full tree's parse_args alone, on the same cached
+    # parser
     one_pass = _call(argv, capsys)
     # where the full tree parses, both give the same namespace
     parser = cli.build_parser()
@@ -378,20 +380,40 @@ def test_one_pass_dispatch_matches_the_full_tree(argv, capsys, monkeypatch):
 
 
 def test_main_reads_sys_argv_in_one_pass(capsys, monkeypatch):
-    # a command's argv, from sys.argv or given as a tuple, never reaches the
-    # full tree, leftovers included
-    want = _call(["reduce", "--class=13,-14,6"], capsys)
-    unknown = _call(["orbit", "--frob"], capsys)
-    assert want[0] == 0 and unknown[0] == 2
+    # argv from sys.argv, as a tuple or as a list gives one output; an argv
+    # the direct parse declines takes parse_args once, a canonical one never
+    parser = cli.build_parser()
+    calls = []
 
-    def full_tree(*args, **kwargs):
-        raise AssertionError("the full tree parsed")
-    monkeypatch.setattr(cli.build_parser(), "parse_args", full_tree)
-    monkeypatch.setattr(sys, "argv", ["k3cert", "reduce", "--class=13,-14,6"])
-    assert _call(None, capsys) == want
-    assert _call(("reduce", "--class=13,-14,6"), capsys) == want
-    monkeypatch.setattr(sys, "argv", ["k3cert", "orbit", "--frob"])
-    assert _call(None, capsys) == unknown
+    def parse_args(args):
+        calls.append(args)
+        return type(parser).parse_args(parser, args)
+    monkeypatch.setattr(parser, "parse_args", parse_args)
+    for argv, code, parsed in ((["reduce", "--class=13,-14,6"], 0, []),
+                               (["orbit", "--frob"], 2, [["orbit", "--frob"]])):
+        monkeypatch.setattr(sys, "argv", ["k3cert"] + argv)
+        calls.clear()
+        got = [_call(None, capsys), _call(tuple(argv), capsys),
+               _call(list(argv), capsys)]
+        assert got[0][0] == code
+        assert got[0] == got[1] == got[2]
+        assert calls == parsed * 3
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["reduce", "--class=--"], "--class"), (["orbit", "--len=--"], "--len"),
+    (["reduce", "--class=1,0,0", "--json=--"], "--json")])
+def test_dashdash_after_equals_is_a_usage_error(argv, flag, tmp_path, capsys,
+                                                monkeypatch):
+    # argparse (Python 3.11) reads the value as an empty list: exit 2 with
+    # one usage line and an error naming the option, and no file written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _call(argv, capsys)
+    assert code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: k3cert ")
+    assert error == "k3cert: error: argument %s: expected one argument" % flag
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["verify", "pell", "--ell", "6"],
@@ -533,18 +555,13 @@ _STAND_INS = (
 
 
 def _captured(argv):
-    """Exit code, stdout and stderr of one main(argv) call; a crash is
-    compared by its exception.  argparse (Python 3.11) reads --class=-- as
-    an empty list, and both parses hand that on to the command, which
-    crashes on it."""
+    """Exit code, stdout and stderr of one main(argv) call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-        except (AttributeError, TypeError) as exc:
-            code = repr(exc)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -552,8 +569,8 @@ def _captured(argv):
 @given(_argv)
 def test_direct_parse_against_argparse(argv):
     # an argv the direct parse accepts gets parse_args' Namespace; for any
-    # argv, main gives what main with the full tree gives, with the
-    # stand-ins in place and --json files in a directory of their own
+    # argv, main gives what main with the argparse path alone gives, with
+    # the stand-ins in place and --json files in a directory of their own
     parser = cli.build_parser()
     direct = cli._direct_parse(parser, argv)
     if direct is not None:
@@ -565,7 +582,7 @@ def test_direct_parse_against_argparse(argv):
         for owner, name, stand_in in _STAND_INS:
             stack.enter_context(patch.object(owner, name, stand_in))
         got = _captured(argv)
-        with patch.object(cli, "parse", _full_tree):
+        with patch.object(cli, "_direct_parse", lambda parser, argv: None):
             assert _captured(argv) == got
 
 

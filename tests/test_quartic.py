@@ -9,7 +9,7 @@ import pytest
 import k3cert
 from k3cert import cli, quartic
 from k3cert.lattice import IntegerLattice, LatticeError
-from k3cert.chamber import in_chamber, pingpong_certify
+from k3cert.chamber import Chamber, in_chamber, pingpong_certify
 from k3cert.report import DISCREPANCY, FAIL, PASS
 
 
@@ -106,6 +106,22 @@ def test_degree_one_curves(ctx):
 def test_pentagon_faces(ctx):
     status, details = quartic.check_lemma38(ctx)
     assert status == PASS, details
+
+
+@pytest.mark.parametrize("walls, rays, details", [
+    # the cone over four of the five pentagon rays is a quadrilateral
+    ((quartic.V, quartic.VP, quartic.W3), quartic.CHAMBER_RAYS[:4],
+     "expected 5 facets, got 4"),
+    # L as the third wall: each wall is a facet and vanishes on two rays,
+    # but wall 3 is the contraction face (x, L) >= 0
+    ((quartic.V, quartic.VP, quartic.L), quartic.CHAMBER_RAYS,
+     "the walls and contraction faces are 4 distinct forms, expected 5")],
+    ids=["four rays", "L as a wall"])
+def test_pentagon_faces_falsifiers(ctx, walls, rays, details):
+    chamber = Chamber(lattice=ctx.lattice, anchor=quartic.H, walls=walls,
+                      extra_rays=rays)
+    assert quartic.check_lemma38(dataclasses.replace(ctx, chamber=chamber)) \
+        == (FAIL, details)
 
 
 def test_Q_enumeration_routes_agree(ctx):

@@ -44,9 +44,10 @@ _MAX_ELL_1 = str(cli.MAX_ELL + 1)
 _MAX_ENTRY_1 = str(cli.MAX_ENTRY_BOUND + 1)
 
 # every subcommand and option in the --opt=v and --opt v forms, the help
-# requests, abbreviations, repeats, "--", negative values in the space form,
-# and every exit-2 path: argparse's usage errors, the caps, the digit limit
-# and the --json path checks
+# requests, abbreviations, repeats, "--" (as a token and as a value after
+# "="), negative values in the space form, and every exit-2 path:
+# argparse's usage errors, the caps, the digit limit and the --json path
+# checks
 ARGV = [
     # the top level
     [], ["-h"], ["--help"], ["--"], ["--", "reduce"], ["-h", "reduce"],
@@ -118,6 +119,7 @@ ARGV = [
     ["enumerate", "q", "--json", "{tmp}/missing/x.json"],
     # reduce
     ["reduce"], ["reduce", "-h"], ["reduce", "--class"], ["reduce", "--class="],
+    ["reduce", "--class=--"], ["reduce", "--class=1,0,0", "--json=--"],
     ["reduce", "--class=2,-1,-1"], ["reduce", "--class", "13,-14,6"],
     ["reduce", "--class", " 13, -14, 6 "],
     ["reduce", "--class", "4,3,1", "--basis", "fev"],
@@ -158,6 +160,7 @@ ARGV = [
     ["orbit", "--len", str(cli.MAX_ORBIT_LEN + 1)], ["orbit", "--len", "two"],
     ["orbit", "--len", "1", "--len", "2"], ["orbit", "--le", "2"],
     ["orbit", "--len", "2", "3"], ["orbit", "--len", "{oversized}"],
+    ["orbit", "--len=--"],
     ["orbit", "--len", "2", "--json", "{tmp}/r.json"],
     ["orbit", "--len", "99", "--json", "{tmp}/r.json"],
 ]
