@@ -251,15 +251,15 @@ def cmd_verify(args, parser):
     if ells[-1] - ells[0] + 1 > MAX_ELL_COUNT:
         raise pell.PellError("--ell-range must not hold more than "
                              "MAX_ELL_COUNT = %d values" % MAX_ELL_COUNT)
-    report = Report()
+    items = []
     if args.suite in ("all", "quartic"):
-        report.extend(quartic.full_section3_certificate().items)
+        items += quartic.full_section3_certificate().items
     if args.suite in ("all", "pell"):
-        report.extend(pell.full_section4_certificate(
-            ells, entry_bound=args.entry_bound, k_bound=args.k_bound).items)
+        items += pell.full_section4_certificate(
+            ells, entry_bound=args.entry_bound, k_bound=args.k_bound).items
     if args.suite in ("all", "weierstrass"):
-        report.extend(weierstrass.full_weierstrass_certificate().items)
-    return report
+        items += weierstrass.full_weierstrass_certificate().items
+    return Report(items)
 
 
 def list_sections(ctx, n_bound):
@@ -350,7 +350,7 @@ def main(argv=None):
     parser = build_parser()
     args = parse(parser, sys.argv[1:] if argv is None else list(argv))
     created = False
-    if args.json:
+    if args.json is not None:
         # opened before any check runs, so a path that cannot be written is a
         # usage error up front, not a crash after all the work; append mode
         # creates a missing file and leaves an existing report as it was
@@ -374,7 +374,7 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     print(report.render_text())
-    if args.json:
+    if args.json is not None:
         with open(args.json, "w") as fh:
             fh.write(report.dumps())
             fh.write("\n")

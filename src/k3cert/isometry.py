@@ -140,8 +140,8 @@ def reflection_in(lat, w):
         t = Fraction(2 * lat.inner(e, w), ww)
         if t.denominator != 1:
             raise LatticeError(
-                "reflection in %s is not integral on basis vector %s"
-                % (w, lat.labels[j]))
+                "reflection in %s is not integral on basis vector %d"
+                % (w, j))
         cols.append(tuple(e[i] - int(t) * w[i] for i in range(n)))
     m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     return Isometry(lat, m)

@@ -195,7 +195,6 @@ def smith_normal_form(m):
 @dataclass(frozen=True)
 class IntegerLattice:
     gram: tuple
-    labels: tuple = None
 
     def __post_init__(self):
         gram = tuple(tuple(int(x) for x in row) for row in self.gram)
@@ -211,13 +210,6 @@ class IntegerLattice:
                 raise LatticeError("lattice must be even (odd diagonal entry at %d)" % i)
         if det_int(gram) == 0:
             raise LatticeError("gram matrix is degenerate")
-        if self.labels is None:
-            object.__setattr__(self, "labels",
-                               tuple("b%d" % i for i in range(n)))
-        else:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != n:
-                raise LatticeError("need one label per basis vector")
 
     @property
     def rank(self):

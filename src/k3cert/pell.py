@@ -47,7 +47,7 @@ from .lattice import (
     solve_norm_system,
 )
 from .isometry import Isometry, PowerTable, discriminant_action
-from .quadfield import QuadExt, pair_sign, zsign
+from .quadfield import QuadExt, is_square, pair_sign, zsign
 from .report import FAIL, PASS, SKIPPED, Report, run_suite, verdict
 
 
@@ -74,10 +74,9 @@ def build_context(ell):
     if ell <= 5:
         raise PellError("the family requires l > 5 (got l = %d)" % ell)
     d = ell * ell - 1
-    if math.isqrt(d) ** 2 == d:
+    if is_square(d):
         raise PellError("l^2 - 1 must not be a perfect square")
-    lat = IntegerLattice(gram=((4, 4 * ell), (4 * ell, 4)),
-                         labels=("h1", "h2"))
+    lat = IntegerLattice(gram=((4, 4 * ell), (4 * ell, 4)))
     # -l + sqrt(l^2 - 1) is the pair (-l, 1)
     ctx = PellContext(ell=ell, lattice=lat, anchor=(1, 0),
                       v1=((-ell, 1), (1, 0)), v2=((1, 0), (-ell, 1)),
@@ -159,7 +158,7 @@ def check_representation(ctx, targets=(0, 2, -2), box=100):
             lambda x, y: 4 * x * x + 8 * ell * x * y + 4 * y * y
             - 4 * ((x + ell * y) ** 2 - (ell * ell - 1) * y * y), (2, 2)):
         problems.append("norm-form factorization identity failed")
-    if math.isqrt(ctx.d) ** 2 == ctx.d:
+    if is_square(ctx.d):
         problems.append("l^2 - 1 is a perfect square")
     # sanity: norm 4 is represented (the anchor)
     if ctx.lattice.norm(ctx.anchor) != 4:
@@ -652,8 +651,8 @@ SUITE = (
 
 def full_section4_certificate(ell_range=range(6, 13), entry_bound=300,
                               k_bound=5):
-    report = Report()
+    items = []
     for ell in ell_range:
         run = PellRun(build_context(ell), entry_bound, k_bound)
-        report.extend(run_suite(SUITE, run, tag="-ell-%d" % ell).items)
-    return report
+        items += run_suite(SUITE, run, tag="-ell-%d" % ell).items
+    return Report(items)

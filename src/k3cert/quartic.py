@@ -73,10 +73,7 @@ class QuarticContext:
     lattice_fev: IntegerLattice
     to_fev_transform: tuple          # columns are f, e, v in (H,L,M) coords
     from_hlm_transform: tuple        # its inverse det(t) adj(t), integral
-    chamber: Chamber
-    iota1: Isometry                  # reflections, (H,L,M) coordinates
-    iota2: Isometry
-    iota3: Isometry
+    chamber: Chamber                 # its reflections are iota1..3
 
     def to_fev(self, x):
         return mat_vec(self.from_hlm_transform, x)
@@ -102,14 +99,10 @@ def build_context():
     """The rank-3 lattice, its (f,e,v) form and the pentagon chamber, built
     and checked once per process.  Every object in it is frozen and made of
     tuples, so callers share one context."""
-    lat = IntegerLattice(gram=GRAM_HLM, labels=("H", "L", "M"))
+    lat = IntegerLattice(gram=GRAM_HLM)
     lat_fev, t = change_basis(lat, [F, E, V])
     if lat_fev.gram != GRAM_FEV:
         raise LatticeError("unexpected Gram matrix in (f,e,v) basis")
-    lat_fev = IntegerLattice(gram=GRAM_FEV, labels=("f", "e", "v"))
-    chamber = Chamber(lattice=lat, anchor=H, walls=(V, VP, W3),
-                      extra_rays=CHAMBER_RAYS)
-    iota1, iota2, iota3 = chamber.reflections
     # change_basis checked det t = +-1, so t^-1 = adj(t) / det t = det t adj(t)
     det_t = lat_mod.det_int(t)
     return QuarticContext(
@@ -118,10 +111,8 @@ def build_context():
         to_fev_transform=t,
         from_hlm_transform=tuple(tuple(det_t * c for c in row)
                                  for row in adjugate(t)),
-        chamber=chamber,
-        iota1=iota1,
-        iota2=iota2,
-        iota3=iota3,
+        chamber=Chamber(lattice=lat, anchor=H, walls=(V, VP, W3),
+                        extra_rays=CHAMBER_RAYS),
     )
 
 
@@ -313,10 +304,12 @@ def check_cor35(ctx):
 
 
 def check_reflection_vectors(ctx):
+    """Cor 3.6 on the chamber's own reflections, iota1..3 in wall order."""
     lat = ctx.lattice
+    iota1, iota2, iota3 = ctx.chamber.reflections
     problems = []
-    for w, iso, name in ((V, ctx.iota1, "iota1"), (VP, ctx.iota2, "iota2"),
-                         (W3, ctx.iota3, "iota3")):
+    for w, iso, name in ((V, iota1, "iota1"), (VP, iota2, "iota2"),
+                         (W3, iota3, "iota3")):
         if lat.norm(w) != -20:
             problems.append("(%s wall)^2 = %d != -20" % (name, lat.norm(w)))
         refl = reflection_in(lat, w)
@@ -327,15 +320,15 @@ def check_reflection_vectors(ctx):
         if refl.det() != -1:
             problems.append("%s reflection has determinant != -1" % name)
     # basis-level identifications
-    if ctx.isometry_to_fev(ctx.iota1).matrix != ((1, 0, 0), (0, 1, 0), (0, 0, -1)):
+    if ctx.isometry_to_fev(iota1).matrix != ((1, 0, 0), (0, 1, 0), (0, 0, -1)):
         problems.append("iota1 is not diag(1,1,-1) in (f,e,v)")
-    if ctx.isometry_to_fev(ctx.iota3).matrix != IOTA3_FEV:
+    if ctx.isometry_to_fev(iota3).matrix != IOTA3_FEV:
         problems.append("iota3 does not match the displayed (f,e,v) matrix")
     if ctx.to_fev(W3) != (10, 0, 1):
         problems.append("4H - 3L - 3M != 10 f + v")
-    if ctx.iota3.apply(W3) != tuple(-c for c in W3):
+    if iota3.apply(W3) != tuple(-c for c in W3):
         problems.append("10 f + v is not a (-1)-eigenvector of iota3")
-    if ctx.iota2.apply(FP) != FP or ctx.iota2.apply(EP) != EP:
+    if iota2.apply(FP) != FP or iota2.apply(EP) != EP:
         problems.append("iota2 does not fix f' and e'")
     return verdict(problems, "the three involutions are the reflections in "
                    "the stated norm -20 vectors; matrix forms agree in both "

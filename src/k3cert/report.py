@@ -6,7 +6,7 @@ import json
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -31,46 +31,40 @@ class ReportItem:
                 "paper_ref": self.paper_ref, "elapsed_ms": self.elapsed_ms}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
-    items: list = field(default_factory=list)
-    artifact_version: str = ARTIFACT_VERSION
+    """One command's items as a tuple in run order, frozen so the counts
+    taken when it is built cannot go stale; output sorts the items by id."""
+    items: tuple = ()
 
-    def extend(self, items):
-        self.items.extend(items)
-
-    def summary(self):
+    def __post_init__(self):
+        object.__setattr__(self, "items", tuple(self.items))
         counts = {PASS: 0, FAIL: 0, DISCREPANCY: 0, SKIPPED: 0}
         for it in self.items:
             counts[it.status] = counts.get(it.status, 0) + 1
-        return counts
+        object.__setattr__(self, "summary", counts)
 
     @property
     def ok(self):
-        """Exit-code contract: only "fail" fails the build."""
-        return all(it.status != FAIL for it in self.items)
-
-    def sorted_items(self):
-        return sorted(self.items, key=lambda it: it.id)
-
-    def to_json(self):
-        return {
-            "artifact_version": self.artifact_version,
-            "items": [it.to_json() for it in self.sorted_items()],
-            "summary": self.summary(),
-        }
+        # exit-code contract: only "fail" fails the build
+        return self.summary[FAIL] == 0
 
     def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
+        return json.dumps({"artifact_version": ARTIFACT_VERSION,
+                           "items": [it.to_json() for it in _by_id(self.items)],
+                           "summary": self.summary}, sort_keys=True, indent=2)
 
     def render_text(self):
-        lines = []
-        for it in self.sorted_items():
-            lines.append("[%s] %s %s" % (it.status.upper(), it.id, it.details))
-        c = self.summary()
+        lines = ["[%s] %s %s" % (it.status.upper(), it.id, it.details)
+                 for it in _by_id(self.items)]
+        c = self.summary
         lines.append("%d pass, %d fail, %d discrepancy, %d skipped"
                      % (c[PASS], c[FAIL], c[DISCREPANCY], c[SKIPPED]))
         return "\n".join(lines)
+
+
+def _by_id(items):
+    return sorted(items, key=lambda it: it.id)
 
 
 def verdict(problems, summary):

@@ -168,14 +168,12 @@ class WeierstrassCurve:
             raise CurveError("curve y^2 = x^3 + px + q is singular")
 
     def contains(self, pt):
-        """y^2 = x^3 + p x + q with no gcd taken, for x = a/b, y = c/e,
-        p = P/Q and q = R/S in lowest terms.  With p and q integers both
-        sides are in lowest terms, as gcd(a^3 + P a b^2 + R b^3, b) =
-        gcd(a^3, b) = 1, so it reads c^2 = a^3 + P a b^2 + R b^3 and
-        e^2 = b^3; otherwise, with every denominator cleared, it reads
-        c^2 b^3 Q S = e^2 (a^3 Q S + P a b^2 S + R b^3 Q).  A point found
-        on the curve is recorded under its key and not checked again; a
-        point off it is checked at every call."""
+        """y^2 = x^3 + p x + q with every denominator cleared and no gcd
+        taken: for x = a/b, y = c/e, p = P/Q and q = R/S it reads
+        c^2 b^3 Q S = e^2 (a^3 Q S + P a b^2 S + R b^3 Q), integer p and q
+        included (Q = S = 1).  A point found on the curve is recorded under
+        its key and not checked again; a point off it is checked at every
+        call."""
         if pt.at_infinity:
             return True
         key = pt.key
@@ -186,11 +184,8 @@ class WeierstrassCurve:
         R, S = self.q.numerator, self.q.denominator
         b2 = b * b
         b3 = b2 * b
-        if Q == S == 1:
-            on = e * e == b3 and c * c == a * a * a + P * a * b2 + R * b3
-        else:
-            on = c * c * b3 * Q * S == e * e * (a * a * a * Q * S
-                                                + P * a * b2 * S + R * b3 * Q)
+        on = c * c * b3 * Q * S == e * e * (a * a * a * Q * S
+                                            + P * a * b2 * S + R * b3 * Q)
         if on:
             self._on_curve.add(key)
         return on

@@ -49,14 +49,15 @@ def test_criterion_2_Q_enumeration(qctx):
 
 def test_criterion_3_matrix_identities(qctx):
     latf = qctx.lattice_fev
-    assert qctx.isometry_to_fev(qctx.iota1).matrix == \
+    iota1, _, iota3 = qctx.chamber.reflections
+    assert qctx.isometry_to_fev(iota1).matrix == \
         ((1, 0, 0), (0, 1, 0), (0, 0, -1))
     phi1 = mw_translation(latf, 1)
     for n in range(-5, 6):
         t = mw_translation(latf, n)
         assert t.matrix == ((1, 10 * n * n, 20 * n), (0, 1, 0), (0, n, 1))
         assert t.matrix == phi1.power(n).matrix
-    iota3 = qctx.isometry_to_fev(qctx.iota3)
+    iota3 = qctx.isometry_to_fev(iota3)
     assert iota3.matrix == quartic.IOTA3_FEV
     assert iota3.power(2).is_identity()
     assert latf.norm((10, 0, 1)) == -20

@@ -36,7 +36,7 @@ RAYS = (
 
 @pytest.fixture(scope="module")
 def lat():
-    return IntegerLattice(gram=GRAM, labels=("H", "L", "M"))
+    return IntegerLattice(gram=GRAM)
 
 
 @pytest.fixture(scope="module")

@@ -435,6 +435,18 @@ def test_unwritable_json_path_exit_2_before_any_check(argv, where, tmp_path,
     assert err.startswith("error: cannot write --json %s: " % path)
 
 
+@pytest.mark.parametrize("json_args", [["--json", ""], ["--json="]],
+                         ids=["space", "equals"])
+def test_empty_json_path_exit_2(json_args, tmp_path, capsys, monkeypatch):
+    # an empty PATH is a path that cannot be written, not a missing option
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _call(["reduce", "--class", "13,-14,6"] + json_args,
+                           capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write --json : No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_json_path_is_created_before_the_items_run(tmp_path, capsys,
                                                    monkeypatch):
     path = tmp_path / "report.json"

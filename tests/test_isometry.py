@@ -24,12 +24,12 @@ GRAM_FEV = ((0, 1, 0), (1, 0, 0), (0, 0, -20))
 
 @pytest.fixture
 def hlm():
-    return IntegerLattice(gram=GRAM_HLM, labels=("H", "L", "M"))
+    return IntegerLattice(gram=GRAM_HLM)
 
 
 @pytest.fixture
 def fev():
-    return IntegerLattice(gram=GRAM_FEV, labels=("f", "e", "v"))
+    return IntegerLattice(gram=GRAM_FEV)
 
 
 def test_rejects_non_isometry(hlm):
@@ -61,7 +61,7 @@ def test_apply_and_power(fev):
 def test_derived_isometries_pass_the_checked_constructor(word, k):
     # compose, inverse, power and identity skip the M^T G M = G and
     # determinant checks; the checked constructor accepts all they build
-    fev = IntegerLattice(gram=GRAM_FEV, labels=("f", "e", "v"))
+    fev = IntegerLattice(gram=GRAM_FEV)
     gens = (mw_translation(fev, 1), mw_translation(fev, -2),
             Isometry(fev, ((1, 0, 0), (0, 1, 0), (0, 0, -1))),
             Isometry(fev, ((0, 1, 0), (1, 0, 0), (0, 0, 1))))
@@ -182,7 +182,7 @@ def _isometry_words():
     and hyperbolic-plane lattices, as (gram, matrix) pairs.  On the
     hyperbolic plane the shear ((1, 1), (0, 1)), one perturbation away from
     the identity, changes only the entry (2, 2) of M^T G M."""
-    fev = IntegerLattice(gram=GRAM_FEV, labels=("f", "e", "v"))
+    fev = IntegerLattice(gram=GRAM_FEV)
     u = IntegerLattice(gram=((0, 1), (1, 0)))
     gen_sets = [
         _quartic_generators(),
@@ -248,8 +248,11 @@ def test_reflection(hlm):
     assert r.det() == -1
     with pytest.raises(LatticeError, match="isotropic"):
         reflection_in(hlm, (1, -1, 0))
-    with pytest.raises(LatticeError, match="not integral"):
-        reflection_in(hlm, (1, -2, 0))  # norm -8, non-integral reflection
+    # norm -8 and 2(e_0, w)/w^2 = -1/2: the message names the basis index
+    with pytest.raises(LatticeError) as exc:
+        reflection_in(hlm, (1, -2, 0))
+    assert str(exc.value) == ("reflection in (1, -2, 0) is not integral "
+                              "on basis vector 0")
 
 
 def test_order_finite(hlm, fev):
@@ -322,7 +325,7 @@ def _a2_rotations():
     _signed_permutations(),
     _a2_rotations(),
     st.integers(-5, 5).map(lambda n: mw_translation(
-        IntegerLattice(gram=GRAM_FEV, labels=("f", "e", "v")), n)),
+        IntegerLattice(gram=GRAM_FEV), n)),
     st.integers(6, 12).flatmap(
         lambda ell: st.sampled_from(_pell_isometries(ell)))))
 def test_order_against_sympy(g):

@@ -37,7 +37,7 @@ GRAM3 = ((4, 1, 1), (1, -2, 0), (1, 0, -2))
 
 @pytest.fixture
 def lat3():
-    return IntegerLattice(gram=GRAM3, labels=("H", "L", "M"))
+    return IntegerLattice(gram=GRAM3)
 
 
 def test_gram_validation():
@@ -47,8 +47,6 @@ def test_gram_validation():
         IntegerLattice(gram=((2, 1), (0, 2)))  # not symmetric
     with pytest.raises(LatticeError):
         IntegerLattice(gram=((2, 2), (2, 2)))  # degenerate
-    with pytest.raises(LatticeError):
-        IntegerLattice(gram=GRAM3, labels=("a", "b"))
 
 
 def test_inner_products(lat3):

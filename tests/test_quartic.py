@@ -48,11 +48,18 @@ def test_no_reducible_fibers_algebraic_route_reads_the_lattice(ctx):
 
 
 def test_quartic_and_pell_import_without_sympy():
+    # each case in a fresh interpreter; the package itself imports nothing,
+    # so a module loads only what it imports
     src = os.path.dirname(os.path.dirname(k3cert.__file__))
-    code = ("import sys, k3cert.quartic, k3cert.pell; "
-            "assert 'sympy' not in sys.modules, 'sympy was imported'")
     env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    for code in ("import sys, k3cert.quartic, k3cert.pell; "
+                 "assert 'sympy' not in sys.modules, 'sympy was imported'",
+                 "import sys, k3cert.lattice; "
+                 "k3 = sorted(m for m in sys.modules if m.startswith('k3cert')); "
+                 "assert k3 == ['k3cert', 'k3cert.lattice'], k3; "
+                 "import k3cert.pell; "
+                 "assert 'k3cert.chamber' not in sys.modules, 'chamber loaded'"):
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_enumerate_sections(ctx):
@@ -96,6 +103,24 @@ def test_involution_composite(ctx):
 def test_reflection_vectors(ctx):
     status, details = quartic.check_reflection_vectors(ctx)
     assert status == PASS, details
+
+
+@pytest.mark.parametrize("walls, details", [
+    ((quartic.V, quartic.VP, (-114, -47, 123)),
+     "iota3 is not the reflection in (4, -3, -3); iota3 does not match the "
+     "displayed (f,e,v) matrix; 10 f + v is not a (-1)-eigenvector of iota3"),
+    ((quartic.VP, quartic.V, quartic.W3),
+     "iota1 is not the reflection in (-6, 7, -3); iota2 is not the reflection "
+     "in (-6, -3, 7); iota1 is not diag(1,1,-1) in (f,e,v); iota2 does not "
+     "fix f' and e'"),
+], ids=["wrong third wall", "first two walls swapped"])
+def test_reflection_vectors_read_the_chamber(ctx, walls, details):
+    # cor-3.6 checks the reflections that reduce and orbit use: a chamber
+    # with other walls fails with each identity it breaks
+    chamber = Chamber(lattice=ctx.lattice, anchor=quartic.H, walls=walls)
+    got = quartic.check_reflection_vectors(
+        dataclasses.replace(ctx, chamber=chamber))
+    assert got == (FAIL, details)
 
 
 def test_degree_one_curves(ctx):

@@ -1,7 +1,11 @@
+import dataclasses
 import time
 
+import pytest
+
 from k3cert import quartic
-from k3cert.report import FAIL, PASS, run_suite, timed_item
+from k3cert.report import (DISCREPANCY, FAIL, PASS, SKIPPED, Report,
+                           ReportItem, run_suite, timed_item)
 
 
 def test_crash_is_one_fail_item_naming_type_and_frame(monkeypatch):
@@ -28,3 +32,16 @@ def test_elapsed_ms_to_the_microsecond():
     assert 0.2 <= item.elapsed_ms < 1000
     assert item.elapsed_ms == round(item.elapsed_ms, 3)
     assert item.to_json()["elapsed_ms"] == item.elapsed_ms
+
+
+def test_report_counts_cannot_go_stale():
+    items = [ReportItem("b", PASS, ""), ReportItem("a", DISCREPANCY, "")]
+    report = Report(items)
+    items.append(ReportItem("c", FAIL, ""))
+    assert isinstance(report.items, tuple) and len(report.items) == 2
+    assert report.ok
+    assert report.summary == {PASS: 1, FAIL: 0, DISCREPANCY: 1, SKIPPED: 0}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.items = report.items + (ReportItem("c", FAIL, ""),)
+    assert report.render_text().splitlines() == [
+        "[DISCREPANCY] a ", "[PASS] b ", "1 pass, 0 fail, 1 discrepancy, 0 skipped"]

@@ -203,7 +203,7 @@ def test_contains_against_fraction_arithmetic(p, x, y, shift):
 @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20),
        st.integers(2, 9), fractions, fractions)
 def test_contains_on_integral_curves(p, u, c, k, x, y):
-    # integer p and q take the lowest-terms comparison: (u, c) is on the
+    # integer p and q (Q = S = 1 in the cleared equation): (u, c) is on the
     # curve through it, (u, c/k) and (u/k^2, c/k^3) need not be, nor need a
     # random point
     q = c * c - u ** 3 - p * u

@@ -150,6 +150,8 @@ ARGV = [
     ["reduce", "--class=-3,-3,-3", "--json", "{tmp}/r.json"],
     ["reduce", "--class", "2,-1,-1", "--json", "{tmp}/missing/x.json"],
     ["reduce", "--class", "2,-1,-1", "--json", "{tmp}"],
+    ["reduce", "--class", "13,-14,6", "--json", ""],
+    ["reduce", "--class", "13,-14,6", "--json="],
     # orbit
     ["orbit"], ["orbit", "-h"], ["orbit", "--help"],
     ["orbit", "--len", "0"], ["orbit", "--len", "1"], ["orbit", "--len", "2"],
