@@ -50,13 +50,13 @@ class Chamber:
     walls: tuple               # reflection vectors
     extra_rays: tuple = None   # extreme rays of the chamber (int or rational)
 
-    # derived, cached at construction
-    wall_forms: tuple = field(default=None, compare=False)
-    face_forms: tuple = field(default=None, compare=False)
-    reflections: tuple = field(default=None, compare=False)
+    # derived at construction, never arguments
+    wall_forms: tuple = field(init=False, compare=False)
+    face_forms: tuple = field(init=False, compare=False)  # None without rays
+    reflections: tuple = field(init=False, compare=False)
     # (i, *form, *vector, norm) per wall w oriented with (w, anchor) > 0,
     # i 1-based: the rows that reduce_to_chamber unpacks into scalars
-    wall_table: tuple = field(default=None, compare=False)
+    wall_table: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         lat = self.lattice
@@ -85,9 +85,8 @@ class Chamber:
         object.__setattr__(self, "wall_forms", tuple(forms))
         object.__setattr__(self, "reflections", tuple(refls))
         object.__setattr__(self, "wall_table", tuple(table))
-        if self.extra_rays is not None:
-            object.__setattr__(self, "face_forms",
-                               self._facets_from_rays(self.extra_rays))
+        object.__setattr__(self, "face_forms", None if self.extra_rays is None
+                           else self._facets_from_rays(self.extra_rays))
 
     def _facets_from_rays(self, rays):
         """Facet inequalities of the cone over the given rays."""

@@ -12,7 +12,7 @@ Subcommands:
 ``--json PATH`` writes the report; the exit code is 0 iff no item has
 status "fail" (a "discrepancy" does not fail the build), 2 on usage errors,
 among them a PATH that cannot be opened for writing (checked before any
-item runs).
+item runs) or written (a full disk).
 
 ``COMMANDS`` declares each subcommand once.  ``build_parser`` builds the
 argparse tree from it, and with it the tables of the direct parse: an argv
@@ -242,7 +242,7 @@ def cmd_verify(args, parser):
         if ells[0] <= 5:
             parser.error("--ell-range values must exceed 5")
     else:
-        ells = range(6, 13)
+        ells = pell.ELLS
     if ells[-1] > MAX_ELL:
         # a PellError, like any LatticeError, exits 2 with one stderr line
         raise pell.PellError("--ell and the end of --ell-range must not "
@@ -327,12 +327,14 @@ COMMANDS = {
                ("suite", ["all", "quartic", "pell", "weierstrass"]),
                (("--ell", dict(type=_int_option, default=None)),
                 ("--ell-range", dict(default=None, metavar="A..B")),
-                ("--entry-bound", dict(type=_int_option, default=300)),
-                ("--k-bound", dict(type=_int_option, default=5)),
+                ("--entry-bound", dict(type=_int_option,
+                                       default=pell.ENTRY_BOUND)),
+                ("--k-bound", dict(type=_int_option, default=pell.K_BOUND)),
                 _JSON)),
     "enumerate": ("enumeration utilities", cmd_enumerate,
                   ("what", ["sections", "q"]),
-                  (("--n-bound", dict(type=_int_option, default=3)),
+                  (("--n-bound", dict(type=_int_option,
+                                      default=quartic.N_BOUND)),
                    _JSON)),
     "reduce": ("reduce a class into the chamber", cmd_reduce, None,
                (("--class", dict(dest="cls", required=True,
@@ -344,6 +346,12 @@ COMMANDS = {
                               required=True)),
                _JSON)),
 }
+
+
+def _cannot_write(path, exc):
+    print("error: cannot write --json %s: %s" % (path, exc.strerror or exc),
+          file=sys.stderr)
+    return USAGE_ERROR
 
 
 def main(argv=None):
@@ -359,9 +367,7 @@ def main(argv=None):
             created = not os.path.exists(args.json)
             open(args.json, "a").close()
         except OSError as exc:
-            print("error: cannot write --json %s: %s"
-                  % (args.json, exc.strerror or exc), file=sys.stderr)
-            return USAGE_ERROR
+            return _cannot_write(args.json, exc)
     try:
         report = args.run(args, parser)
     except (ChamberError, LatticeError, SystemExit) as exc:
@@ -375,9 +381,15 @@ def main(argv=None):
         return USAGE_ERROR
     print(report.render_text())
     if args.json is not None:
-        with open(args.json, "w") as fh:
-            fh.write(report.dumps())
-            fh.write("\n")
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(report.dumps())
+                fh.write("\n")
+        except OSError as exc:
+            # a disk that fills after the up-front check
+            if created:
+                os.remove(args.json)
+            return _cannot_write(args.json, exc)
     return 0 if report.ok else 1
 
 

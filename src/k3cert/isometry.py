@@ -15,11 +15,11 @@ from operator import index, mul
 from .lattice import (
     IntegerLattice,
     LatticeError,
-    adjugate,
     identity_matrix,
     mat_mul,
     mat_vec,
     det_int,
+    unimodular_inverse,
 )
 
 
@@ -75,11 +75,10 @@ class Isometry:
     def inverse(self):
         """det(M) adj(M): an isometry has determinant +-1, so its inverse is
         its integer adjugate up to that sign."""
-        adj = adjugate(self.matrix)
-        det = sum(a * row[0] for a, row in zip(self.matrix[0], adj))
-        if abs(det) != 1:
-            raise NotAnIsometry("determinant must be +-1")
-        m = tuple(tuple(det * c for c in row) for row in adj)
+        try:
+            m = unimodular_inverse(self.matrix)
+        except LatticeError as exc:
+            raise NotAnIsometry(str(exc)) from None
         return Isometry._trusted(self.lattice, m)
 
     def is_identity(self):

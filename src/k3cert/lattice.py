@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import index, mul
 
 
 class LatticeError(ValueError):
@@ -86,13 +86,14 @@ def adjugate(m):
         for i in range(n))
 
 
-def solve_int_linear(m, rhs):
-    """Solve m*x = rhs over the rationals by Cramer's rule,
-    x = adj(m) rhs / det(m), as Fractions; raises when m is singular."""
-    det = det_int(m)
-    if det == 0:
-        raise LatticeError("matrix is singular")
-    return tuple(Fraction(c, det) for c in mat_vec(adjugate(m), rhs))
+def unimodular_inverse(m):
+    """det(m) adj(m), the integer inverse of a square integer matrix of
+    determinant +-1; raises LatticeError for any other determinant."""
+    adj = adjugate(m)
+    det = sum(a * row[0] for a, row in zip(m[0], adj))
+    if abs(det) != 1:
+        raise LatticeError("determinant must be +-1, not %d" % det)
+    return tuple(tuple(det * c for c in row) for row in adj)
 
 
 def is_zero_polynomial(f, degrees):
@@ -197,7 +198,10 @@ class IntegerLattice:
     gram: tuple
 
     def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        try:
+            gram = tuple(tuple(index(x) for x in row) for row in self.gram)
+        except TypeError:
+            raise LatticeError("gram entries must be integers") from None
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
@@ -325,9 +329,7 @@ def discriminant_group(lat):
     returned.
     """
     u, d, v = smith_normal_form(lat.gram)
-    det_v = det_int(v)
-    if abs(det_v) != 1:
-        raise LatticeError("Smith transform is not unimodular")
+    v_inv = unimodular_inverse(v)
     n = lat.rank
     nontrivial = [i for i in range(n) if d[i][i] > 1]
     factors = tuple(d[i][i] for i in nontrivial)
@@ -338,9 +340,7 @@ def discriminant_group(lat):
             raise LatticeError("discriminant generator is not a dual vector")
         if math.gcd(di, *w) != 1:
             raise LatticeError("discriminant generator has wrong order")
-    # V^-1 = adj(V) / det V = det V adj(V)
-    adj_v = adjugate(v)
-    rows = tuple(tuple(det_v * c for c in adj_v[i]) for i in nontrivial)
+    rows = tuple(v_inv[i] for i in nontrivial)
     gens = tuple(tuple(Fraction(c, di) for c in w)
                  for di, w in zip(factors, scaled))
     grp = DiscriminantGroup(lattice=lat, invariant_factors=factors,
@@ -365,6 +365,8 @@ def change_basis(lat, new_basis):
         raise NotABasis("need exactly %d vectors" % n)
     for b in new_basis:
         lat.check_vector(b)
+        if not all(isinstance(c, int) for c in b):
+            raise NotABasis("%s is not an integer vector" % (tuple(b),))
     t = tuple(tuple(new_basis[j][i] for j in range(n)) for i in range(n))
     dt = det_int(t)
     if dt == 0:

@@ -55,6 +55,12 @@ class PellError(LatticeError):
     pass
 
 
+# verify pell's defaults: l, the lemma-4.6 entry bound, the lemma-4.7 |k|
+ELLS = range(6, 13)
+ENTRY_BOUND = 300
+K_BOUND = 5
+
+
 @dataclass(frozen=True)
 class PellContext:
     ell: int
@@ -325,7 +331,7 @@ def _unit_walk(ctx, disc, verdicts):
     return None
 
 
-def isometry_search(ctx, entry_bound=300):
+def isometry_search(ctx, entry_bound=ENTRY_BOUND):
     """Find the minimal-alpha generator among the filtered isometries.
 
     Filters: ray-swapping matrices are rejected, cone-swapping matrices
@@ -454,8 +460,8 @@ class PellRun:
     bounds, the generator search that the lemma-4.6 item runs, and the
     orbit of h1 that lemmas 4.7 and 4.8 both read."""
     ctx: PellContext
-    entry_bound: int = 300
-    k_bound: int = 5
+    entry_bound: int = ENTRY_BOUND
+    k_bound: int = K_BOUND
     search: GeneratorSearchResult = None
     orbit: tuple = None  # enumerate_H_orbit's (classes, problems)
 
@@ -522,7 +528,7 @@ def check_alpha_homomorphism(run, n_bound=5):
                    "increase with the trace" % n_bound)
 
 
-def enumerate_H_orbit(ctx, res, k_bound=5):
+def enumerate_H_orbit(ctx, res, k_bound):
     """Classes g0^k(h1) for |k| <= k_bound, with exact nef-cone membership.
     Each class, its norm and its pairing row are read off the power matrix
     and the 2x2 Gram in integers.  A problem names its class as g0^k(h1):
@@ -649,8 +655,8 @@ SUITE = (
 )
 
 
-def full_section4_certificate(ell_range=range(6, 13), entry_bound=300,
-                              k_bound=5):
+def full_section4_certificate(ell_range=ELLS, entry_bound=ENTRY_BOUND,
+                              k_bound=K_BOUND):
     items = []
     for ell in ell_range:
         run = PellRun(build_context(ell), entry_bound, k_bound)

@@ -17,7 +17,6 @@ from . import lattice as lat_mod
 from .lattice import (
     IntegerLattice,
     LatticeError,
-    adjugate,
     change_basis,
     discriminant_group,
     form_basis,
@@ -27,6 +26,7 @@ from .lattice import (
     mat_vec,
     solve_norm_system,
     solve_pairing_norm,
+    unimodular_inverse,
 )
 from .isometry import (
     Isometry,
@@ -66,13 +66,16 @@ IOTA3_FEV = ((1, 10, -20), (0, 1, 0), (0, 1, -1))
 # pentagon rays of the fundamental chamber, as primitive integer vectors
 CHAMBER_RAYS = ((2, 1, 1), (2, -2, 1), (2, 1, -2), (1, -1, 0), (1, 0, -1))
 
+# the default |n| of the sections that `enumerate sections` requires
+N_BOUND = 3
+
 
 @dataclass(frozen=True)
 class QuarticContext:
     lattice: IntegerLattice          # (H, L, M) basis
     lattice_fev: IntegerLattice
     to_fev_transform: tuple          # columns are f, e, v in (H,L,M) coords
-    from_hlm_transform: tuple        # its inverse det(t) adj(t), integral
+    from_hlm_transform: tuple        # its integer inverse
     chamber: Chamber                 # its reflections are iota1..3
 
     def to_fev(self, x):
@@ -103,14 +106,11 @@ def build_context():
     lat_fev, t = change_basis(lat, [F, E, V])
     if lat_fev.gram != GRAM_FEV:
         raise LatticeError("unexpected Gram matrix in (f,e,v) basis")
-    # change_basis checked det t = +-1, so t^-1 = adj(t) / det t = det t adj(t)
-    det_t = lat_mod.det_int(t)
     return QuarticContext(
         lattice=lat,
         lattice_fev=lat_fev,
         to_fev_transform=t,
-        from_hlm_transform=tuple(tuple(det_t * c for c in row)
-                                 for row in adjugate(t)),
+        from_hlm_transform=unimodular_inverse(t),
         chamber=Chamber(lattice=lat, anchor=H, walls=(V, VP, W3),
                         extra_rays=CHAMBER_RAYS),
     )
@@ -186,7 +186,7 @@ def check_no_reducible_fibers(ctx, box=20):
                    % (box, ", ".join(map(str, sorted(forced)))))
 
 
-def enumerate_sections(ctx, n_bound=3):
+def enumerate_sections(ctx, n_bound):
     """Section classes of the first fibration in (f,e,v) coords, by a box
     scan: :func:`solve_norm_system` for (x, f) = 1 and (x, x) = -2 walks the
     a-coordinate and solves each line for n exactly, then the effective
@@ -206,29 +206,22 @@ def enumerate_sections(ctx, n_bound=3):
     by_n = {}
     for a, b, n in sols:
         by_n.setdefault(n, []).append(a)
-    fit = None
-    ns = sorted(by_n)
-    if all(len(v) == 1 for v in by_n.values()) and len(ns) >= 3:
-        n0, n1, n2 = ns[:3]
-        mat = ((n0 * n0, n0, 1), (n1 * n1, n1, 1), (n2 * n2, n2, 1))
-        rhs = (by_n[n0][0], by_n[n1][0], by_n[n2][0])
-        sol = lat_mod.solve_int_linear(mat, rhs)
-        if all(c.denominator == 1 for c in sol):
-            a2, a1, a0 = (int(c) for c in sol)
-            if all(by_n[n][0] == a2 * n * n + a1 * n + a0 for n in ns):
-                fit = (a2, a1, a0)
-    if fit is None:
-        raise LatticeError("section classes do not fit one quadratic in n")
     # every |n| <= n_bound must be inside the box, else the fit is untrusted
     for n in range(-n_bound, n_bound + 1):
         if n not in by_n:
             raise LatticeError("missing section at n = %d" % n)
+    # the one integer quadratic through n = -1, 0, 1, and one section per n
+    a0 = by_n[0][0]
+    a1, odd = divmod(by_n[1][0] - by_n[-1][0], 2)
+    a2 = by_n[1][0] - a1 - a0
+    if odd or any(v != [a2 * n * n + a1 * n + a0] for n, v in by_n.items()):
+        raise LatticeError("section classes do not fit one quadratic in n")
     zero_section = ctx.to_fev(M)  # e - f
     zero_present = tuple(zero_section) in {tuple(s) for s in sols}
-    return sols, fit, zero_present
+    return sols, (a2, a1, a0), zero_present
 
 
-def check_sections(ctx, n_bound=3):
+def check_sections(ctx, n_bound=N_BOUND):
     sols, fit, zero_present = enumerate_sections(ctx, n_bound=n_bound)
     a2, a1, a0 = fit
     printed = (10, 0, 0)  # the stated family 10 n^2 f + e + n v
@@ -337,13 +330,12 @@ def check_reflection_vectors(ctx):
 
 def check_lemma37(ctx, box=20):
     lat = ctx.lattice
-    want = [L, M]
-    want.sort()
+    want = sorted([L, M])
     problems = []
     got = solve_norm_system(lat, [(H, 1)], -2, box)
     if got != want:
         problems.append("box %d solutions %s != {L, M}" % (box, got))
-    if solve_norm_system(lat, [(H, 1)], -2, 50) != want:
+    if solve_norm_system(lat, [(H, 1)], -2, 50) != got:
         problems.append("solution set unstable when the box grows to 50")
     complete = solve_pairing_norm(lat, H, 1, -2)
     if sorted(complete) != want:
@@ -577,6 +569,6 @@ SUITE = (
 )
 
 
-def full_section3_certificate(ctx=None):
+def full_section3_certificate():
     """Run every rank-3 scenario check and aggregate a report."""
-    return run_suite(SUITE, ctx or build_context())
+    return run_suite(SUITE, build_context())

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -64,6 +65,16 @@ def test_chamber_construction(lat, pentagon):
     for wall in (H, (1, -1, 0)):
         with pytest.raises(ChamberError, match=r"\(w, w\) >= 0"):
             Chamber(lattice=lat, anchor=H, walls=(V, wall))
+
+
+@pytest.mark.parametrize("derived", ["wall_forms", "face_forms",
+                                     "reflections", "wall_table"])
+def test_chamber_refuses_derived_fields(lat, derived):
+    # the derived fields are computed from the four arguments, never given
+    assert list(inspect.signature(Chamber).parameters) == [
+        "lattice", "anchor", "walls", "extra_rays"]
+    with pytest.raises(TypeError, match=derived):
+        Chamber(lattice=lat, anchor=H, walls=(V,), **{derived: ()})
 
 
 @pytest.mark.parametrize("gram, anchor, walls", [

@@ -485,6 +485,44 @@ def test_usage_error_leaves_no_new_report(argv, tmp_path, capsys):
     assert not path.exists()
 
 
+def _disk_full_on_write(monkeypatch):
+    """open() as main sees it, with every write-mode file on a full disk."""
+    def full_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if mode == "w":
+            def write(text):
+                raise OSError(28, "No space left on device")
+            fh.write = write
+        return fh
+    monkeypatch.setattr(cli, "open", full_open, raising=False)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_json_write_exit_2(existing, tmp_path, capsys, monkeypatch):
+    # the up-front open succeeds and the final write fails: the report is
+    # printed, then one stderr line and exit 2, and a file that main
+    # created is removed
+    path = tmp_path / "report.json"
+    if existing:
+        path.write_text("")
+    _disk_full_on_write(monkeypatch)
+    code, out, err = _call(["reduce", "--class", "13,-14,6", "--json",
+                            str(path)], capsys)
+    assert code == 2 and "reduced to" in out
+    assert err == ("error: cannot write --json %s: No space left on device\n"
+                   % path)
+    assert path.exists() == existing
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_json_to_dev_full_exit_2(capsys):
+    code, out, err = _call(["reduce", "--class", "13,-14,6", "--json",
+                            "/dev/full"], capsys)
+    assert code == 2 and "reduced to" in out
+    assert err == ("error: cannot write --json /dev/full: No space left on "
+                   "device\n")
+
+
 def test_python_m_k3cert_matches_main(capsys):
     # python -m k3cert runs main and exits with its code
     argv = ["reduce", "--class", "13,-14,6"]

@@ -26,7 +26,6 @@ from k3cert.lattice import (
     mat_vec,
     reduce_mod_lattice,
     smith_normal_form,
-    solve_int_linear,
     solve_norm_system,
     solve_pairing_norm,
 )
@@ -47,6 +46,14 @@ def test_gram_validation():
         IntegerLattice(gram=((2, 1), (0, 2)))  # not symmetric
     with pytest.raises(LatticeError):
         IntegerLattice(gram=((2, 2), (2, 2)))  # degenerate
+
+
+@pytest.mark.parametrize("entry", [4.7, Fraction(9, 2), "4", 4.0,
+                                   Fraction(4)])
+def test_gram_entries_must_be_integers(entry):
+    # int() would read each of these as 4 without a word
+    with pytest.raises(LatticeError, match="gram entries must be integers"):
+        IntegerLattice(gram=((entry, 1), (1, -2)))
 
 
 def test_inner_products(lat3):
@@ -172,23 +179,6 @@ def test_adjugate_times_matrix_is_the_determinant(m):
     scalar = tuple(tuple(det_int(m) * int(i == j) for j in range(n))
                    for i in range(n))
     assert mat_mul(adj, m) == scalar == mat_mul(m, adj)
-
-
-@settings(deadline=None)
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.tuples(
-        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-                 min_size=n, max_size=n),
-        st.lists(st.integers(-9, 9), min_size=n, max_size=n))))
-def test_solve_int_linear_by_cramer(system):
-    m, rhs = system
-    if det_int(m) == 0:
-        with pytest.raises(LatticeError, match="singular"):
-            solve_int_linear(m, rhs)
-    else:
-        x = solve_int_linear(m, rhs)
-        assert all(isinstance(c, Fraction) for c in x)
-        assert mat_vec(m, x) == tuple(rhs)
 
 
 def _scaled_cosets(disc):
@@ -403,6 +393,19 @@ def test_change_basis(lat3):
         change_basis(lat3, [(1, 0, 0), (2, 0, 0), (0, 0, 1)])
     with pytest.raises(NotABasis, match="sublattice"):
         change_basis(lat3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+@pytest.mark.parametrize("gram, basis", [
+    # of determinant 1, but (1/2, 0) is not in the lattice
+    (((8, 2), (2, 4)), [(Fraction(1, 2), 0), (0, 2)]),
+    # of determinant -1/2, which det_int would floor to 0 ("not of full rank")
+    (GRAM3, [(Fraction(1, 2), Fraction(1, 2), 0),
+             (Fraction(1, 2), Fraction(-1, 2), 0), (0, 0, 1)]),
+], ids=["rank 2", "rank 3"])
+def test_change_basis_refuses_non_integer_vectors(gram, basis):
+    with pytest.raises(NotABasis, match=r"^\(Fraction\(1, 2\), .* is not an "
+                       "integer vector$"):
+        change_basis(IntegerLattice(gram=gram), basis)
 
 
 def test_coordinates_in_basis():
@@ -646,7 +649,10 @@ def _fraction_lattice_points(lat, anchor, pairings, min_norm):
             r[i][j] = (neg[i][j] - sum(diag[m] * r[m][i] * r[m][j]
                                        for m in range(i))) / diag[i]
     # the norm is maximal, p^2 / (anchor, anchor), at the t-center
-    center1 = solve_int_linear(neg, [lat.inner(b, x1) for b in kernel])
+    # adj(N) K^T G x1 / det N
+    det = det_int(neg)
+    center1 = [Fraction(c, det) for c in
+               mat_vec(adjugate(neg), [lat.inner(b, x1) for b in kernel])]
     out = []
     for p in pairings:
         if p % g:

@@ -84,6 +84,43 @@ def test_enumerate_sections_against_the_full_box(ctx, n_bound):
     assert fit == (10, 0, -1) and zero
 
 
+def _sections(fit, n_bound=3):
+    """(a, 1, n) for |n| <= n_bound with a = a2 n^2 + a1 n + a0."""
+    a2, a1, a0 = fit
+    return [(a2 * n * n + a1 * n + a0, 1, n)
+            for n in range(-n_bound, n_bound + 1)]
+
+
+@pytest.mark.parametrize("planted, message", [
+    # a(1) - a(-1) odd: no integer a1
+    ([s for s in _sections((10, 0, -1)) if s[2] != 1] + [(10, 1, 1)],
+     "do not fit one quadratic"),
+    # a(2) off the quadratic through n = -1, 0, 1
+    ([s for s in _sections((10, 0, -1)) if s[2] != 2] + [(40, 1, 2)],
+     "do not fit one quadratic"),
+    # two sections at n = 1
+    (_sections((10, 0, -1)) + [(19, 1, 1)], "do not fit one quadratic"),
+    ([s for s in _sections((10, 0, -1)) if s[2] != 0],
+     "missing section at n = 0"),
+], ids=["odd difference", "off the quadratic", "two at one n",
+        "missing n = 0"])
+def test_sections_fit_falsifiers(ctx, planted, message, monkeypatch):
+    # every planted class is effective: 3 a + 4 - 20 n > 0
+    monkeypatch.setattr(quartic, "solve_norm_system",
+                        lambda *args: sorted(planted))
+    with pytest.raises(LatticeError, match=message):
+        quartic.enumerate_sections(ctx, 3)
+
+
+@pytest.mark.parametrize("fit", [(10, 0, -1), (3, -2, 5), (-1, 7, 40)])
+def test_sections_fit_reads_any_integer_quadratic(ctx, fit, monkeypatch):
+    # each planted class is effective, so all seven are kept
+    planted = _sections(fit)
+    monkeypatch.setattr(quartic, "solve_norm_system",
+                        lambda *args: sorted(planted))
+    assert quartic.enumerate_sections(ctx, 3)[:2] == (planted, fit)
+
+
 def test_sections_status_is_discrepancy(ctx):
     status, details = quartic.check_sections(ctx)
     assert status == DISCREPANCY
@@ -126,6 +163,22 @@ def test_reflection_vectors_read_the_chamber(ctx, walls, details):
 def test_degree_one_curves(ctx):
     status, details = quartic.check_lemma37(ctx)
     assert status == PASS, details
+
+
+@pytest.mark.parametrize("gram, details", [
+    # four degree-1 (-2)-classes, the same in the boxes of 20 and 50
+    (((2, 1, 1), (1, -2, 0), (1, 0, -2)),
+     "box 20 solutions [(0, 0, 1), (0, 1, 0), (1, -1, 0), (1, 0, -1)] != "
+     "{L, M}; complete enumeration [(0, 0, 1), (0, 1, 0), (1, -1, 0), "
+     "(1, 0, -1)] != {L, M}"),
+    (((4, 1, 1), (1, -2, -1), (1, -1, -2)),
+     "the L<->M swap acts as identity on NS*/NS"),
+    (((4, 1, 1), (1, -2, 2), (1, 2, -2)),
+     "the L<->M swap acts as negation on NS*/NS"),
+], ids=["four classes", "swap is identity", "swap is negation"])
+def test_lemma37_falsifiers(ctx, gram, details):
+    planted = dataclasses.replace(ctx, lattice=IntegerLattice(gram=gram))
+    assert quartic.check_lemma37(planted) == (FAIL, details)
 
 
 def test_pentagon_faces(ctx):
@@ -200,8 +253,8 @@ def test_swap_symmetry(ctx):
         or tuple(map(tuple, swapped)) == (quartic.FP, quartic.EP, quartic.VP)
 
 
-def test_full_certificate(ctx):
-    report = quartic.full_section3_certificate(ctx)
+def test_full_certificate():
+    report = quartic.full_section3_certificate()
     assert len(report.items) >= 10
     statuses = {it.id: it.status for it in report.items}
     assert statuses.pop("prop-3.3-sections") == DISCREPANCY
