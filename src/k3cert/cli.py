@@ -14,14 +14,16 @@ status "fail" (a "discrepancy" does not fail the build), 2 on usage errors,
 among them a PATH that cannot be opened for writing (checked before any
 item runs) or written (a full disk).
 
-``COMMANDS`` declares each subcommand once.  ``build_parser`` builds the
-argparse tree from it, and with it the tables of the direct parse: an argv
-that names a subcommand and then gives only its long options spelled out in
-full, each once with a value its type accepts, and its positional, gets its
-Namespace without argparse.  A value after a space is taken only when it
-does not start with "-"; a negative number there is left to argparse, as is
-every other argv: one ``parse_args`` on the full tree, so argparse writes
-all help and every usage error.
+``COMMANDS`` declares each subcommand once, and the direct parse reads
+tables derived from it: an argv that names a subcommand and then gives only
+its long options spelled out in full, each once with a value its type
+accepts, and its positional, gets its Namespace without argparse.  A value
+after a space is taken only when it does not start with "-"; a negative
+number there is left to argparse, as is every other argv: one
+``parse_args`` on the argparse tree, so argparse writes all help and every
+usage error.  ``build_parser`` builds that tree, from the same
+declaration, only when an argv declines the direct parse or a command
+reports a usage error; a canonical argv never builds it.
 """
 
 from __future__ import annotations
@@ -63,26 +65,36 @@ MAX_N_BOUND = 10
 
 @functools.cache
 def build_parser():
-    """The argparse tree, built once per process from ``COMMANDS``: parsing
-    keeps no state between calls, so main reuses it.  ``direct`` holds each
-    subcommand's table for the direct parse."""
+    """The argparse tree, built once per process from ``COMMANDS``, and only
+    for an argv that argparse must handle: one the direct parse declines,
+    or one whose command reports a usage error.  Parsing keeps no state
+    between calls, so every such call reuses it."""
     p = argparse.ArgumentParser(
         prog="k3cert",
         description="exact verification suite for the quartic and Pell "
                     "lattice computations")
     sub = p.add_subparsers(dest="command", required=True)
-    p.direct = {}
     for name, (summary, run, positional, options) in COMMANDS.items():
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(run=run)
         if positional is not None:
             dest, choices = positional
             sp.add_argument(dest, choices=choices)
-        # flag -> (dest, type, choices), and the defaults and the required
-        # dests, as argparse derives them for a long option
-        table, defaults, required = {}, {"run": run}, set()
         for flag, kwargs in options:
             sp.add_argument(flag, **kwargs)
+    return p
+
+
+@functools.cache
+def _direct_tables():
+    """Each subcommand's table for the direct parse, derived from
+    ``COMMANDS`` as argparse derives its own: flag -> (dest, type, choices),
+    the positional, the defaults (``run`` among them) and the required
+    dests."""
+    tables = {}
+    for name, (_, run, positional, options) in COMMANDS.items():
+        table, defaults, required = {}, {"run": run}, set()
+        for flag, kwargs in options:
             dest = kwargs.get("dest", flag[2:].replace("-", "_"))
             table[flag] = (dest, kwargs.get("type"), kwargs.get("choices"))
             defaults[dest] = kwargs.get("default")
@@ -90,11 +102,11 @@ def build_parser():
                 required.add(dest)
         if positional is not None:
             required.add(positional[0])
-        p.direct[name] = (table, positional, defaults, required)
-    return p
+        tables[name] = (table, positional, defaults, required)
+    return tables
 
 
-def _direct_parse(parser, argv):
+def _direct_parse(argv):
     """The Namespace of a canonical argv, built without argparse, or None.
 
     argv is canonical when argv[0] names a subcommand and every later token
@@ -103,12 +115,13 @@ def _direct_parse(parser, argv):
     with "-": a negative number or an option-like token after a space is
     left to argparse), each given at most once, whose value its type
     converts and its choices hold, or the subcommand's positional within
-    its choices; and no required argument is missing.  On such an argv the Namespace is
-    the one argparse builds: the subparser's defaults, run and command, and
-    each value converted by the option's own type.  Any other argv gives
+    its choices; and no required argument is missing.  On such an argv the
+    Namespace is the one argparse builds: the subparser's defaults, run and
+    command, and each value converted by the option's own type, read from
+    ``_direct_tables`` with no argparse tree built.  Any other argv gives
     None, so argparse handles it: every help request, abbreviation, repeat,
     "--" and usage error."""
-    entry = parser.direct.get(argv[0]) if argv else None
+    entry = _direct_tables().get(argv[0]) if argv else None
     if entry is None:
         return None
     table, positional, defaults, required = entry
@@ -154,17 +167,18 @@ def _direct_parse(parser, argv):
     return args
 
 
-def parse(parser, argv):
+def parse(argv):
     """The Namespace of argv: a canonical argv (see ``_direct_parse``) gets
-    it directly, any other argv from parser.parse_args(argv).
+    it directly, any other argv from ``build_parser().parse_args(argv)``.
 
     argparse (Python 3.11) reads a "--" given after "=" (``--class=--``)
     as an empty list, which no command takes, so after parse_args such a
     value is a usage error naming the option."""
-    args = _direct_parse(parser, argv)
+    args = _direct_parse(argv)
     if args is None:
+        parser = build_parser()
         args = parser.parse_args(argv)
-        for flag, (dest, _, _) in parser.direct[args.command][0].items():
+        for flag, (dest, _, _) in _direct_tables()[args.command][0].items():
             if isinstance(getattr(args, dest), list):
                 parser.error("argument %s: expected one argument" % flag)
     return args
@@ -194,53 +208,54 @@ def _int_option(text):
             _digit_limit([text]) or "invalid int value: %r" % text) from None
 
 
-def _parse_ell_range(text, parser):
+def _parse_ell_range(text):
     parts = text.split("..")
     try:
         a, b = parts
         lo, hi = int(a), int(b)
     except ValueError:
         too_long = _digit_limit(parts)
-        parser.error("--ell-range: " + too_long if too_long
-                     else "--ell-range expects A..B with integers")
+        build_parser().error("--ell-range: " + too_long if too_long
+                             else "--ell-range expects A..B with integers")
     if lo > hi:
-        parser.error("--ell-range bounds out of order")
+        build_parser().error("--ell-range bounds out of order")
     return range(lo, hi + 1)
 
 
-def _parse_class(text, parser):
+def _parse_class(text):
     parts = text.split(",")
     try:
         coords = tuple(int(c.strip()) for c in parts)
     except ValueError:
         too_long = _digit_limit(parts)
-        parser.error("--class: " + too_long if too_long
-                     else '--class expects integers like "x,y,z"')
+        build_parser().error("--class: " + too_long if too_long
+                             else '--class expects integers like "x,y,z"')
     if len(coords) != 3:
-        parser.error("--class expects exactly 3 coordinates")
+        build_parser().error("--class expects exactly 3 coordinates")
     return coords
 
 
-def cmd_verify(args, parser):
+def cmd_verify(args):
     # every option is checked before any suite runs
     if args.entry_bound < 1:
-        parser.error("--entry-bound must be >= 1")
+        build_parser().error("--entry-bound must be >= 1")
     if args.entry_bound > MAX_ENTRY_BOUND:
         # a PellError, like any LatticeError, exits 2 with one stderr line
         raise pell.PellError("--entry-bound must not exceed "
                              "MAX_ENTRY_BOUND = 10^100")
     if not 0 <= args.k_bound <= MAX_K_BOUND:
-        parser.error("--k-bound must be between 0 and %d" % MAX_K_BOUND)
+        build_parser().error("--k-bound must be between 0 and %d"
+                             % MAX_K_BOUND)
     if args.ell is not None and args.ell_range is not None:
-        parser.error("give --ell or --ell-range, not both")
+        build_parser().error("give --ell or --ell-range, not both")
     if args.ell is not None:
         if args.ell <= 5:
-            parser.error("--ell must exceed 5")
+            build_parser().error("--ell must exceed 5")
         ells = [args.ell]
     elif args.ell_range is not None:
-        ells = _parse_ell_range(args.ell_range, parser)
+        ells = _parse_ell_range(args.ell_range)
         if ells[0] <= 5:
-            parser.error("--ell-range values must exceed 5")
+            build_parser().error("--ell-range values must exceed 5")
     else:
         ells = pell.ELLS
     if ells[-1] > MAX_ELL:
@@ -289,9 +304,10 @@ def list_orbit(ctx, length):
                   % (len(orbit), length, text))
 
 
-def cmd_enumerate(args, parser):
+def cmd_enumerate(args):
     if args.what == "sections" and not 1 <= args.n_bound <= MAX_N_BOUND:
-        parser.error("--n-bound must be between 1 and %d" % MAX_N_BOUND)
+        build_parser().error("--n-bound must be between 1 and %d"
+                             % MAX_N_BOUND)
     ctx = quartic.build_context()
     if args.what == "sections":
         return run_suite([("prop-3.3-sections", "Prop 3.3(2)", list_sections)],
@@ -299,8 +315,8 @@ def cmd_enumerate(args, parser):
     return run_suite([("lemma-3.9", "Lemma 3.9", list_q)], ctx)
 
 
-def cmd_reduce(args, parser):
-    coords = _parse_class(args.cls, parser)
+def cmd_reduce(args):
+    coords = _parse_class(args.cls)
     ctx = quartic.build_context()
     if args.basis == "fev":
         coords = ctx.to_hlm(coords)
@@ -309,18 +325,19 @@ def cmd_reduce(args, parser):
     return run_suite([("reduce", "Lemma 3.10", reduce_class)], trace)
 
 
-def cmd_orbit(args, parser):
+def cmd_orbit(args):
     if not 0 <= args.length <= MAX_ORBIT_LEN:
-        parser.error("--len must be between 0 and %d" % MAX_ORBIT_LEN)
+        build_parser().error("--len must be between 0 and %d"
+                             % MAX_ORBIT_LEN)
     return run_suite([("orbit", "Lemma 3.13", list_orbit)],
                      quartic.build_context(), args.length)
 
 
-# The subcommands, one declaration for both parsers: build_parser builds the
-# argparse tree from it, and the direct parse reads the tables build_parser
-# derives from it.  Each entry is (help, run, positional, options): the
-# positional as (dest, choices) or None, each option as (long flag,
-# add_argument's keyword arguments).
+# The subcommands, one declaration for both parsers: the direct parse reads
+# the tables _direct_tables derives from it, and build_parser builds the
+# argparse tree from it when an argv needs argparse.  Each entry is (help,
+# run, positional, options): the positional as (dest, choices) or None,
+# each option as (long flag, add_argument's keyword arguments).
 _JSON = ("--json", dict(default=None, metavar="PATH"))
 COMMANDS = {
     "verify": ("run a verification suite", cmd_verify,
@@ -355,8 +372,7 @@ def _cannot_write(path, exc):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parse(parser, sys.argv[1:] if argv is None else list(argv))
+    args = parse(sys.argv[1:] if argv is None else list(argv))
     created = False
     if args.json is not None:
         # opened before any check runs, so a path that cannot be written is a
@@ -369,9 +385,9 @@ def main(argv=None):
         except OSError as exc:
             return _cannot_write(args.json, exc)
     try:
-        report = args.run(args, parser)
+        report = args.run(args)
     except (ChamberError, LatticeError, SystemExit) as exc:
-        # a usage error found by the command (parser.error raises
+        # a usage error found by the command (argparse's error raises
         # SystemExit) leaves no file that main created
         if created:
             os.remove(args.json)

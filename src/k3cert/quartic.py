@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lattice as lat_mod
 from .lattice import (
     IntegerLattice,
     LatticeError,
@@ -134,9 +133,8 @@ def check_lemma31(ctx):
         for name, (got, want) in table.items():
             if got != want:
                 problems.append("%s = %d, expected %d" % (name, got, want))
-        sub, t = change_basis(lat, [fv, ev, vv])
-        if abs(lat_mod.det_int(t)) != 1:
-            problems.append("(f%s,e%s,v%s) is not an integral basis" % (tag, tag, tag))
+        # change_basis raises NotABasis unless |det| = 1
+        sub, _ = change_basis(lat, [fv, ev, vv])
         if sub.determinant() != lat.determinant():
             problems.append("determinant changed under basis change")
     det = lat.determinant()
@@ -194,8 +192,11 @@ def enumerate_sections(ctx, n_bound):
 
     Returns (solutions, fitted (a2, a1, a0) with a(n) = a2 n^2 + a1 n + a0,
     zero_section_present).  Solutions are triples (a, b, n) with b = 1,
-    sorted by (n, a).
+    sorted by (n, a).  Raises LatticeError for n_bound < 1: the fit reads
+    n = -1, 0 and 1.
     """
+    if n_bound < 1:
+        raise LatticeError("n_bound must be >= 1, got %d" % n_bound)
     box = 10 * n_bound * n_bound + 20 * n_bound  # holds a = 10 n^2 - 1
     # (x, f) = b = 1 and (x, x) = -2; effective side: positive degree
     # against the ample class, (x, H) = 3 a + 4 b - 20 n with H = 4 f + 3 e + v

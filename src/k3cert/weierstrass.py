@@ -156,8 +156,8 @@ O = CurvePoint.infinity()
 class WeierstrassCurve:
     p: Fraction
     q: Fraction
-    # the keys of the affine points contains has found on the curve, so
-    # each (curve, point) equation is evaluated once
+    # the keys of the affine points contains has found on the curve, with
+    # y's sign dropped, so each equation is evaluated once for P and -P
     _on_curve: set = field(default_factory=set, init=False, repr=False,
                            compare=False)
 
@@ -171,15 +171,16 @@ class WeierstrassCurve:
         """y^2 = x^3 + p x + q with every denominator cleared and no gcd
         taken: for x = a/b, y = c/e, p = P/Q and q = R/S it reads
         c^2 b^3 Q S = e^2 (a^3 Q S + P a b^2 S + R b^3 Q), integer p and q
-        included (Q = S = 1).  A point found on the curve is recorded under
-        its key and not checked again; a point off it is checked at every
-        call."""
+        included (Q = S = 1).  The equation reads y only through c^2, so P
+        and -P satisfy it together: a point found on the curve is recorded
+        under its key with |c| and neither it nor its negative is checked
+        again; a point off it is checked at every call."""
         if pt.at_infinity:
             return True
-        key = pt.key
+        a, b, c, e = pt.key
+        key = (a, b, abs(c), e)
         if key in self._on_curve:
             return True
-        a, b, c, e = key
         P, Q = self.p.numerator, self.p.denominator
         R, S = self.q.numerator, self.q.denominator
         b2 = b * b

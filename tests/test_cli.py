@@ -357,8 +357,8 @@ ARGV_CORPUS = [
 ]
 
 
-def _full_tree(parser, argv):
-    return parser.parse_args(argv)
+def _full_tree(argv):
+    return cli.build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", ARGV_CORPUS,
@@ -369,9 +369,8 @@ def test_one_pass_dispatch_matches_the_full_tree(argv, capsys, monkeypatch):
     # parser
     one_pass = _call(argv, capsys)
     # where the full tree parses, both give the same namespace
-    parser = cli.build_parser()
     try:
-        assert cli.parse(parser, argv) == parser.parse_args(argv)
+        assert cli.parse(argv) == cli.build_parser().parse_args(argv)
     except SystemExit:
         pass
     capsys.readouterr()
@@ -621,10 +620,9 @@ def test_direct_parse_against_argparse(argv):
     # an argv the direct parse accepts gets parse_args' Namespace; for any
     # argv, main gives what main with the argparse path alone gives, with
     # the stand-ins in place and --json files in a directory of their own
-    parser = cli.build_parser()
-    direct = cli._direct_parse(parser, argv)
+    direct = cli._direct_parse(argv)
     if direct is not None:
-        assert direct == parser.parse_args(argv)
+        assert direct == cli.build_parser().parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -632,15 +630,14 @@ def test_direct_parse_against_argparse(argv):
         for owner, name, stand_in in _STAND_INS:
             stack.enter_context(patch.object(owner, name, stand_in))
         got = _captured(argv)
-        with patch.object(cli, "_direct_parse", lambda parser, argv: None):
+        with patch.object(cli, "_direct_parse", lambda argv: None):
             assert _captured(argv) == got
 
 
 def _assert_direct(argv):
-    parser = cli.build_parser()
-    direct = cli._direct_parse(parser, argv)
+    direct = cli._direct_parse(argv)
     assert direct is not None, argv
-    assert direct == parser.parse_args(argv)
+    assert direct == cli.build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -654,11 +651,58 @@ def test_direct_parse_takes_the_workload_argv(argv):
     _assert_direct(argv)
 
 
-def test_direct_parse_takes_every_workload_argv():
-    # so does every argv of the workloads' seed-1 rounds, as generated
+def _workload_argv(json_path):
+    """Every argv of the benchmark workloads' seed-1 rounds, as generated."""
     workloads = runpy.run_path(
         str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
-    for name in workloads["WORKLOADS"]:
-        for query in workloads["generate"](name, 1,
-                                           json_path="/tmp/x/report.json"):
-            _assert_direct(query.argv)
+    return [query.argv for name in workloads["WORKLOADS"]
+            for query in workloads["generate"](name, 1, json_path=json_path)]
+
+
+def test_direct_parse_takes_every_workload_argv():
+    # so does every argv of the workloads' seed-1 rounds
+    for argv in _workload_argv("/tmp/x/report.json"):
+        _assert_direct(argv)
+
+
+def test_workload_argv_build_no_argparse_tree(tmp_path, capsys):
+    # main runs every argv of the workloads' seed-1 rounds, each of them
+    # correct, without building the argparse tree
+    cli.build_parser.cache_clear()
+    for argv in _workload_argv(str(tmp_path / "report.json")):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().currsize == 0
+
+
+_USAGE = "usage: k3cert [-h] {verify,enumerate,reduce,orbit} ...\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    # declined by the direct parse: argparse reads the abbreviation
+    (["reduce", "--cl=13,-14,6"], 0,
+     "[PASS] reduce reduced to (1, 0, 0) via wall word [1] (basis HLM)\n"
+     "1 pass, 0 fail, 0 discrepancy, 0 skipped\n", ""),
+    # help, from argparse
+    (["-h"], 0, _USAGE + "\nexact verification suite for the quartic and "
+     "Pell lattice computations\n", ""),
+    # taken by the direct parse, refused by the command
+    (["orbit", "--len", "99"], 2, "",
+     _USAGE + "k3cert: error: --len must be between 0 and 12\n"),
+    (["reduce", "--class", "x,y"], 2, "",
+     _USAGE + 'k3cert: error: --class expects integers like "x,y,z"\n'),
+    (["verify", "pell", "--ell", "5"], 2, "",
+     _USAGE + "k3cert: error: --ell must exceed 5\n"),
+], ids=["declined", "help", "orbit range", "class", "ell"])
+def test_argparse_argv_builds_the_tree_once(argv, code, out, err, capsys,
+                                            monkeypatch):
+    # an argv that argparse must handle builds the tree once and prints
+    # what it printed when main built the tree on every call; the help
+    # text below its description is argparse's own and is compared whole
+    # by the CLI corpus.  argparse wraps to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    cli.build_parser.cache_clear()
+    got = _call(argv, capsys)
+    assert cli.build_parser.cache_info().misses == 1
+    assert got[0] == code and got[2] == err
+    assert got[1].startswith(out) if argv == ["-h"] else got[1] == out

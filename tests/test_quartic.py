@@ -121,6 +121,17 @@ def test_sections_fit_reads_any_integer_quadratic(ctx, fit, monkeypatch):
     assert quartic.enumerate_sections(ctx, 3)[:2] == (planted, fit)
 
 
+@pytest.mark.parametrize("n_bound", [0, -3])
+@pytest.mark.parametrize("check", [quartic.enumerate_sections,
+                                   quartic.check_sections],
+                         ids=["enumerate", "check"])
+def test_sections_refuse_an_n_bound_below_1(ctx, check, n_bound):
+    # the fit reads n = -1, 0, 1: -3 gave 3 sections and a fit, and a
+    # discrepancy that checked no translation matrix
+    with pytest.raises(LatticeError):
+        check(ctx, n_bound)
+
+
 def test_sections_status_is_discrepancy(ctx):
     status, details = quartic.check_sections(ctx)
     assert status == DISCREPANCY

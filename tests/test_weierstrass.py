@@ -529,37 +529,45 @@ def test_two_torsion_round_trip_once_per_distinct_point(monkeypatch):
 
 def test_each_curve_point_is_checked_once(monkeypatch):
     # a certificate round evaluates one membership equation per distinct
-    # affine (curve, point): 91, with O on each of the 3 curves for 94
-    # pairs (436 equations at the parent, one per summand of each of the
-    # 193 sums and per image or translation point)
+    # affine (curve, point up to sign): 48, the restriction images being
+    # negatives of checked multiples; the 94 (curve, point) pairs, O on
+    # each of the 3 curves among them, gave 91 equations with the sign
+    # kept and 436 before the record, one per summand of each of the 193
+    # sums and per image or translation point
     w._curve.cache_clear()
     evaluated, pairs = [], set()
     contains = w.WeierstrassCurve.contains
 
     def counting(self, pt):
         pairs.add((self.p, self.q, pt.key))
-        if not pt.at_infinity and pt.key not in self._on_curve:
-            evaluated.append((self.p, self.q, pt.key))
+        if not pt.at_infinity:
+            a, b, c, e = pt.key
+            key = (self.p, self.q, (a, b, abs(c), e))
+            if key[2] not in self._on_curve:
+                evaluated.append(key)
         return contains(self, pt)
     monkeypatch.setattr(w.WeierstrassCurve, "contains", counting)
     sums = _count_sums(monkeypatch)
     report = w.full_weierstrass_certificate()
     assert [item.status for item in report.items] == [PASS] * 5
     assert len(sums) == 193
-    assert len(evaluated) == len(set(evaluated)) == 91
+    assert len(evaluated) == len(set(evaluated)) == 48
     assert len(pairs) == 94
 
 
 def test_an_off_curve_point_is_refused_at_every_call():
-    # only points found on the curve are recorded; one off it is checked
-    # and refused again each time, in either summand
+    # only points found on the curve are recorded, one key for P and -P;
+    # a point off it, or its negative, is checked and refused again each
+    # time, in either summand
     e = curve(0, 1)
     on, off = w.CurvePoint.affine(2, 3), w.CurvePoint.affine(1, 1)
     for _ in range(2):
-        assert e.contains(on) and not e.contains(off)
-        for p1, p2 in ((off, on), (on, off)):
-            with pytest.raises(w.CurveError, match="not on the curve"):
-                w.chord_tangent_add(e, p1, p2)
+        for bad in (off, e.neg(off)):
+            assert e.contains(on) and e.contains(e.neg(on))
+            assert not e.contains(bad)
+            for p1, p2 in ((bad, on), (on, bad)):
+                with pytest.raises(w.CurveError, match="not on the curve"):
+                    w.chord_tangent_add(e, p1, p2)
     assert e._on_curve == {on.key}
     # the record belongs to its curve: (2, 3) is not on y^2 = x^3 + 17
     assert not curve(0, 17).contains(on)
