@@ -25,12 +25,18 @@ Every number of this layer is p + q sqrt(d), d = l^2 - 1, with integers p
 and q, or a ratio of two such numbers, so the checks compute in Z[sqrt(d)]:
 a ray coordinate is an integer pair (p, q), an eigenvalue an integer triple
 (p, q, n) meaning (p + q sqrt(d)) / n with n > 0, and quadfield.zsign
-decides signs.  A QuadExt is built only for a value that is printed or
-returned.
+decides signs and the order of eigenvalues (lam > 1, the least alpha).  A
+QuadExt is built only for a value that is printed or returned, and no
+arithmetic or comparison runs on it here.
+
+The identities that do not depend on l (the norm-form factorization, the
+lemma-4.8 margin, the trace monotonicity of the largest root) are proved
+once per process, as identities in l where l occurs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,16 +70,13 @@ K_BOUND = 5
 @dataclass(frozen=True)
 class PellContext:
     ell: int
+    d: int = field(compare=False)  # l^2 - 1
     lattice: IntegerLattice
     anchor: tuple                  # h1
     v1: tuple = field(compare=False)  # coordinates as integer pairs (p, q)
     v2: tuple = field(compare=False)
     # NS*/NS, built once per l for check_discriminant and isometry_search
     disc: DiscriminantGroup = field(compare=False)
-
-    @property
-    def d(self):
-        return self.ell * self.ell - 1
 
 
 def build_context(ell):
@@ -84,7 +87,7 @@ def build_context(ell):
         raise PellError("l^2 - 1 must not be a perfect square")
     lat = IntegerLattice(gram=((4, 4 * ell), (4 * ell, 4)))
     # -l + sqrt(l^2 - 1) is the pair (-l, 1)
-    ctx = PellContext(ell=ell, lattice=lat, anchor=(1, 0),
+    ctx = PellContext(ell=ell, d=d, lattice=lat, anchor=(1, 0),
                       v1=((-ell, 1), (1, 0)), v2=((1, 0), (-ell, 1)),
                       disc=discriminant_group(lat))
     for ray in (ctx.v1, ctx.v2):
@@ -127,12 +130,19 @@ def _quad(lam, d):
     return QuadExt(Fraction(p, n), Fraction(q, n), d)
 
 
-def _zpow(x, k, d):
-    """(p + q sqrt(d))^k for k >= 0 as an integer pair."""
-    out = (1, 0)
-    for _ in range(k):
-        out = _zmul(out, x, d)
-    return out
+def _above_one(lam, d):
+    """Whether the eigenvalue triple lam = (p + q sqrt(d)) / n, n > 0,
+    exceeds 1: whether (p - n) + q sqrt(d) > 0."""
+    p, q, n = lam
+    return zsign(p - n, q, d) > 0
+
+
+def _below(lam, mu, d):
+    """Whether lam < mu for eigenvalue triples with positive denominators:
+    lam - mu has the sign of (p n' - p' n) + (q n' - q' n) sqrt(d)."""
+    p, q, n = lam
+    r, s, m = mu
+    return zsign(p * m - r * n, q * m - s * n, d) < 0
 
 
 def _as_triple(x):
@@ -160,9 +170,7 @@ def check_representation(ctx, targets=(0, 2, -2), box=100):
     # structural route: the norm form is 4((x + l y)^2 - (l^2-1) y^2), so 4
     # divides every value (rules out +-2), and value 0 would force the Pell
     # conic (x + l y)^2 = (l^2 - 1) y^2 with irrational sqrt(l^2 - 1)
-    if not is_zero_polynomial(
-            lambda x, y: 4 * x * x + 8 * ell * x * y + 4 * y * y
-            - 4 * ((x + ell * y) ** 2 - (ell * ell - 1) * y * y), (2, 2)):
+    if not _norm_form_factors():
         problems.append("norm-form factorization identity failed")
     if is_square(ctx.d):
         problems.append("l^2 - 1 is a perfect square")
@@ -172,6 +180,15 @@ def check_representation(ctx, targets=(0, 2, -2), box=100):
     return verdict(problems, "no vector of norm 0, 2 or -2 in box %d; "
                    "factorization 4((x+%dy)^2 - %d y^2) and irrationality "
                    "close the gap" % (box, ell, ctx.d))
+
+
+@functools.cache
+def _norm_form_factors():
+    """The Gram form 4 x^2 + 8 l x y + 4 y^2 is 4((x + l y)^2 - (l^2 - 1) y^2),
+    as an identity in (x, y, l), so it holds at every l."""
+    return is_zero_polynomial(
+        lambda x, y, l: 4 * x * x + 8 * l * x * y + 4 * y * y
+        - 4 * ((x + l * y) ** 2 - (l * l - 1) * y * y), (2, 2, 2))
 
 
 def check_discriminant(ctx):
@@ -273,21 +290,25 @@ def _eigen_ratio(ctx, m, ray):
     integer equations and lam one division in Z[sqrt(d)].
     """
     d = ctx.d
-    img = [(m[i][0] * ray[0][0] + m[i][1] * ray[1][0],
-            m[i][0] * ray[0][1] + m[i][1] * ray[1][1]) for i in (0, 1)]
-    # proportionality: img x ray = img0 r1 - img1 r0 = 0 in Z[sqrt(d)]
-    (x0, x1), (y0, y1) = img
+    (m00, m01), (m10, m11) = m
     (p0, q0), (p1, q1) = ray
+    # the image m . ray, coordinates x0 + x1 sqrt(d) and y0 + y1 sqrt(d)
+    x0, x1 = m00 * p0 + m01 * p1, m00 * q0 + m01 * q1
+    y0, y1 = m10 * p0 + m11 * p1, m10 * q0 + m11 * q1
+    # proportionality: img x ray = img0 r1 - img1 r0 = 0 in Z[sqrt(d)]
     if (x0 * p1 + d * x1 * q1 - y0 * p0 - d * y1 * q0
             or x0 * q1 + x1 * p1 - y0 * q0 - y1 * p0):
         return None
-    for (x, y), (p, q) in zip(img, ray):
-        if p or q:
-            # (x + y sqrt(d)) / (p + q sqrt(d)), with p^2 - d q^2 != 0
-            n = p * p - d * q * q
-            s = 1 if n > 0 else -1
-            return s * (x * p - d * y * q), s * (y * p - x * q), s * n
-    return None
+    if p0 or q0:
+        x, y, p, q = x0, x1, p0, q0
+    elif p1 or q1:
+        x, y, p, q = y0, y1, p1, q1
+    else:
+        return None
+    # (x + y sqrt(d)) / (p + q sqrt(d)), with p^2 - d q^2 != 0
+    n = p * p - d * q * q
+    s = 1 if n > 0 else -1
+    return s * (x * p - d * y * q), s * (y * p - x * q), s * n
 
 
 def _filter(ctx, disc, m):
@@ -324,8 +345,7 @@ def _unit_walk(ctx, disc, verdicts):
     for _ in range(UNIT_WALK_POWERS):
         m = ((u - ell * b, -b), (b, u + ell * b))
         reason, lam = verdicts[m] = _filter(ctx, disc, m)
-        # lam = (p + q sqrt(d)) / n > 1 iff (p - n) + q sqrt(d) > 0
-        if reason is None and zsign(lam[0] - lam[2], lam[1], ctx.d) > 0:
+        if reason is None and _above_one(lam, ctx.d):
             return Isometry(ctx.lattice, m)
         u, b = ell * u + ctx.d * b, u + ell * b
     return None
@@ -354,22 +374,28 @@ def isometry_search(ctx, entry_bound=ENTRY_BOUND):
     bound = entry_bound
     while bound < _max_entry(walked.matrix):
         bound *= 2
-    accepted, filtered = [], []
+    d = ctx.d
+    accepted, filtered, positive = [], [], []
+    # the first accepted (g, alpha) of least lam > 1 in scan order, and lam
+    least = None
     for m in _raw_isometries(ctx, bound):
         reason, lam = verdicts.get(m) or _filter(ctx, disc, m)
         if reason is None:
             g = walked if m == walked.matrix else Isometry(ctx.lattice, m)
-            accepted.append((g, _quad(lam, ctx.d)))
+            accepted.append((g, _quad(lam, d)))
+            if _above_one(lam, d):
+                positive.append(g)
+                if least is None or _below(lam, least[1], d):
+                    least = accepted[-1], lam
         else:
             filtered.append((m, reason))
-    positive = [(g, lam) for g, lam in accepted if lam > 1]
-    g0, alpha = min(positive, key=lambda p: p[1], default=(None, None))
+    g0, alpha = least[0] if least else (None, None)
     if g0 is None or g0.matrix != walked.matrix:
         raise PellError("the scan at entry bound %d has minimal generator %s, "
                         "the unit walk %s"
                         % (bound, g0 and g0.matrix, walked.matrix))
     if bound > entry_bound and any(_max_entry(g.matrix) <= bound // 2
-                                   for g, _ in positive):
+                                   for g in positive):
         raise PellError("an accepted isometry with alpha > 1 fits within "
                         "entry bound %d" % (bound // 2))
     a = g0.matrix[0][0] + g0.matrix[1][1]
@@ -493,6 +519,12 @@ def check_alpha_homomorphism(run, n_bound=5):
     # alpha = (ap + aq sqrt(d)) / an, and lam = (p + q sqrt(d)) / m equals
     # num / den exactly when (p + q sqrt(d)) den = m num
     ap, aq, an = _as_triple(run.search.alpha)
+    # alpha^k = (ap + aq sqrt(d))^k / an^k for k = 0 .. n_bound, one running
+    # product per k; both signs of n read it
+    numers, scales = [(1, 0)], [1]
+    for _ in range(n_bound):
+        numers.append(_zmul(numers[-1], (ap, aq), d))
+        scales.append(scales[-1] * an)
     problems = []
     for n in range(-n_bound, n_bound + 1):
         lam = _eigen_ratio(ctx, powers[n].matrix, ctx.v1)
@@ -500,22 +532,33 @@ def check_alpha_homomorphism(run, n_bound=5):
             problems.append("g0^%d does not fix the v1 ray" % n)
             continue
         p, q, m = lam
-        power, scale = _zpow((ap, aq), abs(n), d), (an ** abs(n), 0)
+        power, scale = numers[abs(n)], (scales[abs(n)], 0)
         num, den = (power, scale) if n >= 0 else (scale, power)
         if _zmul((p, q), den, d) != (m * num[0], m * num[1]):
             problems.append("alpha(g0^%d) != alpha^%d" % (n, n))
         if (p, q) == (m, 0) and n != 0:
             problems.append("alpha(g0^%d) = 1 with n != 0" % n)
-    if _zpow((ap, aq), 0, d) != (1, 0):
+    if (numers[0], scales[0]) != ((1, 0), 1):
         problems.append("alpha^0 != 1")
     lam = _eigen_ratio(ctx, powers[-1].matrix, ctx.v1)
     if lam is None or _zmul(lam[:2], (ap, aq), d) != (lam[2] * an, 0):
         problems.append("alpha(g0^-1) is not the conjugate root")
-    # monotonicity of the largest root in the trace: for a1 < a2 the value
-    # t^2 - a2 t + 1 at t = alpha(a1) is negative, so alpha(a1) sits strictly
-    # between the roots of the a2 quadratic, i.e. alpha(a1) < alpha(a2);
-    # evaluated at s = 2 alpha(a1) = a1 + sqrt(a1^2 - 4) in integers, where
-    # 4 (t^2 - a2 t + 1) = s^2 - 2 a2 s + 4 = 2 (a1 - a2)(a1 + sqrt(a1^2 - 4))
+    problems += _trace_monotonicity_problems()
+    return verdict(problems, "alpha(g0^n) = alpha(g0)^n exactly for |n| <= "
+                   "%d; alpha is injective on the range; largest roots "
+                   "increase with the trace" % n_bound)
+
+
+@functools.cache
+def _trace_monotonicity_problems():
+    """Monotonicity of the largest root in the trace, for traces 3 .. 8: for
+    a1 < a2 the value t^2 - a2 t + 1 at t = alpha(a1) is negative, so
+    alpha(a1) sits strictly between the roots of the a2 quadratic, i.e.
+    alpha(a1) < alpha(a2).  It is evaluated in integers at
+    s = 2 alpha(a1) = a1 + sqrt(a1^2 - 4), where
+        4 (t^2 - a2 t + 1) = s^2 - 2 a2 s + 4
+                           = 2 (a1 - a2)(a1 + sqrt(a1^2 - 4))."""
+    problems = []
     for a1 in range(3, 9):
         for a2 in range(a1 + 1, 9):
             e = a1 * a1 - 4
@@ -523,9 +566,7 @@ def check_alpha_homomorphism(run, n_bound=5):
             if zsign(s2[0] - 2 * a2 * a1 + 4, s2[1] - 2 * a2, e) >= 0:
                 problems.append("largest-root monotonicity fails for traces "
                                 "%d < %d" % (a1, a2))
-    return verdict(problems, "alpha(g0^n) = alpha(g0)^n exactly for |n| <= "
-                   "%d; alpha is injective on the range; largest roots "
-                   "increase with the trace" % n_bound)
+    return tuple(problems)
 
 
 def enumerate_H_orbit(ctx, res, k_bound):
@@ -595,8 +636,7 @@ def takahashi_obstruction(ctx, h):
         problems.append("|det NS| = %d does not exceed %d"
                         % (det_ns, DEGREE_CAP ** 2))
     # margin: 16 l^2 - 16 - 256 = 16 (l^2 - 17) > 0 iff l^2 > 17, so any l > 4
-    if not is_zero_polynomial(lambda l: 16 * l * l - 16 - 256
-                              - 16 * (l * l - 17), (2,)):
+    if not _margin_factors():
         problems.append("margin factorization 16 (l^2 - 17) failed")
     if 16 * (ctx.ell ** 2 - 17) <= 0:
         problems.append("margin is not positive at l = %d" % ctx.ell)
@@ -609,6 +649,13 @@ def takahashi_obstruction(ctx, h):
                    "of h = %s; |det NS| = %d > 256 blocks the divisibility, "
                    "and the exhaustive slab scan found nothing"
                    % (DEGREE_CAP, h, det_ns))
+
+
+@functools.cache
+def _margin_factors():
+    """16 l^2 - 16 - 256 = 16 (l^2 - 17), as an identity in l."""
+    return is_zero_polynomial(lambda l: 16 * l * l - 16 - 256
+                              - 16 * (l * l - 17), (2,))
 
 
 def _independent_low_degree_classes(ctx, h, degree_cap):

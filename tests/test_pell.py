@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from k3cert import cli, isometry, pell
 from k3cert.isometry import Isometry, discriminant_action
 from k3cert.lattice import discriminant_group, lattice_points
-from k3cert.quadfield import QuadExt, pair_sign, zsign
+from k3cert.quadfield import QuadExt, is_square, pair_sign, zsign
 from k3cert.report import FAIL, PASS, SKIPPED, run_suite
 
 
@@ -416,7 +416,43 @@ def test_eigen_ratio_against_quadext_arithmetic(ell, data):
             assert lam[2] > 0 and pell._quad(lam, ctx.d) == want
             # the filters read the sign of lam and lam > 1 off the triple
             assert (zsign(lam[0], lam[1], ctx.d) > 0) == (want > 0)
-            assert (zsign(lam[0] - lam[2], lam[1], ctx.d) > 0) == (want > 1)
+            assert pell._above_one(lam, ctx.d) == (want > 1)
+
+
+_triples = st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                     st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 10 ** 6).filter(lambda d: not is_square(d)),
+       _triples, _triples, st.integers(1, 5))
+def test_triple_order_against_quadext(d, lam, mu, k):
+    # the search's lam > 1 and lam < mu on triples (p + q sqrt(d)) / n with
+    # n > 0, against QuadExt's comparisons; k lam is lam written over k n
+    a, b = pell._quad(lam, d), pell._quad(mu, d)
+    assert pell._above_one(lam, d) == (a > 1)
+    assert pell._below(lam, mu, d) == (a < b)
+    assert pell._below(mu, lam, d) == (b < a)
+    same = tuple(k * x for x in lam)
+    assert not pell._below(lam, same, d) and not pell._below(same, lam, d)
+    assert pell._above_one(same, d) == pell._above_one(lam, d)
+    assert not pell._above_one((lam[2], 0, lam[2]), d)
+
+
+def test_verify_pell_does_no_quadext_arithmetic(monkeypatch, capsys):
+    # verify pell builds QuadExt values to print them; every sign and order
+    # is decided on integer triples, so QuadExt's arithmetic and comparisons
+    # may all raise
+    def refuse(*args):
+        raise AssertionError("QuadExt arithmetic or comparison")
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                 "__neg__", "__eq__", "__gt__", "__lt__", "__ge__", "__le__",
+                 "sign", "norm", "conjugate"):
+        monkeypatch.setattr(QuadExt, name, refuse)
+    for ell in (6, 93):
+        assert cli.main(["verify", "pell", "--ell", str(ell)]) == 0
+        assert "6 pass, 0 fail" in capsys.readouterr().out
 
 
 @settings(deadline=None, max_examples=50)
@@ -552,6 +588,71 @@ def test_obstruction_scans_once_per_ell(monkeypatch):
     report = pell.full_section4_certificate(ell_range=[6, 7], k_bound=2)
     assert report.ok
     assert calls == [(6, (1, 0)), (7, (1, 0))]
+
+
+# the identities that do not depend on l, proved once per process
+_FACTS = (pell._norm_form_factors, pell._margin_factors,
+          pell._trace_monotonicity_problems)
+
+
+@pytest.fixture
+def fresh_facts():
+    # each test proves the facts again, and none keeps a patched result
+    for fact in _FACTS:
+        fact.cache_clear()
+    yield
+    for fact in _FACTS:
+        fact.cache_clear()
+
+
+def test_l_free_identities_are_proved_once(fresh_facts, monkeypatch):
+    calls = []
+    is_zero_polynomial = pell.is_zero_polynomial
+
+    def counted(f, degrees):
+        calls.append(tuple(degrees))
+        return is_zero_polynomial(f, degrees)
+    monkeypatch.setattr(pell, "is_zero_polynomial", counted)
+    report = pell.full_section4_certificate(ell_range=[6, 7], k_bound=2)
+    assert report.ok
+    # the norm form as an identity in (x, y, l), the margin in l
+    assert calls == [(2, 2, 2), (2,)]
+
+
+def test_failed_identities_fail_every_ell(fresh_facts, monkeypatch):
+    monkeypatch.setattr(pell, "is_zero_polynomial", lambda f, degrees: False)
+    report = pell.full_section4_certificate(ell_range=[6, 7], k_bound=2)
+    items = {it.id: it for it in report.items}
+    for ell, d in ((6, 35), (7, 48)):
+        lemma44 = items["lemma-4.4-ell-%d" % ell]
+        assert lemma44.status == FAIL
+        assert lemma44.details == (
+            "norm-form factorization identity failed; NS*/NS = Z_4 + Z_%d "
+            "with the stated generators" % (4 * d))
+        lemma48 = items["lemma-4.8-ell-%d" % ell]
+        assert lemma48.status == FAIL
+        assert lemma48.details == (
+            "class h1: margin factorization 16 (l^2 - 17) failed")
+
+
+def test_failed_trace_monotonicity_fails_every_ell(fresh_facts, monkeypatch):
+    # the monotonicity checks sign numbers of Z[sqrt(a^2 - 4)], a = 3 .. 8;
+    # no l^2 - 1 of the run is one of those radicands, so only they flip
+    radicands = {a * a - 4 for a in range(3, 9)}
+    sign = pell.zsign
+
+    def flipped(p, q, d):
+        return 1 if d in radicands else sign(p, q, d)
+    monkeypatch.setattr(pell, "zsign", flipped)
+    report = pell.full_section4_certificate(ell_range=[6, 7], k_bound=2)
+    want = "; ".join("largest-root monotonicity fails for traces %d < %d"
+                     % (a1, a2) for a1 in range(3, 9)
+                     for a2 in range(a1 + 1, 9))
+    for ell in (6, 7):
+        status = {it.id: (it.status, it.details) for it in report.items
+                  if it.id.endswith("-ell-%d" % ell)}
+        assert status.pop("lemma-4.6-alpha-ell-%d" % ell) == (FAIL, want)
+        assert {s for s, _ in status.values()} == {PASS}
 
 
 def test_one_discriminant_group_and_one_box_walk_per_ell(monkeypatch):
