@@ -9,7 +9,6 @@ matrices directly (apply q first, then p).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index, mul
 
 from .lattice import (
@@ -136,12 +135,12 @@ def reflection_in(lat, w):
     cols = []
     for j in range(n):
         e = tuple(1 if i == j else 0 for i in range(n))
-        t = Fraction(2 * lat.inner(e, w), ww)
-        if t.denominator != 1:
+        t, r = divmod(2 * lat.inner(e, w), ww)
+        if r:
             raise LatticeError(
                 "reflection in %s is not integral on basis vector %d"
                 % (w, j))
-        cols.append(tuple(e[i] - int(t) * w[i] for i in range(n)))
+        cols.append(tuple(e[i] - t * w[i] for i in range(n)))
     m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     return Isometry(lat, m)
 

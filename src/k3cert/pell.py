@@ -26,8 +26,9 @@ and q, or a ratio of two such numbers, so the checks compute in Z[sqrt(d)]:
 a ray coordinate is an integer pair (p, q), an eigenvalue an integer triple
 (p, q, n) meaning (p + q sqrt(d)) / n with n > 0, and quadfield.zsign
 decides signs and the order of eigenvalues (lam > 1, the least alpha).  A
-QuadExt is built only for a value that is printed or returned, and no
-arithmetic or comparison runs on it here.
+lattice class meets a ray through its integer pairing row (pair_value).
+alpha stays the triple the search picked, from the search to the report,
+and quadfield.serialize prints it.
 
 The identities that do not depend on l (the norm-form factorization, the
 lemma-4.8 margin, the trace monotonicity of the largest root) are proved
@@ -49,11 +50,10 @@ from .lattice import (
     discriminant_group,
     is_zero_polynomial,
     lattice_points,
-    scaled,
     solve_norm_system,
 )
 from .isometry import Isometry, PowerTable, discriminant_action
-from .quadfield import QuadExt, is_square, pair_sign, zsign
+from .quadfield import is_square, pair_sign, pair_value, serialize, zsign
 from .report import FAIL, PASS, SKIPPED, Report, run_suite, verdict
 
 
@@ -93,7 +93,7 @@ def build_context(ell):
     for ray in (ctx.v1, ctx.v2):
         if _zinner(ctx, ray, ray) != (0, 0):
             raise PellError("boundary ray is not isotropic")
-    if _pairing_sign(ctx, _lift(ctx.anchor), ctx.v1) <= 0:
+    if pair_sign(lat.pairing_row(ctx.anchor), ctx.v1, d) <= 0:
         raise PellError("h1 does not pair positively with v1")
     return ctx
 
@@ -101,11 +101,6 @@ def build_context(ell):
 def _zmul(x, y, d):
     """The product of p + q sqrt(d) and r + s sqrt(d) as an integer pair."""
     return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _lift(x):
-    """An integer vector with coordinates as integer pairs."""
-    return tuple((c, 0) for c in x)
 
 
 def _zinner(ctx, x, y):
@@ -118,16 +113,6 @@ def _zinner(ctx, x, y):
             p += gij * a
             q += gij * b
     return p, q
-
-
-def _pairing_sign(ctx, x, y):
-    return zsign(*_zinner(ctx, x, y), ctx.d)
-
-
-def _quad(lam, d):
-    """The QuadExt of an eigenvalue triple (p, q, n)."""
-    p, q, n = lam
-    return QuadExt(Fraction(p, n), Fraction(q, n), d)
 
 
 def _above_one(lam, d):
@@ -143,13 +128,6 @@ def _below(lam, mu, d):
     p, q, n = lam
     r, s, m = mu
     return zsign(p * m - r * n, q * m - s * n, d) < 0
-
-
-def _as_triple(x):
-    """A QuadExt as the triple (p, q, n) with n > 0 the lcm of its
-    denominators."""
-    n, (p, q) = scaled((x.a, x.b))
-    return p, q, n
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +212,14 @@ def check_rays(run):
     problems = []
     if _zinner(ctx, v1, v1) != (0, 0) or _zinner(ctx, v2, v2) != (0, 0):
         problems.append("a boundary ray has nonzero self-intersection")
-    h1 = _lift(ctx.anchor)
-    p1 = _zinner(ctx, h1, v1)
+    row = ctx.lattice.pairing_row(ctx.anchor)  # h1's
+    p1 = pair_value(row, v1)
     if p1 != (0, 4):  # 4 sqrt(l^2 - 1)
         problems.append("(h1, v1) = %s != 4 sqrt(%d)"
-                        % (QuadExt(*p1, ctx.d), ctx.d))
-    if _pairing_sign(ctx, h1, v2) <= 0:
+                        % (serialize(*p1, ctx.d), ctx.d))
+    if pair_sign(row, v2, ctx.d) <= 0:
         problems.append("(h1, v2) is not positive")
-    if _pairing_sign(ctx, v1, v2) <= 0:
+    if zsign(*_zinner(ctx, v1, v2), ctx.d) <= 0:
         problems.append("(v1, v2) is not positive")
     return verdict(problems, "v1, v2 are isotropic and the anchor lies "
                    "strictly between them; (h1, v1) = 4 sqrt(%d) exactly"
@@ -254,10 +232,10 @@ def check_rays(run):
 @dataclass
 class GeneratorSearchResult:
     g0: Isometry
-    alpha: QuadExt
+    alpha: tuple  # the eigenvalue on v1, a triple (p, q, n) as _eigen_ratio's
     trace_a: int
     bound_used: int
-    accepted: list
+    accepted: list  # the accepted Isometry objects, in scan order
     filtered_out: list  # (matrix, reason)
     # the powers g0^k that the generator, alpha and orbit checks read
     powers: PowerTable = field(init=False, repr=False, compare=False)
@@ -376,20 +354,19 @@ def isometry_search(ctx, entry_bound=ENTRY_BOUND):
         bound *= 2
     d = ctx.d
     accepted, filtered, positive = [], [], []
-    # the first accepted (g, alpha) of least lam > 1 in scan order, and lam
-    least = None
+    # the first accepted g0 of least alpha = lam > 1 in scan order
+    g0 = alpha = None
     for m in _raw_isometries(ctx, bound):
         reason, lam = verdicts.get(m) or _filter(ctx, disc, m)
         if reason is None:
             g = walked if m == walked.matrix else Isometry(ctx.lattice, m)
-            accepted.append((g, _quad(lam, d)))
+            accepted.append(g)
             if _above_one(lam, d):
                 positive.append(g)
-                if least is None or _below(lam, least[1], d):
-                    least = accepted[-1], lam
+                if alpha is None or _below(lam, alpha, d):
+                    g0, alpha = g, lam
         else:
             filtered.append((m, reason))
-    g0, alpha = least[0] if least else (None, None)
     if g0 is None or g0.matrix != walked.matrix:
         raise PellError("the scan at entry bound %d has minimal generator %s, "
                         "the unit walk %s"
@@ -441,7 +418,7 @@ def _raw_isometries(ctx, bound):
 
 
 def _check_generator(ctx, res):
-    g0, alpha, a = res.g0, res.alpha, res.trace_a
+    g0, a = res.g0, res.trace_a
     if g0.det() != 1:
         raise PellError("generator has determinant %d" % g0.det())
     if a < 3:
@@ -449,7 +426,7 @@ def _check_generator(ctx, res):
     # with alpha = x / n for x = p + q sqrt(d): n^2 (t^2 - a t + 1) at t = alpha
     # is x^2 - a n x + n^2, and alpha * beta = 1 is x y = n m for beta = y / m
     d = ctx.d
-    p, q, n = _as_triple(alpha)
+    p, q, n = res.alpha
     x2 = _zmul((p, q), (p, q), d)
     if (x2[0] - a * n * p + n * n, x2[1] - a * n * q) != (0, 0):
         raise PellError("alpha does not satisfy t^2 - %d t + 1 = 0" % a)
@@ -457,7 +434,7 @@ def _check_generator(ctx, res):
     if beta is None or _zmul((p, q), beta[:2], d) != (n * beta[2], 0):
         raise PellError("alpha * beta != 1")
     # every accepted candidate must be a power of g0 within the search range
-    for g, lam in res.accepted:
+    for g in res.accepted:
         if not _is_power_of(res.powers, g):
             raise PellError("accepted candidate %s is not a power of the "
                             "generator" % (g.matrix,))
@@ -503,11 +480,13 @@ NO_GENERATOR = (SKIPPED, "needs the lemma-4.6 generator, which was not found")
 
 def check_generator(run):
     res = run.search = isometry_search(run.ctx, entry_bound=run.entry_bound)
+    p, q, n = res.alpha
+    alpha = serialize(Fraction(p, n), Fraction(q, n), run.ctx.d)
     return PASS, ("bounded search certificate (entries <= %d): generator "
                   "g0 = %s with trace %d, alpha = %s > 1; %d isometries "
                   "rejected by the ray/cone/discriminant filters; all "
                   "accepted candidates are powers of g0"
-                  % (res.bound_used, res.g0.matrix, res.trace_a, res.alpha,
+                  % (res.bound_used, res.g0.matrix, res.trace_a, alpha,
                      len(res.filtered_out)))
 
 
@@ -518,7 +497,7 @@ def check_alpha_homomorphism(run, n_bound=5):
     d = ctx.d
     # alpha = (ap + aq sqrt(d)) / an, and lam = (p + q sqrt(d)) / m equals
     # num / den exactly when (p + q sqrt(d)) den = m num
-    ap, aq, an = _as_triple(run.search.alpha)
+    ap, aq, an = run.search.alpha
     # alpha^k = (ap + aq sqrt(d))^k / an^k for k = 0 .. n_bound, one running
     # product per k; both signs of n read it
     numers, scales = [(1, 0)], [1]
@@ -538,8 +517,6 @@ def check_alpha_homomorphism(run, n_bound=5):
             problems.append("alpha(g0^%d) != alpha^%d" % (n, n))
         if (p, q) == (m, 0) and n != 0:
             problems.append("alpha(g0^%d) = 1 with n != 0" % n)
-    if (numers[0], scales[0]) != ((1, 0), 1):
-        problems.append("alpha^0 != 1")
     lam = _eigen_ratio(ctx, powers[-1].matrix, ctx.v1)
     if lam is None or _zmul(lam[:2], (ap, aq), d) != (lam[2] * an, 0):
         problems.append("alpha(g0^-1) is not the conjugate root")

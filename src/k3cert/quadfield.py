@@ -1,9 +1,11 @@
 """Exact arithmetic in real quadratic extensions Q(sqrt(d)).
 
-A QuadExt value is a + b*sqrt(d) with rational a, b and a fixed positive
-non-square integer d.  Signs are decided by one exact integer rule,
-zsign, never by floating point; the chamber and the Pell layer call it
-directly on integer pairs p + q*sqrt(d), through pair_sign.
+The chamber and the Pell layer compute on integer pairs p + q*sqrt(d):
+pair_value evaluates an integer linear form at a ray of such pairs, and
+one exact integer rule, zsign, decides every sign, never floating point.
+serialize prints a + b*sqrt(d).  A QuadExt value is a + b*sqrt(d) with
+rational a, b and a fixed positive non-square integer d; nothing in k3cert
+builds one, and the tests keep it as the oracle of the integer routes.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class QuadExt:
         return "QuadExt(%s, %s, %d)" % (self.a, self.b, self.d)
 
     def __str__(self):
-        return serialize(self)
+        return serialize(self.a, self.b, self.d)
 
 
 def zsign(p, q, d):
@@ -158,20 +160,26 @@ def zsign(p, q, d):
     return sp if diff > 0 else (sq if diff < 0 else 0)
 
 
+def pair_value(row, ray):
+    """The integer linear form row at a ray whose coordinates are integer
+    pairs (p, q) meaning p + q*sqrt(d): the pair (row.p, row.q), meaning
+    row.p + (row.q)*sqrt(d), from two integer dot products."""
+    return (sum(r * p for r, (p, _) in zip(row, ray)),
+            sum(r * q for r, (_, q) in zip(row, ray)))
+
+
 def pair_sign(row, ray, d):
-    """Exact sign of the integer linear form row at a ray whose coordinates
-    are integer pairs (p, q) meaning p + q*sqrt(d): the value is
-    row.p + (row.q)*sqrt(d), two integer dot products and one zsign."""
-    return zsign(sum(r * p for r, (p, _) in zip(row, ray)),
-                 sum(r * q for r, (_, q) in zip(row, ray)), d)
+    """Exact sign of the integer linear form row at a ray of integer
+    pairs: one zsign of pair_value."""
+    return zsign(*pair_value(row, ray), d)
 
 
-def serialize(x):
-    """Render as "a+b√d" with exact rationals."""
-    a, b = x.a, x.b
+def serialize(a, b, d):
+    """Render a + b*sqrt(d) as "a+b√d", with a and b exact rationals
+    (int or Fraction)."""
     def fr(f):
         return "%d/%d" % (f.numerator, f.denominator) if f.denominator != 1 else str(f.numerator)
     if b == 0:
         return fr(a)
     sign = "+" if b >= 0 else "-"
-    return "%s%s%s√%d" % (fr(a), sign, fr(abs(b)), x.d)
+    return "%s%s%s√%d" % (fr(a), sign, fr(abs(b)), d)

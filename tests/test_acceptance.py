@@ -10,6 +10,7 @@ from k3cert import cli, pell, quartic, weierstrass
 from k3cert.chamber import pingpong_certify, orbit_of_anchor
 from k3cert.isometry import mw_translation, reflection_in
 from k3cert.lattice import discriminant_group
+from k3cert.quadfield import QuadExt
 from k3cert.report import DISCREPANCY, PASS
 
 
@@ -104,10 +105,12 @@ def test_criterion_6_pell_generator(pell6):
     assert res.bound_used >= 300
     a = res.trace_a
     assert a >= 3
-    alpha = res.alpha
+    # alpha and beta, integer triples (p + q sqrt(d)) / n, in QuadExt
+    alpha, beta = (QuadExt(Fraction(p, n), Fraction(q, n), ctx.d)
+                   for p, q, n in (res.alpha, pell._eigen_ratio(
+                       ctx, res.g0.matrix, ctx.v2)))
     assert alpha > 1
     assert alpha * alpha - a * alpha + 1 == 0
-    beta = pell._quad(pell._eigen_ratio(ctx, res.g0.matrix, ctx.v2), ctx.d)
     assert alpha * beta == 1
     assert res.g0.det() == 1
     from k3cert.isometry import discriminant_action

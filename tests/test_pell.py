@@ -9,8 +9,16 @@ from hypothesis import given, settings, strategies as st
 from k3cert import cli, isometry, pell
 from k3cert.isometry import Isometry, discriminant_action
 from k3cert.lattice import discriminant_group, lattice_points
-from k3cert.quadfield import QuadExt, is_square, pair_sign, zsign
+from k3cert.quadfield import (
+    QuadExt, is_square, pair_sign, pair_value, zsign)
 from k3cert.report import FAIL, PASS, SKIPPED, run_suite
+
+
+def _quad(lam, d):
+    """The QuadExt of an eigenvalue triple (p, q, n): the oracle's form of
+    the triples that pell computes on."""
+    p, q, n = lam
+    return QuadExt(Fraction(p, n), Fraction(q, n), d)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +51,8 @@ def test_rays(ctx6, run6):
     assert status == PASS, details
     assert pell._zinner(ctx6, ctx6.v1, ctx6.v1) == (0, 0)
     assert pell._zinner(ctx6, ctx6.v2, ctx6.v2) == (0, 0)
-    assert pell._zinner(ctx6, pell._lift(ctx6.anchor), ctx6.v1) == (0, 4)
+    row = ctx6.lattice.pairing_row(ctx6.anchor)
+    assert pair_value(row, ctx6.v1) == (0, 4)
 
 
 def test_representation(ctx6):
@@ -160,7 +169,7 @@ def test_raw_isometries_include_identities(ctx6):
 def test_generator_search(ctx6, res6):
     assert res6.g0.matrix == ((-143, -1704), (1704, 20305))
     assert res6.trace_a == 20162
-    assert res6.alpha == QuadExt(10081, 1704, 35)
+    assert res6.alpha == (10081, 1704, 1)
     assert res6.bound_used >= 300
     reasons = {r for _, r in res6.filtered_out}
     assert "ray-swapping" in reasons
@@ -171,6 +180,11 @@ def test_generator_search(ctx6, res6):
 def _quad_ray(ctx, ray):
     """A ray with integer-pair coordinates (p, q) as QuadExt coordinates."""
     return tuple(QuadExt(p, q, ctx.d) for p, q in ray)
+
+
+def _quad_class(ctx, h):
+    """An integer class as QuadExt coordinates."""
+    return tuple(QuadExt(c, 0, ctx.d) for c in h)
 
 
 def _quad_inner(ctx, x, y):
@@ -228,13 +242,16 @@ def _search(ell):
 @pytest.mark.parametrize("ell", [6, 7, 8, 9, 10, 11, 12, 93])
 def test_unit_walk_matches_escalating_search(ell):
     res = _search(ell)
-    g0, alpha, bound, accepted, filtered = _escalating_search(
-        pell.build_context(ell))
-    assert res.g0 == g0 and res.alpha == alpha and str(res.alpha) == str(alpha)
+    ctx = pell.build_context(ell)
+    g0, alpha, bound, accepted, filtered = _escalating_search(ctx)
+    assert res.g0 == g0 and _quad(res.alpha, ctx.d) == alpha
     assert res.trace_a == g0.matrix[0][0] + g0.matrix[1][1]
     assert res.bound_used == bound
-    assert res.accepted == accepted
+    assert res.accepted == [g for g, _ in accepted]
     assert res.filtered_out == filtered
+    # lemma 4.6 prints alpha as QuadExt's str does
+    status, details = pell.check_generator(pell.PellRun(ctx))
+    assert status == PASS and "alpha = %s > 1" % alpha in details
 
 
 def _eps4(ell):
@@ -280,9 +297,9 @@ def test_raw_matrices_are_the_checked_isometries(ell):
     # the search files each admitted matrix once, and builds an Isometry
     # only for the accepted ones
     filed = ([m for m, _ in res.filtered_out]
-             + [g.matrix for g, _ in res.accepted])
+             + [g.matrix for g in res.accepted])
     assert sorted(filed) == sorted(raw)
-    assert all(isinstance(g, Isometry) for g, _ in res.accepted)
+    assert all(isinstance(g, Isometry) for g in res.accepted)
 
 
 @pytest.mark.parametrize("ell", [6, 93])
@@ -391,7 +408,7 @@ def test_power_check_past_the_cli_cap(ctx6, res6):
     res = pell.isometry_search(ctx6, entry_bound=10 ** 285)
     assert res.g0 == res6.g0 and res.alpha == res6.alpha
     ks = [k for k in range(-80, 81)
-          if any(g.matrix == res.powers[k].matrix for g, _ in res.accepted)]
+          if any(g.matrix == res.powers[k].matrix for g in res.accepted)]
     assert max(map(abs, ks)) >= 64
 
 
@@ -413,7 +430,7 @@ def test_eigen_ratio_against_quadext_arithmetic(ell, data):
         if want is None:
             assert lam is None
         else:
-            assert lam[2] > 0 and pell._quad(lam, ctx.d) == want
+            assert lam[2] > 0 and _quad(lam, ctx.d) == want
             # the filters read the sign of lam and lam > 1 off the triple
             assert (zsign(lam[0], lam[1], ctx.d) > 0) == (want > 0)
             assert pell._above_one(lam, ctx.d) == (want > 1)
@@ -429,7 +446,7 @@ _triples = st.tuples(st.integers(-10 ** 6, 10 ** 6),
 def test_triple_order_against_quadext(d, lam, mu, k):
     # the search's lam > 1 and lam < mu on triples (p + q sqrt(d)) / n with
     # n > 0, against QuadExt's comparisons; k lam is lam written over k n
-    a, b = pell._quad(lam, d), pell._quad(mu, d)
+    a, b = _quad(lam, d), _quad(mu, d)
     assert pell._above_one(lam, d) == (a > 1)
     assert pell._below(lam, mu, d) == (a < b)
     assert pell._below(mu, lam, d) == (b < a)
@@ -439,20 +456,57 @@ def test_triple_order_against_quadext(d, lam, mu, k):
     assert not pell._above_one((lam[2], 0, lam[2]), d)
 
 
-def test_verify_pell_does_no_quadext_arithmetic(monkeypatch, capsys):
-    # verify pell builds QuadExt values to print them; every sign and order
-    # is decided on integer triples, so QuadExt's arithmetic and comparisons
-    # may all raise
+def test_verify_builds_no_quadext(monkeypatch, capsys):
+    # every Pell sign, order and printed value comes from integer pairs and
+    # triples, so no command may build a QuadExt
     def refuse(*args):
-        raise AssertionError("QuadExt arithmetic or comparison")
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
-                 "__neg__", "__eq__", "__gt__", "__lt__", "__ge__", "__le__",
-                 "sign", "norm", "conjugate"):
-        monkeypatch.setattr(QuadExt, name, refuse)
+        raise AssertionError("QuadExt built")
+    monkeypatch.setattr(QuadExt, "__init__", refuse)
+    assert cli.main(["verify", "all"]) == 0
+    assert " 0 fail" in capsys.readouterr().out
     for ell in (6, 93):
         assert cli.main(["verify", "pell", "--ell", str(ell)]) == 0
         assert "6 pass, 0 fail" in capsys.readouterr().out
+
+
+def test_search_falsifier_every_lam_above_one(ctx6, monkeypatch):
+    # with lam > 1 always true, the least accepted eigenvalue is g0^-1's,
+    # and the scan disagrees with the walk by name
+    monkeypatch.setattr(pell, "_above_one", lambda lam, d: True)
+    with pytest.raises(pell.PellError) as err:
+        pell.isometry_search(ctx6)
+    assert str(err.value) == (
+        "the scan at entry bound 38400 has minimal generator "
+        "((20305, 1704), (-1704, -143)), the unit walk "
+        "((-143, -1704), (1704, 20305))")
+
+
+def test_alpha_homomorphism_falsifiers(ctx6, res6):
+    # the conjugate of alpha is no eigenvalue of g0 on v1
+    p, q, n = res6.alpha
+    run = pell.PellRun(ctx6, search=replace(res6, alpha=(p, -q, n)))
+    status, details = pell.check_alpha_homomorphism(run)
+    assert status == FAIL and "alpha(g0^1) != alpha^1" in details.split("; ")
+    # a power table with the identity at |n| = 2 breaks injectivity
+    res = replace(res6)
+    table, one = res6.powers, res6.powers[0]
+
+    class Collapsed:
+        def __getitem__(self, k):
+            return one if abs(k) == 2 else table[k]
+    res.powers = Collapsed()
+    status, details = pell.check_alpha_homomorphism(
+        pell.PellRun(ctx6, search=res))
+    assert status == FAIL
+    assert "alpha(g0^2) = 1 with n != 0" in details.split("; ")
+
+
+def test_rays_falsifier_prints_the_pairing(ctx6):
+    # v1 doubled stays isotropic and on the cone's side, so only its
+    # pairing with h1 fails, printed as a number of Z[sqrt(35)]
+    v1 = tuple((2 * p, 2 * q) for p, q in ctx6.v1)
+    run = pell.PellRun(replace(ctx6, v1=v1))
+    assert pell.check_rays(run) == (FAIL, "(h1, v1) = 0+8√35 != 4 sqrt(35)")
 
 
 @settings(deadline=None, max_examples=50)
@@ -462,11 +516,15 @@ def test_ray_pairing_against_quadext_arithmetic(ell, data):
     coords = st.integers(-10 ** 6, 10 ** 6)
     h = (data.draw(coords), data.draw(coords))
     rays = (ctx.v1, ctx.v2)
-    for x, y in [(pell._lift(h), r) for r in rays] + [rays, rays[::-1]]:
+    row = ctx.lattice.pairing_row(h)
+    for ray in rays:
+        want = _quad_inner(ctx, _quad_class(ctx, h), _quad_ray(ctx, ray))
+        assert QuadExt(*pair_value(row, ray), ctx.d) == want
+    for x, y in (rays, rays[::-1]):
         p, q = pell._zinner(ctx, x, y)
         want = _quad_inner(ctx, _quad_ray(ctx, x), _quad_ray(ctx, y))
         assert QuadExt(p, q, ctx.d) == want
-        assert pell._pairing_sign(ctx, x, y) == want.sign()
+        assert zsign(p, q, ctx.d) == want.sign()
 
 
 @settings(deadline=None, max_examples=50)
@@ -479,8 +537,7 @@ def test_class_ray_sign_against_quadext_arithmetic(ell, data):
     coords = st.integers(-10 ** 6, 10 ** 6)
     h = (data.draw(coords), data.draw(coords))
     for ray in (ctx.v1, ctx.v2):
-        want = _quad_inner(ctx, _quad_ray(ctx, pell._lift(h)),
-                           _quad_ray(ctx, ray))
+        want = _quad_inner(ctx, _quad_class(ctx, h), _quad_ray(ctx, ray))
         row = ctx.lattice.pairing_row(h)
         assert pair_sign(row, ray, ctx.d) == want.sign()
 
@@ -517,7 +574,7 @@ def test_alpha_homomorphism(ctx6, res6, run6):
     status, details = pell.check_alpha_homomorphism(run6)
     assert status == PASS, details
     beta = pell._eigen_ratio(ctx6, res6.g0.matrix, ctx6.v2)
-    assert res6.alpha * pell._quad(beta, ctx6.d) == 1
+    assert _quad(res6.alpha, ctx6.d) * _quad(beta, ctx6.d) == 1
 
 
 def test_orbit(ctx6, res6, run6):
@@ -727,14 +784,14 @@ def test_search_crash_fails_only_its_item(monkeypatch):
 
 
 def test_check_generator_rejects_a_wrong_alpha(ctx6, res6):
-    alpha, a = res6.alpha, res6.trace_a
+    (p, q, n), a = res6.alpha, res6.trace_a
     pell._check_generator(ctx6, res6)
     with pytest.raises(pell.PellError, match="does not satisfy"):
-        pell._check_generator(ctx6, replace(res6, alpha=alpha + 1,
+        pell._check_generator(ctx6, replace(res6, alpha=(p + n, q, n),
                                             accepted=[]))
     with pytest.raises(pell.PellError, match="does not satisfy"):
         pell._check_generator(ctx6, replace(res6, trace_a=a + 2, accepted=[]))
     # the conjugate root satisfies the quadratic but is 1 / alpha
     with pytest.raises(pell.PellError, match="alpha \\* beta"):
-        pell._check_generator(ctx6, replace(res6, alpha=alpha.conjugate(),
+        pell._check_generator(ctx6, replace(res6, alpha=(p, -q, n),
                                             accepted=[]))

@@ -141,6 +141,9 @@ def test_comparisons():
 
 
 def test_serialize():
-    assert serialize(QuadExt(Fraction(1, 2), Fraction(-3, 4), 5)) == "1/2-3/4√5"
-    assert serialize(QuadExt(2, 0, 5)) == "2"
+    assert serialize(Fraction(1, 2), Fraction(-3, 4), 5) == "1/2-3/4√5"
+    assert serialize(2, 0, 5) == "2"
+    assert serialize(0, 8, 35) == "0+8√35"
+    assert str(QuadExt(Fraction(1, 2), Fraction(-3, 4), 5)) == "1/2-3/4√5"
+    assert str(QuadExt(2, 0, 5)) == "2"
     assert str(QuadExt(0, 1, 35)) == "0+1√35"

@@ -62,6 +62,7 @@ ARGV = [
     ["verify", "weierstrass"], ["verify", "pell"],
     ["verify", "pell", "--ell", "7"], ["verify", "pell", "--ell=7"],
     ["verify", "--ell", "7", "pell"], ["verify", "pell", "--ell", "93"],
+    ["verify", "pell", "--ell", "10000000000000000000001", "--k-bound", "0"],
     ["verify", "pell", "--ell-range", "6..8"],
     ["verify", "pell", "--ell-range=6..8"],
     ["verify", "pell", "--ell", "6", "--entry-bound", "100"],
