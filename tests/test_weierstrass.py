@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.fields import field
-from sympy.polys.rings import PolyElement, PolyRing
+from sympy.polys.rings import PolyElement, ring
 
 from k3cert import weierstrass as w
 from k3cert.report import FAIL, PASS
@@ -231,6 +231,82 @@ def test_contains_at_large_heights(test_curve, k, shift):
         shift == 0 or shift == -2 * pt.y)
 
 
+# curves with rational p = P/Q and q = R/S, Q and S > 1, and a base point
+# of infinite order on each
+RATIONAL_CURVES = {
+    "x^3 + x/2 - 1/2": (Fraction(1, 2), Fraction(-1, 2), (1, 1)),
+    "x^3 + x/3 + 17/24": (Fraction(1, 3), Fraction(17, 24),
+                          (Fraction(1, 2), 1)),
+    # the roots 1/2, 1/3 and -5/6 are 2-torsion points
+    "x^3 - 19x/36 + 5/36": (Fraction(-19, 36), Fraction(5, 36), None),
+}
+
+
+def _nth_multiple(name, k):
+    p, q, base = RATIONAL_CURVES[name]
+    return w.multiples(w.SumTable(curve(p, q)), w.CurvePoint.affine(*base),
+                       k)[-1]
+
+
+def _shifted(name, k, dy):
+    pt = _nth_multiple(name, k)
+    return w.CurvePoint.affine(pt.x, pt.y + dy)
+
+
+# (curve, point, whether e^2 divides b^3 Q S, whether the point is on the
+# curve): contains divides first, so each way past the division is a row
+CONTAINS_FALSIFIERS = [
+    # e^2 does not divide b^3 Q S: off the curve without the products
+    ("x^3 + x/2 - 1/2", lambda: w.CurvePoint.affine(1, Fraction(1, 3)),
+     False, False),
+    ("x^3 + x/2 - 1/2",
+     lambda: w.CurvePoint.affine(Fraction(17, 16), Fraction(-71, 256)),
+     False, False),
+    ("x^3 + x/3 + 17/24",
+     lambda: w.CurvePoint.affine(Fraction(1, 2), Fraction(1, 5)),
+     False, False),
+    # at a root the bracket is 0, and so is the floor of b^3 Q S / e^2 once
+    # e^2 exceeds b^3 Q S: only the remainder tells this point off
+    ("x^3 - 19x/36 + 5/36",
+     lambda: w.CurvePoint.affine(Fraction(1, 2), Fraction(1, 103)),
+     False, False),
+    # e^2 divides b^3 Q S but the numerators differ: off the curve
+    ("x^3 + x/2 - 1/2", lambda: w.CurvePoint.affine(1, 3), True, False),
+    ("x^3 + x/2 - 1/2",
+     lambda: w.CurvePoint.affine(Fraction(17, 16), Fraction(-71, 128)),
+     True, False),
+    ("x^3 + x/2 - 1/2", lambda: _shifted("x^3 + x/2 - 1/2", 30, 1),
+     True, False),
+    ("x^3 + x/3 + 17/24", lambda: _shifted("x^3 + x/3 + 17/24", 30, -1),
+     True, False),
+    # multiples, at large height too: on the curve (the test checks each
+    # row's negative as well)
+    ("x^3 + x/2 - 1/2",
+     lambda: w.CurvePoint.affine(Fraction(17, 16), Fraction(-71, 64)),
+     True, True),
+    ("x^3 + x/2 - 1/2", lambda: _nth_multiple("x^3 + x/2 - 1/2", 30),
+     True, True),
+    ("x^3 - 19x/36 + 5/36",
+     lambda: w.CurvePoint.affine(Fraction(-5, 6), 0), True, True),
+    ("x^3 + x/3 + 17/24", lambda: _nth_multiple("x^3 + x/3 + 17/24", 30),
+     True, True),
+]
+
+
+@pytest.mark.parametrize("name, point, divides, on", CONTAINS_FALSIFIERS)
+def test_contains_divides_first_on_rational_curves(name, point, divides, on):
+    p, q, _ = RATIONAL_CURVES[name]
+    e, pt = curve(p, q), point()
+    assert e.p.denominator > 1 and e.q.denominator > 1
+    # the row is of the kind it claims
+    a, b, c, d = pt.key
+    assert (b ** 3 * e.p.denominator * e.q.denominator % (d * d) == 0) \
+        == divides
+    for _ in range(2):  # the second call may read the record of points on it
+        assert e.contains(pt) == _contains_by_fractions(e, pt) == on
+    assert e.contains(e.neg(pt)) == on
+
+
 def _add_by_fractions(e, p1, p2):
     """The textbook chord-tangent formulas in Fraction arithmetic, with
     y3 = lam (x1 - x3) - y1: the oracle for the integer chord_tangent_add."""
@@ -342,14 +418,18 @@ def test_field_over_the_integers():
     # K is the ring Z[s, t, a, b] and the identities run on its unreduced
     # quotients; Fraction translation points coerce into them, phi o phi =
     # id holds there, and a wrong composition is still told apart
-    assert isinstance(w.K, PolyRing) and w.K.domain == sympy.ZZ
-    assert w.K.symbols == sympy.symbols("s t a b")
+    gens = [q.num for q in (w.S, w.T, w.A, w.B)]
+    assert all(isinstance(g, w.Poly) for g in gens)
+    assert [[g.degree(i) for i in range(4)] for g in gens] == [
+        [int(i == j) for i in range(4)] for j in range(4)]
     a, b = Fraction(1, 2), Fraction(-3, 7)
     phi = w.invert_translation_map(a, b)
     components = phi.compose(phi).components()
     assert components == (w.S, w.T)
     for c in components:
-        assert w.K(c.num).ring is w.K and w.K(c.den).ring is w.K
+        for x in (c.num, c.den):
+            assert isinstance(w.as_poly(x), w.Poly)
+            assert all(type(n) is int for n in w.as_poly(x).terms.values())
     other = w.translation_map(a, b + Fraction(1, 3))
     assert phi.compose(other).components() != (w.S, w.T)
 
@@ -394,6 +474,18 @@ def _evaluate(tree, gens, const, power=operator.pow):
         return None
 
 
+def _in_field(x):
+    """An int or an element of K read into F: each coefficient times its
+    monomial, summed."""
+    total = F(0)
+    for m, c in w.as_poly(x).terms.items():
+        term = F(c)
+        for i, g in enumerate(F_GENS):
+            term *= g ** (m >> 16 * i & 0xFFFF)
+        total += term
+    return total
+
+
 def _quotient_of(tree):
     # constants stay ints and Fractions, so their coercion is exercised
     value = _evaluate(tree, (w.S, w.T, w.A, w.B), lambda c: c)
@@ -418,7 +510,7 @@ def test_quotients_against_the_field(e1, e2, d):
     assume(q1 is not None and q2 is not None)
     # num/den read back into the field is the field's own value
     for q, f in ((q1, f1), (q2, f2)):
-        assert F(q.num) / F(q.den) == f
+        assert _in_field(q.num) / _in_field(q.den) == f
     assert (q1 == q2) == (f1 == f2)
     assert (q1 != q2) == (f1 != f2)
     assert q1 == q1 + 0 and not q1 != 1 * q1
@@ -434,6 +526,73 @@ def test_quotients_against_the_field(e1, e2, d):
             zero ** -1
 
 
+# sympy's ring over the same variables: the oracle for K's arithmetic
+R, *R_GENS = ring("s,t,a,b", sympy.ZZ)
+ring_leaves = st.one_of(st.integers(0, 3).map(lambda i: ("var", i)),
+                        st.integers(-9, 9).map(lambda c: ("const", c)))
+ring_binary = st.sampled_from("+-*")
+ring_powers = st.tuples(st.just("**"),
+                        ring_leaves | st.tuples(ring_binary, ring_leaves,
+                                                ring_leaves),
+                        st.integers(1, 3))  # sympy refuses 0**0
+ring_expressions = st.recursive(ring_leaves | ring_powers,
+                                lambda sub: st.tuples(ring_binary, sub, sub),
+                                max_leaves=10)
+
+
+def _packed(exponents):
+    """The packed key of K's monomial with these exponents of (s, t, a, b):
+    16 bits a variable."""
+    return sum(e << 16 * i for i, e in enumerate(exponents))
+
+
+def _ring_value(tree, gens, const):
+    kind = tree[0]
+    if kind == "var":
+        return gens[tree[1]]
+    if kind == "const":
+        return const(tree[1])
+    x = _ring_value(tree[1], gens, const)
+    if kind == "**":
+        return x ** tree[2]
+    return OPS[kind](x, _ring_value(tree[2], gens, const))
+
+
+@settings(deadline=None, max_examples=300)
+@given(ring_expressions, ring_expressions, st.booleans())
+def test_ring_against_sympy(e1, e2, coerce):
+    # constants enter K as Polys or, to exercise the coercion, as ints
+    const = w.as_poly if coerce else (lambda c: c)
+    gens = [q.num for q in (w.S, w.T, w.A, w.B)]
+    ours = [w.as_poly(_ring_value(e, gens, const)) for e in (e1, e2)]
+    theirs = [_ring_value(e, R_GENS, R) for e in (e1, e2)]
+    for x, y in zip(ours, theirs):
+        assert x.terms == {_packed(m): int(c) for m, c in y.terms()}
+        assert [x.degree(i) for i in range(4)] == [y.degree(i)
+                                                   for i in range(4)]
+        assert bool(x) == bool(y)
+        assert x.deg >= max((sum(m) for m in y.monoms()), default=0)
+    assert (ours[0] == ours[1]) == (theirs[0] == theirs[1])
+    assert (ours[0] != ours[1]) == (theirs[0] != theirs[1])
+    assert (ours[0] == 1) == (theirs[0] == 1)
+
+
+def test_an_exponent_past_the_field_raises():
+    # 16 bits a variable: s^65535 fits, s^65536 would carry into t's field;
+    # the guard bounds the total degree, so it also refuses (top + t) * t,
+    # whose fields would not overflow
+    s, t = w.S.num, w.T.num
+    top = (s ** 255) ** 257
+    assert [top.degree(i) for i in range(4)] == [65535, 0, 0, 0]
+    assert top != t and s ** 0 == 1
+    for overflow in (lambda: top * s, lambda: (top + t) * t,
+                     lambda: (s ** 256) ** 256, lambda: top * top):
+        with pytest.raises(OverflowError):
+            overflow()
+    with pytest.raises(ValueError):
+        s ** -1
+
+
 def test_inverse_check_rejects_a_wrong_formula(monkeypatch):
     # t' without its final + b is no involution, generically, at (0, 1) or
     # at a rational point
@@ -447,15 +606,25 @@ def test_inverse_check_rejects_a_wrong_formula(monkeypatch):
             w.invert_translation_map(*ab)
     inverse = next(it for it in w.full_weierstrass_certificate().items
                    if it.id == "thm-2.2-inverse")
-    assert inverse.status == FAIL and "residual" in inverse.details
+    # a problem line per proof, each residual summarized by its component,
+    # term count and degrees, not dumped and not a crash
+    assert inverse.status == FAIL
+    assert inverse.details.startswith(
+        "generic (a, b): inverse composition residual in s: ")
+    assert "curve (p=0, q=1): inverse composition residual in s: " \
+        in inverse.details
+    assert "\n" not in inverse.details and len(inverse.details) < 1000
+    assert "**" not in inverse.details
 
 
 def test_certificate_takes_no_polynomial_gcd(monkeypatch):
-    # the identities are cross-multiplications, so a gcd or a cancellation
-    # in the ring is never needed
+    # the identities are cross-multiplications in k3cert's own K, so no
+    # sympy polynomial arithmetic runs, and a gcd or a cancellation in the
+    # ring is never needed
     def refuse(*args, **kwargs):
-        raise AssertionError("a polynomial gcd was taken")
-    for name in ("gcd", "cofactors", "cancel"):
+        raise AssertionError("sympy polynomial arithmetic ran")
+    for name in ("__mul__", "__add__", "__sub__", "__pow__", "gcd",
+                 "cofactors", "cancel"):
         monkeypatch.setattr(PolyElement, name, refuse)
     report = w.full_weierstrass_certificate()
     assert [it.status for it in report.items] == [PASS] * 5, report.items
