@@ -62,6 +62,20 @@ def test_quartic_and_pell_import_without_sympy():
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_cli_runs_without_argparse():
+    # in a fresh interpreter: argparse is only the tests' oracle of the CLI
+    # parse, so neither the import nor help nor a usage error loads it
+    src = os.path.dirname(os.path.dirname(k3cert.__file__))
+    code = ("import sys, k3cert.cli as cli; "
+            "assert 'argparse' not in sys.modules, 'argparse was imported'; "
+            "codes = [cli.main(['-h']), cli.main(['orbit', '--len', 'x'])]; "
+            "assert codes == [0, 2], codes; "
+            "assert 'argparse' not in sys.modules, 'argparse was loaded'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_enumerate_sections(ctx):
     sols, fit, zero = quartic.enumerate_sections(ctx, n_bound=3)
     assert fit == (10, 0, -1)

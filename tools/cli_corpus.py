@@ -3,18 +3,16 @@
     python3 tools/cli_corpus.py
 
 For each argv of ``ARGV`` the corpus holds what ``k3cert.cli.main`` gives
-in-process: the exit code (``SystemExit`` included), stdout, stderr and the
-report that ``--json {tmp}/r.json`` wrote, if the command left one.  A
+in-process: the exit code, stdout, stderr and the report that
+``--json {tmp}/r.json`` wrote, if the command left one.  A
 report is stored minus its ``elapsed_ms`` fields, the one part of the output
 that is not deterministic.  An output longer than ``LONG`` characters is
 stored as ``"sha256:<hex>"``.  Each argv runs in a new temporary
 directory; ``{tmp}`` in an argv stands for it, and the directory's path is
 written back as ``{tmp}`` in the outputs.  ``{oversized}`` stands for an
 integer of 4,401 digits, past Python's 4,300-digit limit on int conversion.
-argparse wraps its help and usage lines to the terminal width, so every argv
-runs with ``COLUMNS`` set to ``COLUMNS``.  argparse's wording and its "--"
-handling also differ between Python versions, so the corpus records the
-version (major, minor) it was recorded on.
+Every output, help and usage text included, is k3cert's own, so the corpus
+holds on every Python version and terminal width.
 
 ``tests/test_cli_corpus.py`` replays the corpus in tier-1.  A change that
 alters an output on purpose re-records the corpus and names each changed
@@ -37,7 +35,6 @@ if os.path.join(ROOT, "src") not in sys.path:
 from k3cert import cli  # noqa: E402
 
 LONG = 1000
-COLUMNS = "80"
 PLACEHOLDERS = {"{oversized}": "1" * 4401}
 
 _MAX_ELL_1 = str(cli.MAX_ELL + 1)
@@ -45,8 +42,8 @@ _MAX_ENTRY_1 = str(cli.MAX_ENTRY_BOUND + 1)
 
 # every subcommand and option in the --opt=v and --opt v forms, the help
 # requests, abbreviations, repeats, "--" (as a token and as a value after
-# "="), negative values in the space form, and every exit-2 path:
-# argparse's usage errors, the caps, the digit limit and the --json path
+# "="), negative values in the space form, and every exit-2 path: the
+# parse's usage errors, the caps, the digit limit and the --json path
 # checks
 ARGV = [
     # the top level
@@ -190,33 +187,21 @@ def _report(path):
 def record(template):
     """The corpus entry of one argv template: cli.main's exit code, stdout,
     stderr and --json report."""
-    old_columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = COLUMNS
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            subs = dict(PLACEHOLDERS, **{"{tmp}": tmp})
-            argv = []
-            for token in template:
-                for key, value in subs.items():
-                    token = token.replace(key, value)
-                argv.append(token)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            report = _report(os.path.join(tmp, "r.json"))
-            return {"argv": template, "code": code,
-                    "stdout": _long(out.getvalue().replace(tmp, "{tmp}")),
-                    "stderr": _long(err.getvalue().replace(tmp, "{tmp}")),
-                    "json": report}
-    finally:
-        if old_columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = old_columns
+    with tempfile.TemporaryDirectory() as tmp:
+        subs = dict(PLACEHOLDERS, **{"{tmp}": tmp})
+        argv = []
+        for token in template:
+            for key, value in subs.items():
+                token = token.replace(key, value)
+            argv.append(token)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        report = _report(os.path.join(tmp, "r.json"))
+        return {"argv": template, "code": code,
+                "stdout": _long(out.getvalue().replace(tmp, "{tmp}")),
+                "stderr": _long(err.getvalue().replace(tmp, "{tmp}")),
+                "json": report}
 
 
 def load():
@@ -225,10 +210,9 @@ def load():
 
 
 def main():
-    corpus = {"python": list(sys.version_info[:2]),
-              "entries": [record(template) for template in ARGV]}
     with open(CORPUS, "w") as fh:
-        json.dump(corpus, fh, indent=1)
+        json.dump({"entries": [record(template) for template in ARGV]}, fh,
+                  indent=1)
         fh.write("\n")
 
 
